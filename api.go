@@ -77,6 +77,9 @@ type (
 	UpdateStats = update.FuzzyStats
 	// Warehouse is a durable store of named fuzzy documents.
 	Warehouse = warehouse.Warehouse
+	// WarehouseSnapshot is one immutable version of a stored document
+	// (Warehouse.Snapshot), queried and searched without any lock.
+	WarehouseSnapshot = warehouse.Snapshot
 	// WarehouseInfo summarizes a stored document.
 	WarehouseInfo = warehouse.Info
 	// JournalStats reports warehouse journal counters: durable
@@ -99,7 +102,7 @@ type (
 	// KeywordIndex is a per-document inverted index for keyword search.
 	KeywordIndex = keyword.Index
 	// WarehouseSearchStats reports a warehouse's keyword-search
-	// counters (index builds, hits, invalidations, threshold prunes).
+	// counters (index builds, hits, threshold prunes).
 	WarehouseSearchStats = warehouse.SearchStats
 	// ViewDefinition is the registered identity of a materialized
 	// view: name, query text and syntax ("tpwj" or "xpath").

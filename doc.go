@@ -174,8 +174,8 @@
 // admin routes. The warehouse locks per document — a striped table of
 // reader/writer lock pairs — so requests on different documents never
 // contend and queries run in parallel with the computation phase of
-// updates; repeated identical queries are answered from an LRU result
-// cache that document mutations invalidate.
+// updates; repeated identical queries on an unchanged document are
+// answered from an LRU result cache.
 //
 // # Observability
 //

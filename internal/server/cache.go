@@ -15,33 +15,26 @@ type queryKey struct {
 }
 
 // lruCache is a fixed-capacity LRU map from queryKey to an encoded
-// response payload (query answers, search answers). Entries for a
-// document are dropped when the document is mutated. A capacity < 1
+// response payload (query answers, search answers). A capacity < 1
 // disables the cache entirely.
 //
-// Each document also carries a generation counter, bumped by
-// invalidateDoc. A filler reads docGen before evaluating and passes it
-// back to put, which rejects the entry when the generation moved — so
-// a slow query racing a mutation can never install a stale result.
-// The generation map is bounded: past maxGenEntries documents it is
-// reset and the epoch (folded into every docGen token) advances, which
-// voids all outstanding tokens instead of ever readmitting a stale one.
+// Every entry carries the version of the warehouse.Snapshot it was
+// computed from, and is served only to a reader holding that same
+// version. A mutation therefore needs no invalidation call: it
+// publishes a snapshot with a larger version, which the old entries do
+// not match; they are overwritten by the next fill of their key or age
+// out of the list.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[queryKey]*list.Element
-	gens  map[string]uint64
-	epoch uint64
 }
 
-// maxGenEntries caps the per-document generation map so churn through
-// many uniquely named documents cannot grow it forever.
-const maxGenEntries = 4096
-
 type lruEntry struct {
-	key   queryKey
-	value any
+	key     queryKey
+	version uint64
+	value   any
 }
 
 func newLRU(capacity int) *lruCache {
@@ -49,100 +42,51 @@ func newLRU(capacity int) *lruCache {
 		cap:   capacity,
 		ll:    list.New(),
 		items: make(map[queryKey]*list.Element),
-		gens:  make(map[string]uint64),
 	}
 }
 
 func (c *lruCache) enabled() bool { return c.cap > 0 }
 
-// get returns the cached payload and refreshes the entry's recency.
-func (c *lruCache) get(k queryKey) (any, bool) {
+// get returns the payload cached for the key at exactly this snapshot
+// version, refreshing the entry's recency.
+func (c *lruCache) get(k queryKey, version uint64) (any, bool) {
 	if !c.enabled() {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).value, true
-}
-
-// docGen returns the document's current invalidation token (epoch and
-// generation), to be passed back to put by a filler that evaluated
-// outside the lock.
-func (c *lruCache) docGen(doc string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch<<32 | c.gens[doc]
-}
-
-// put inserts (or refreshes) an entry, evicting the least recently used
-// one beyond capacity. gen is the docGen value read before the payload
-// was computed; if the document was invalidated in between, the stale
-// entry is discarded.
-func (c *lruCache) put(k queryKey, value any, gen uint64) {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.epoch<<32|c.gens[k.doc] != gen {
-		return
-	}
 	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).value = value
+		if e := el.Value.(*lruEntry); e.version == version {
+			c.ll.MoveToFront(el)
+			return e.value, true
+		}
+	}
+	return nil, false
+}
+
+// put inserts or replaces the key's entry, evicting the least recently
+// used one beyond capacity. A payload computed from an older version
+// than the entry already holds (a slow query that raced a mutation) is
+// discarded.
+func (c *lruCache) put(k queryKey, version uint64, value any) {
+	if !c.enabled() {
 		return
 	}
-	c.items[k] = c.ll.PushFront(&lruEntry{key: k, value: value})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		if e := el.Value.(*lruEntry); version >= e.version {
+			c.ll.MoveToFront(el)
+			e.version, e.value = version, value
+		}
+		return
+	}
+	c.items[k] = c.ll.PushFront(&lruEntry{key: k, version: version, value: value})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*lruEntry).key)
 	}
-}
-
-// invalidateDoc drops every entry of the named document and bumps its
-// generation. Called on update, simplify and drop. The scan is bounded
-// by the cache capacity, which is small next to the cost of the
-// mutation that triggers it.
-func (c *lruCache) invalidateDoc(doc string) {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.gens) >= maxGenEntries {
-		c.gens = make(map[string]uint64)
-		c.epoch++
-	}
-	c.gens[doc]++
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*lruEntry); e.key.doc == doc {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-		}
-		el = next
-	}
-}
-
-// invalidateAll empties the cache and starts a new epoch, so fills
-// computed against pre-reopen snapshots can never land. Called after a
-// warehouse Reopen replaces every document snapshot.
-func (c *lruCache) invalidateAll() {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens = make(map[string]uint64)
-	c.epoch++
-	c.ll.Init()
-	c.items = make(map[queryKey]*list.Element)
 }
 
 func (c *lruCache) len() int {

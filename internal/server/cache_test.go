@@ -9,17 +9,17 @@ func k(doc, q string) queryKey { return queryKey{doc: doc, query: q, mode: "exac
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
-	c.put(k("d", "q1"), []Answer{{P: 1}}, c.docGen("d"))
-	c.put(k("d", "q2"), []Answer{{P: 2}}, c.docGen("d"))
-	if _, ok := c.get(k("d", "q1")); !ok {
+	c.put(k("d", "q1"), 1, []Answer{{P: 1}})
+	c.put(k("d", "q2"), 1, []Answer{{P: 2}})
+	if _, ok := c.get(k("d", "q1"), 1); !ok {
 		t.Fatal("q1 evicted early")
 	}
 	// q1 is now most recent; inserting q3 evicts q2.
-	c.put(k("d", "q3"), []Answer{{P: 3}}, c.docGen("d"))
-	if _, ok := c.get(k("d", "q2")); ok {
+	c.put(k("d", "q3"), 1, []Answer{{P: 3}})
+	if _, ok := c.get(k("d", "q2"), 1); ok {
 		t.Error("q2 not evicted")
 	}
-	if _, ok := c.get(k("d", "q1")); !ok {
+	if _, ok := c.get(k("d", "q1"), 1); !ok {
 		t.Error("q1 evicted despite being recent")
 	}
 	if c.len() != 2 {
@@ -29,40 +29,22 @@ func TestLRUEviction(t *testing.T) {
 
 func TestLRUPutRefreshes(t *testing.T) {
 	c := newLRU(4)
-	c.put(k("d", "q"), []Answer{{P: 1}}, c.docGen("d"))
-	c.put(k("d", "q"), []Answer{{P: 2}}, c.docGen("d"))
+	c.put(k("d", "q"), 1, []Answer{{P: 1}})
+	c.put(k("d", "q"), 1, []Answer{{P: 2}})
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}
-	got, ok := c.get(k("d", "q"))
+	got, ok := c.get(k("d", "q"), 1)
 	if !ok || got.([]Answer)[0].P != 2 {
 		t.Errorf("get = %v %v, want refreshed P=2", got, ok)
-	}
-}
-
-func TestLRUInvalidateDoc(t *testing.T) {
-	c := newLRU(16)
-	for i := 0; i < 3; i++ {
-		c.put(k("a", fmt.Sprintf("q%d", i)), nil, c.docGen("a"))
-		c.put(k("b", fmt.Sprintf("q%d", i)), nil, c.docGen("b"))
-	}
-	c.invalidateDoc("a")
-	if c.len() != 3 {
-		t.Errorf("len after invalidate = %d, want 3", c.len())
-	}
-	if _, ok := c.get(k("a", "q0")); ok {
-		t.Error("entry of invalidated doc survived")
-	}
-	if _, ok := c.get(k("b", "q0")); !ok {
-		t.Error("entry of other doc dropped")
 	}
 }
 
 func TestLRUDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := newLRU(capacity)
-		c.put(k("d", "q"), []Answer{{P: 1}}, c.docGen("d"))
-		if _, ok := c.get(k("d", "q")); ok {
+		c.put(k("d", "q"), 1, []Answer{{P: 1}})
+		if _, ok := c.get(k("d", "q"), 1); ok {
 			t.Errorf("cap=%d: disabled cache returned a hit", capacity)
 		}
 		if c.len() != 0 {
@@ -73,50 +55,36 @@ func TestLRUDisabled(t *testing.T) {
 
 func TestLRUModeKeysDistinct(t *testing.T) {
 	c := newLRU(8)
-	c.put(queryKey{doc: "d", query: "q", mode: "exact"}, []Answer{{P: 1}}, c.docGen("d"))
-	if _, ok := c.get(queryKey{doc: "d", query: "q", mode: "mc:1000:1"}); ok {
+	c.put(queryKey{doc: "d", query: "q", mode: "exact"}, 1, []Answer{{P: 1}})
+	if _, ok := c.get(queryKey{doc: "d", query: "q", mode: "mc:1000:1"}, 1); ok {
 		t.Error("mc key hit the exact entry")
 	}
 }
 
-// TestLRUStaleGenerationRejected pins the fix for the fill/invalidate
-// race: a result computed before an invalidation must not enter the
-// cache afterwards.
-func TestLRUStaleGenerationRejected(t *testing.T) {
-	c := newLRU(8)
-	gen := c.docGen("d")
-	// The document is mutated while the filler evaluates.
-	c.invalidateDoc("d")
-	c.put(k("d", "q"), []Answer{{P: 1}}, gen)
-	if _, ok := c.get(k("d", "q")); ok {
-		t.Fatal("stale result entered the cache after invalidation")
+// TestLRUVersions pins the staleness contract: an entry answers only
+// the snapshot version it was computed from, a fill for version n can
+// neither shadow nor overwrite one for version n+1, and superseded
+// entries are replaced in place, so capacity still bounds the list.
+func TestLRUVersions(t *testing.T) {
+	c := newLRU(2)
+	c.put(k("d", "q"), 1, []Answer{{P: 1}})
+	if _, ok := c.get(k("d", "q"), 2); ok {
+		t.Fatal("version 1 entry served to a version 2 reader")
 	}
-	// A fill with the fresh generation is accepted.
-	c.put(k("d", "q"), []Answer{{P: 2}}, c.docGen("d"))
-	if got, ok := c.get(k("d", "q")); !ok || got.([]Answer)[0].P != 2 {
-		t.Errorf("fresh fill = %v %v, want P=2 hit", got, ok)
+	c.put(k("d", "q"), 2, []Answer{{P: 2}})
+	// A slow version 1 filler finishes after the version 2 fill.
+	c.put(k("d", "q"), 1, []Answer{{P: 1}})
+	if got, ok := c.get(k("d", "q"), 2); !ok || got.([]Answer)[0].P != 2 {
+		t.Errorf("get at version 2 = %v %v, want the version 2 payload", got, ok)
 	}
-}
-
-// TestLRUGenMapBounded pins the epoch scheme: churning through many
-// document names resets the generation map instead of growing it
-// forever, and the reset voids outstanding tokens rather than ever
-// readmitting a stale fill.
-func TestLRUGenMapBounded(t *testing.T) {
-	c := newLRU(8)
-	gen := c.docGen("keep")
-	for i := 0; i < maxGenEntries+10; i++ {
-		c.invalidateDoc(fmt.Sprintf("doc%d", i))
+	if _, ok := c.get(k("d", "q"), 1); ok {
+		t.Error("version 2 entry served to a version 1 reader")
 	}
-	if n := len(c.gens); n > maxGenEntries {
-		t.Errorf("gens map has %d entries, want <= %d", n, maxGenEntries)
+	for v := uint64(3); v < 10; v++ {
+		c.put(k("d", "q"), v, nil)
+		c.put(k("d", fmt.Sprint("q", v)), v, nil)
 	}
-	c.put(k("keep", "q"), []Answer{{P: 1}}, gen)
-	if _, ok := c.get(k("keep", "q")); ok {
-		t.Error("token from before the epoch reset was accepted")
-	}
-	c.put(k("keep", "q"), []Answer{{P: 1}}, c.docGen("keep"))
-	if _, ok := c.get(k("keep", "q")); !ok {
-		t.Error("fresh token refused after epoch reset")
+	if c.len() != 2 {
+		t.Errorf("len = %d, want capacity 2", c.len())
 	}
 }

@@ -279,9 +279,17 @@ func TestExemptRoutesServeWhileSaturated(t *testing.T) {
 		}
 	})
 
-	// Wait until both slots are provably held: a plain read sheds 429.
-	var sawRetryAfter string
+	// Probe only once both PUTs are in their handlers: a probe that
+	// holds a slot while a PUT arrives gets that PUT shed instead.
 	deadline := time.Now().Add(5 * time.Second)
+	for srv := ts.Config.Handler.(*Server); len(srv.inflight) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("held PUT requests never reached their handlers")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Both slots are provably held: a plain read sheds 429.
+	var sawRetryAfter string
 	for {
 		req, err := http.NewRequest("GET", ts.URL+"/docs", nil)
 		if err != nil {

@@ -284,12 +284,17 @@ func TestQueryTraceEcho(t *testing.T) {
 	if wq == nil {
 		t.Fatalf("trace has no warehouse.query span: %+v", root)
 	}
-	// The pipeline stages are children of the warehouse.query span —
-	// presence anywhere is not enough, the nesting must hold.
-	for _, stage := range []string{"warehouse.snapshot", "tpwj.match", "event.compile", "event.prob"} {
+	// The evaluation stages are children of the warehouse.query span —
+	// presence anywhere is not enough, the nesting must hold. The
+	// snapshot fetch precedes it: the handler needs the version before
+	// it can consult the result cache.
+	for _, stage := range []string{"tpwj.match", "event.compile", "event.prob"} {
 		if wq.Find(stage) == nil {
 			t.Errorf("warehouse.query span has no nested %q span", stage)
 		}
+	}
+	if root.Find("warehouse.snapshot") == nil || wq.Find("warehouse.snapshot") != nil {
+		t.Errorf("warehouse.snapshot span missing, or nested under warehouse.query: %+v", root)
 	}
 	if root.DurUS < wq.DurUS {
 		t.Errorf("root span (%v µs) shorter than its child warehouse.query (%v µs)", root.DurUS, wq.DurUS)

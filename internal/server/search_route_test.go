@@ -77,14 +77,16 @@ func TestSearchRoute(t *testing.T) {
 }
 
 // TestSearchInvalidatedByUpdate is the acceptance check that mutating a
-// document invalidates both the cached search results and the inverted
-// index, end to end through the HTTP API.
+// document supersedes both the cached search results and the inverted
+// index, end to end through the HTTP API: one index build per version
+// searched, none for a cached answer.
 func TestSearchInvalidatedByUpdate(t *testing.T) {
 	ts, wh := newTestServer(t, Options{})
 	if status, _ := do(t, "PUT", ts.URL+"/docs/lib", searchDocXML(t)); status != 201 {
 		t.Fatal("create failed")
 	}
 
+	builds := wh.SearchStats().IndexBuilds
 	req := SearchRequest{Keywords: []string{"kafka"}}
 	if _, resp := search(t, ts, "lib", req); resp.Count != 2 {
 		t.Fatalf("initial search: %+v", resp)
@@ -92,7 +94,9 @@ func TestSearchInvalidatedByUpdate(t *testing.T) {
 	if _, resp := search(t, ts, "lib", req); !resp.Cached {
 		t.Fatal("second search not cached")
 	}
-	invalBefore := wh.SearchStats().IndexInvalidations
+	if got := wh.SearchStats().IndexBuilds; got != builds+1 {
+		t.Fatalf("index builds = %d, want %d", got, builds+1)
+	}
 
 	// Insert a third node carrying the keyword.
 	status := doJSON(t, "POST", ts.URL+"/docs/lib/update", UpdateRequest{
@@ -111,8 +115,8 @@ func TestSearchInvalidatedByUpdate(t *testing.T) {
 	if resp.Count != 3 {
 		t.Errorf("post-update search = %+v, want the inserted note too", resp)
 	}
-	if got := wh.SearchStats().IndexInvalidations; got != invalBefore+1 {
-		t.Errorf("index invalidations = %d, want %d", got, invalBefore+1)
+	if got := wh.SearchStats().IndexBuilds; got != builds+2 {
+		t.Errorf("index builds = %d, want %d", got, builds+2)
 	}
 }
 

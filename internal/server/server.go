@@ -26,11 +26,12 @@
 //	GET    /readyz                readiness probe (503 while degraded)
 //
 // Query and search results are served from an LRU cache keyed by
-// (document, canonical query or keyword set, mode); any mutation of a
-// document drops its entries. Materialized views are not cached here:
-// the warehouse keeps them incrementally maintained, and view reads
-// never block on an in-flight update — they return the previous answer
-// set with "stale": true instead.
+// (document, canonical query or keyword set, mode) and tagged with the
+// document version they were computed from; a mutation publishes a new
+// version, which the old entries no longer match. Materialized views
+// are not cached here: the warehouse keeps them incrementally
+// maintained, and view reads never block on an in-flight update — they
+// return the previous answer set with "stale": true instead.
 // Errors are reported as {"error": "..."} with conventional status
 // codes (400 bad input, 404 missing document, 409 name conflict).
 //
@@ -493,7 +494,6 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	s.cache.invalidateDoc(name)
 	writeJSON(w, http.StatusOK, map[string]string{"dropped": name})
 }
 
@@ -569,14 +569,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	snap, err := s.wh.Snapshot(r.Context(), name)
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
 	// The canonical form makes syntactic variants ("A( B )", XPath
-	// compilations) share cache entries. The generation is read before
-	// evaluating so a result computed against a snapshot that a
-	// concurrent mutation replaced is never installed.
+	// compilations) share cache entries.
 	key := queryKey{doc: name, query: tpwj.FormatQuery(q), mode: mode}
-	gen := s.cache.docGen(name)
 	cost := obs.CostFromContext(r.Context())
-	if cached, ok := s.cache.get(key); ok {
+	if cached, ok := s.cache.get(key, snap.Version()); ok {
 		answers := cached.([]Answer)
 		s.stats.hit(cost)
 		resp := QueryResponse{Answers: answers, Count: len(answers), Cached: true}
@@ -589,16 +591,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	var raw []tpwj.ProbAnswer
 	if mode == "exact" {
-		raw, err = s.wh.QueryCtx(r.Context(), name, q)
+		raw, err = snap.Query(r.Context(), q)
 	} else {
-		raw, err = s.wh.QueryMCCtx(r.Context(), name, q, samples, rand.New(rand.NewSource(seed)))
+		raw, err = snap.QueryMC(r.Context(), q, samples, rand.New(rand.NewSource(seed)))
 	}
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
 	answers := encodeAnswers(raw)
-	s.cache.put(key, answers, gen)
+	s.cache.put(key, snap.Version(), answers)
 	resp := QueryResponse{Answers: answers, Count: len(answers), Cached: false}
 	attachTrace(r, &resp.Trace)
 	plan := &ExplainPlan{Mode: "exact", Reason: "exact Shannon expansion (request default)", Answers: answerPlans(raw)}
@@ -640,8 +642,7 @@ func attachTrace(r *http.Request, dst **obs.SpanSnapshot) {
 
 // handleSearch evaluates a probabilistic keyword search. Results are
 // cached like query results, keyed by the canonical token set and the
-// full evaluation mode (semantics, exact/mc, threshold, cut), and
-// invalidated by any mutation of the document.
+// full evaluation mode (semantics, exact/mc, threshold, cut).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := warehouse.ValidateName(name); err != nil {
@@ -708,9 +709,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		query: "kw:" + strings.Join(tokens, " "),
 		mode:  fmt.Sprintf("search:%s:%s:minp=%g:k=%d", mode, probMode, req.MinProb, req.TopK),
 	}
-	gen := s.cache.docGen(name)
+	snap, err := s.wh.Snapshot(r.Context(), name)
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
 	cost := obs.CostFromContext(r.Context())
-	if cached, ok := s.cache.get(key); ok {
+	if cached, ok := s.cache.get(key, snap.Version()); ok {
 		s.stats.searchHit(cost)
 		resp := cached.(SearchResponse)
 		resp.Cached = true
@@ -721,7 +726,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.searchMiss(cost)
 
-	res, err := s.wh.SearchCtx(r.Context(), name, kreq)
+	res, err := snap.Search(r.Context(), kreq)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -732,7 +737,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Candidates: res.Candidates,
 		Pruned:     res.Pruned,
 	}
-	s.cache.put(key, resp, gen)
+	s.cache.put(key, snap.Version(), resp)
 	attachTrace(r, &resp.Trace)
 	plan := &ExplainPlan{
 		Mode:       "exact",
@@ -771,7 +776,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	s.cache.invalidateDoc(name)
 	writeJSON(w, http.StatusOK, UpdateResponse{
 		Valuations:      stats.Valuations,
 		Inserted:        stats.Inserted,
@@ -788,7 +792,6 @@ func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	s.cache.invalidateDoc(name)
 	writeJSON(w, http.StatusOK, SimplifyResponse{
 		NodesRemoved:    stats.NodesRemoved,
 		LiteralsRemoved: stats.LiteralsRemoved,
@@ -948,7 +951,5 @@ func (s *Server) handleReopen(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	// Every cache entry refers to pre-reopen snapshots; drop them all.
-	s.cache.invalidateAll()
 	writeJSON(w, http.StatusOK, map[string]bool{"reopened": true})
 }

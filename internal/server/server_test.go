@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,9 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
+	"repro/internal/tpwj"
+	"repro/internal/tree"
+	"repro/internal/update"
 	"repro/internal/warehouse"
 	"repro/internal/xmlio"
 )
@@ -503,5 +507,78 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if strings.Contains(fmt.Sprint(snap.Requests), "error") {
 		t.Errorf("unexpected route errors: %+v", snap.Requests)
+	}
+}
+
+// TestCacheFollowsWarehouseVersions pins the staleness contract of the
+// result cache: entries answer one snapshot version, so a mutation
+// supersedes them wherever it comes from — here the warehouse is
+// updated, reopened and dropped behind the server's back, none of which
+// passes through a route.
+func TestCacheFollowsWarehouseVersions(t *testing.T) {
+	ts, wh := newTestServer(t, Options{})
+	createSampleDoc(t, ts)
+	qreq := QueryRequest{Query: "A(B)"}
+	sreq := SearchRequest{Keywords: []string{"x"}}
+	// read asks the query and the search once and reports what was
+	// served from the cache.
+	read := func() (qr QueryResponse, sr SearchResponse) {
+		t.Helper()
+		status, qr := query(t, ts, "ex", qreq)
+		if status != 200 {
+			t.Fatalf("query = %d", status)
+		}
+		status, sr = search(t, ts, "ex", sreq)
+		if status != 200 {
+			t.Fatalf("search = %d", status)
+		}
+		return qr, sr
+	}
+	warm := func() {
+		t.Helper()
+		read()
+		if qr, sr := read(); !qr.Cached || !sr.Cached {
+			t.Fatalf("unchanged document not served from the cache: query %v, search %v", qr.Cached, sr.Cached)
+		}
+	}
+
+	warm()
+	tx := update.New(tpwj.MustParseQuery("A $a"), 1, update.Insert("a", tree.MustParse("B:x")))
+	if _, err := wh.UpdateCtx(context.Background(), "ex", tx); err != nil {
+		t.Fatal(err)
+	}
+	qr, sr := read()
+	if qr.Cached || sr.Cached {
+		t.Errorf("after a direct update: query cached=%v, search cached=%v, want both recomputed", qr.Cached, sr.Cached)
+	}
+	if len(qr.Answers) != 1 || qr.Answers[0].P != 1 || sr.Count != 2 {
+		t.Errorf("after a direct update: %+v / %+v, want the inserted certain B:x visible", qr, sr)
+	}
+
+	warm()
+	if err := wh.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if qr, sr := read(); qr.Cached || sr.Cached {
+		t.Errorf("after a direct reopen: query cached=%v, search cached=%v, want both recomputed", qr.Cached, sr.Cached)
+	}
+
+	warm()
+	if err := wh.Drop("ex"); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := query(t, ts, "ex", qreq); status != 404 {
+		t.Errorf("query after a direct drop = %d, want 404", status)
+	}
+	if status, _ := search(t, ts, "ex", sreq); status != 404 {
+		t.Errorf("search after a direct drop = %d, want 404", status)
+	}
+	// The name comes back with different content; the dead entries must
+	// not answer for it.
+	if err := wh.Create("ex", fuzzy.MustParseTree("A(C)", nil)); err != nil {
+		t.Fatal(err)
+	}
+	if qr, sr := read(); qr.Cached || sr.Cached || qr.Count != 0 || sr.Count != 0 {
+		t.Errorf("after drop and re-create: %+v / %+v, want fresh empty answers", qr, sr)
 	}
 }

@@ -79,6 +79,16 @@ type ProbAnswer struct {
 	P float64
 }
 
+// Prob computes the exact probability of the answer's condition under
+// the event table: of Cond for positive queries, of Formula when the
+// pattern uses negation (Cond is nil then).
+func (a *ProbAnswer) Prob(ctx context.Context, t *event.Table) (float64, error) {
+	if a.Cond != nil {
+		return t.ProbDNFCtx(ctx, a.Cond)
+	}
+	return t.ProbFormulaCtx(ctx, a.Formula)
+}
+
 // EvalFuzzy evaluates the query directly on a fuzzy tree (slide 13):
 // valuations are found on the underlying data tree, and each answer's
 // probability is the probability of the disjunction of the condition
@@ -100,40 +110,13 @@ func EvalFuzzy(q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
 // probability evaluation stages record spans into it. On a plain
 // context it is EvalFuzzy (the span calls are no-ops).
 func EvalFuzzyContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	answers, err := evalFuzzySymbolic(ctx, q, ft)
-	if err != nil {
-		return nil, err
-	}
-	_, span := obs.StartSpan(ctx, "event.prob")
-	defer span.End()
-	// Answers whose condition holds in no world (probability exactly 0,
-	// possible with negation or degenerate event probabilities) are not
-	// answers: the possible-worlds semantics never produces them.
-	out := answers[:0]
-	for i := range answers {
-		var p float64
-		var perr error
-		if answers[i].Cond != nil {
-			p, perr = ft.Table.ProbDNFCtx(ctx, answers[i].Cond)
-		} else {
-			p, perr = ft.Table.ProbFormulaCtx(ctx, answers[i].Formula)
+	return evalFuzzyProb(ctx, q, ft, func(a *ProbAnswer) (float64, error) {
+		p, err := a.Prob(ctx, ft.Table)
+		if err != nil {
+			return 0, fmt.Errorf("tpwj: %w", err)
 		}
-		if perr != nil {
-			return nil, fmt.Errorf("tpwj: %w", perr)
-		}
-		if p == 0 {
-			continue
-		}
-		answers[i].P = p
-		out = append(out, answers[i])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
-		}
-		return tree.Canonical(out[i].Tree) < tree.Canonical(out[j].Tree)
+		return p, nil
 	})
-	return out, nil
 }
 
 // EvalFuzzyMonteCarlo estimates answer probabilities by sampling: it
@@ -150,26 +133,37 @@ func EvalFuzzyMonteCarlo(q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([
 // under the same "event.prob" name: it is the same pipeline position,
 // estimated instead of computed exactly).
 func EvalFuzzyMonteCarloContext(ctx context.Context, q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([]ProbAnswer, error) {
+	return evalFuzzyProb(ctx, q, ft, func(a *ProbAnswer) (float64, error) {
+		if a.Cond != nil {
+			return ft.Table.EstimateDNFCtx(ctx, a.Cond, samples, r)
+		}
+		return ft.Table.EstimateFormulaCtx(ctx, a.Formula, samples, r)
+	})
+}
+
+// evalFuzzyProb is the body shared by exact and Monte-Carlo
+// evaluation: find the answers symbolically, give each the probability
+// prob computes for it, and order them (descending probability, then
+// canonical form).
+func evalFuzzyProb(ctx context.Context, q *Query, ft *fuzzy.Tree, prob func(*ProbAnswer) (float64, error)) ([]ProbAnswer, error) {
 	answers, err := evalFuzzySymbolic(ctx, q, ft)
 	if err != nil {
 		return nil, err
 	}
 	_, span := obs.StartSpan(ctx, "event.prob")
 	defer span.End()
+	// Answers whose condition holds in no world (probability exactly 0,
+	// possible with negation or degenerate event probabilities, or
+	// estimated so) are not answers: the possible-worlds semantics never
+	// produces them.
 	out := answers[:0]
 	for i := range answers {
-		var p float64
-		var perr error
-		if answers[i].Cond != nil {
-			p, perr = ft.Table.EstimateDNFCtx(ctx, answers[i].Cond, samples, r)
-		} else {
-			p, perr = ft.Table.EstimateFormulaCtx(ctx, answers[i].Formula, samples, r)
-		}
-		if perr != nil {
-			return nil, perr
+		p, err := prob(&answers[i])
+		if err != nil {
+			return nil, err
 		}
 		if p == 0 {
-			continue // estimated to appear in no world
+			continue
 		}
 		answers[i].P = p
 		out = append(out, answers[i])

@@ -274,7 +274,7 @@ func (v *View) maintainIncremental(ctx context.Context, ft *fuzzy.Tree) (*View, 
 			k.a.P = v.answers[j].P
 			res.Reused++
 		} else {
-			p, err := answerProb(ctx, ft, &k.a)
+			p, err := k.a.Prob(ctx, ft.Table)
 			if err != nil {
 				return nil, Result{}, err
 			}
@@ -356,14 +356,6 @@ func condString(a *tpwj.ProbAnswer) string {
 		return a.Formula.String()
 	}
 	return ""
-}
-
-// answerProb computes one answer's exact probability.
-func answerProb(ctx context.Context, ft *fuzzy.Tree, a *tpwj.ProbAnswer) (float64, error) {
-	if a.Cond != nil {
-		return ft.Table.ProbDNFCtx(ctx, a.Cond)
-	}
-	return ft.Table.ProbFormulaCtx(ctx, a.Formula)
 }
 
 // addWitnessPaths adds the rooted label path of every node of the

@@ -1,14 +1,17 @@
 package warehouse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
+	"repro/internal/keyword"
 	"repro/internal/tpwj"
 	"repro/internal/tree"
 	"repro/internal/update"
@@ -196,6 +199,120 @@ func TestParallelQueriesSameDoc(t *testing.T) {
 	})
 	if !found {
 		t.Error("updated node not visible after concurrent queries")
+	}
+}
+
+// TestReadsRacingUpdatesSeePublishedVersions is the staleness contract
+// under contention (run with -race): while one writer keeps updating a
+// document, every query and search returns exactly the answers of one
+// published version — the one its Snapshot names — never a blend of two
+// and never a version that was not published. A reader also never goes
+// back in time.
+func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
+	w := openTemp(t)
+	if err := w.Create("doc", stressDoc()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := tpwj.MustParseQuery("A(N $n)")
+	kw := keyword.Request{Keywords: []string{"mark"}}
+	// read renders what one snapshot answers to the query and the search.
+	read := func(s *Snapshot) (string, error) {
+		answers, err := s.Query(ctx, q)
+		if err != nil {
+			return "", err
+		}
+		res, err := s.Search(ctx, kw)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		for _, a := range answers {
+			fmt.Fprintf(&b, "%s=%v ", tree.Canonical(a.Tree), a.P)
+		}
+		b.WriteString("|")
+		for _, a := range res.Answers {
+			fmt.Fprintf(&b, " %s:%s=%v", a.Path, a.Value, a.P)
+		}
+		return b.String(), nil
+	}
+
+	const updates, readers = 12, 4
+	// published is written by the single writer only: after each of its
+	// mutations returns, the current snapshot is the version it made.
+	published := make(map[uint64]string)
+	publish := func() {
+		s, err := w.Snapshot(ctx, "doc")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if published[s.Version()], err = read(s); err != nil {
+			t.Error(err)
+		}
+	}
+	publish()
+
+	type seen struct {
+		version uint64
+		answers string
+	}
+	observed := make([][]seen, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s, err := w.Snapshot(ctx, "doc")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				answers, err := read(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				observed[r] = append(observed[r], seen{s.Version(), answers})
+			}
+		}(r)
+	}
+	for i := 0; i < updates; i++ {
+		tx := update.New(tpwj.MustParseQuery("A $a"), 0.5,
+			update.Insert("a", tree.MustParse(fmt.Sprintf("N(M:mark, I:i%d)", i))))
+		if _, err := w.Update("doc", tx); err != nil {
+			t.Fatal(err)
+		}
+		publish()
+	}
+	close(stop)
+	wg.Wait()
+
+	if len(published) != updates+1 {
+		t.Fatalf("writer recorded %d versions, want %d distinct ones", len(published), updates+1)
+	}
+	for r, obs := range observed {
+		var last uint64
+		for _, o := range obs {
+			want, ok := published[o.version]
+			if !ok {
+				t.Fatalf("reader %d saw version %d, which was never published", r, o.version)
+			}
+			if o.answers != want {
+				t.Fatalf("reader %d at version %d got\n  %s\nwant that version's answers\n  %s", r, o.version, o.answers, want)
+			}
+			if o.version < last {
+				t.Fatalf("reader %d went back from version %d to %d", r, last, o.version)
+			}
+			last = o.version
+		}
 	}
 }
 

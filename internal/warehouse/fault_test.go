@@ -388,3 +388,41 @@ func TestViewSnapshotCloseFailureReported(t *testing.T) {
 		t.Errorf("view lost after snapshot-close fault + retry: %v", err)
 	}
 }
+
+// TestCreateStatFailureKeepsDocument is the sweep case the fail-once
+// schedule cannot reach (its first doc.stat is the create of a fresh
+// name): the existence check of a Create failing on a name already in
+// use. An unanswered "does it exist?" is not "no" — the Create must
+// fail with the storage error, and the stored document must be
+// unchanged, live and after recovery. Filestore only: the kv backend
+// answers DocExists from memory.
+func TestCreateStatFailureKeepsDocument(t *testing.T) {
+	dir := t.TempDir()
+	inj := vfs.NewInjector()
+	w, err := OpenFS(dir, vfs.NewFaultFS(vfs.OS, inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Create("doc", slide12()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.GetXML("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inj.Set("doc.stat", vfs.Fault{Count: 1})
+	err = w.Create("doc", fuzzy.MustParseTree("Other(X)", nil))
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Create with failing stat = %v, want the injected error", err)
+	}
+	if inj.Trips("doc.stat") != 1 {
+		t.Fatalf("doc.stat tripped %d times, want 1", inj.Trips("doc.stat"))
+	}
+	wantDoc(t, w, "doc", string(want))
+	w.Close()
+	w2 := openB(t, dir, BackendFile)
+	defer w2.Close()
+	wantDoc(t, w2, "doc", string(want))
+}

@@ -59,9 +59,7 @@ type Record struct {
 	Seq int64 `json:"seq"`
 	Op  Op    `json:"op"`
 	// RefSeq, on commit/abort markers, names the Seq of the mutation
-	// record the marker resolves. Zero on mutation records (and on
-	// markers written by the pre-RefSeq journal format, which recovery
-	// resolves to the nearest preceding mutation).
+	// record the marker resolves. Zero on mutation records.
 	RefSeq int64  `json:"ref,omitempty"`
 	Doc    string `json:"doc,omitempty"` // document name (mutations only)
 	// Tx is the XUpdate serialization of the applied transaction

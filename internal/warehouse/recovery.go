@@ -73,28 +73,17 @@ func (w *Warehouse) recover(records []Record) error {
 		return nil
 	}
 
-	// Pass 1: resolve markers. Legacy markers (pre-RefSeq format)
-	// carry no RefSeq and mark the nearest preceding mutation.
+	// Pass 1: resolve markers. A marker without a RefSeq is malformed
+	// and resolves nothing: the mutation it was meant for stays
+	// in-flight and is rolled back below.
 	marked := make(map[int64]Op)
-	var lastMut int64
 	for i := range records {
 		r := &records[i]
 		switch {
-		case r.Op.Mutation():
-			lastMut = r.Seq
-		case r.Op.ViewOp():
-			// View records follow the two-record protocol with explicit
-			// RefSeq markers; they never participate in the legacy
-			// adjacency resolution below.
+		case r.Op.Mutation(), r.Op.ViewOp():
 		case r.Op.Marker():
-			ref := r.RefSeq
-			if ref == 0 {
-				ref = lastMut
-			}
-			if ref != 0 {
-				if _, dup := marked[ref]; !dup {
-					marked[ref] = r.Op
-				}
+			if _, dup := marked[r.RefSeq]; r.RefSeq != 0 && !dup {
+				marked[r.RefSeq] = r.Op
 			}
 		default:
 			return fmt.Errorf("warehouse: unknown journal op %q", r.Op)
@@ -330,7 +319,7 @@ func InspectJournalBackend(dir, backend string) (JournalSummary, error) {
 	marked := make(map[int64]Op)
 	mutations := make(map[int64]*Record)
 	var mutationOrder []int64
-	var lastSeq, lastMut int64
+	var lastSeq int64
 	for i := range records {
 		r := &records[i]
 		if r.Seq <= lastSeq {
@@ -343,16 +332,12 @@ func InspectJournalBackend(dir, backend string) (JournalSummary, error) {
 			sum.Mutations++
 			mutations[r.Seq] = r
 			mutationOrder = append(mutationOrder, r.Seq)
-			lastMut = r.Seq
 		case r.Op.ViewOp():
 			sum.ViewOps++
 			mutations[r.Seq] = r
 			mutationOrder = append(mutationOrder, r.Seq)
 		case r.Op.Marker():
 			ref := r.RefSeq
-			if ref == 0 {
-				ref = lastMut // legacy pre-RefSeq marker
-			}
 			if _, ok := mutations[ref]; !ok {
 				sum.Problems = append(sum.Problems,
 					fmt.Sprintf("record %d: %s marker ref %d matches no prior mutation", i, r.Op, r.RefSeq))

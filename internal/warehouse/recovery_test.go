@@ -598,21 +598,32 @@ func TestRecoveryOrphanEvidence(t *testing.T) {
 
 // TestRecoveryOrphanCreateRollsBack: an in-flight create on an empty
 // journal always rolls back — its pre-state is "absent" by definition.
+// A marker that names no mutation (RefSeq 0, malformed) resolves
+// nothing, so the create it follows is just as in-flight.
 func TestRecoveryOrphanCreateRollsBack(t *testing.T) {
+	v1 := content(t, "D(one)")
+	cases := []struct {
+		name    string
+		records []Record
+	}{
+		{"unmarked", []Record{{Op: OpCreate, Doc: "D", Content: v1}}},
+		{"marker-without-ref", []Record{{Op: OpCreate, Doc: "D", Content: v1}, {Op: OpCommit}}},
+	}
 	for _, backend := range storeBackends {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			v1 := content(t, "D(one)")
-			forgeJournal(t, dir, backend, []Record{{Op: OpCreate, Doc: "D", Content: v1}})
-			seedDocs(t, dir, backend, map[string]string{"D": v1}) // the swap ran
+		for _, tc := range cases {
+			t.Run(backend+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				forgeJournal(t, dir, backend, tc.records)
+				seedDocs(t, dir, backend, map[string]string{"D": v1}) // the swap ran
 
-			w := openB(t, dir, backend)
-			defer w.Close()
-			wantDoc(t, w, "D", "")
-			if s := w.JournalStats(); s.RecoveryRollbacks != 1 {
-				t.Errorf("rollbacks = %d, want 1", s.RecoveryRollbacks)
-			}
-		})
+				w := openB(t, dir, backend)
+				defer w.Close()
+				wantDoc(t, w, "D", "")
+				if s := w.JournalStats(); s.RecoveryRollbacks != 1 {
+					t.Errorf("rollbacks = %d, want 1", s.RecoveryRollbacks)
+				}
+			})
+		}
 	}
 }
 
@@ -754,7 +765,7 @@ func TestInspectJournal(t *testing.T) {
 	}
 
 	// Structural problems (filestore raw file): out-of-order seq, dangling marker ref,
-	// duplicate marker, unknown op.
+	// duplicate marker, unknown op, marker without a ref.
 	bad := t.TempDir()
 	lines := []string{
 		`{"seq":1,"op":"create","doc":"X","content":"<pxml><A/></pxml>"}`,
@@ -762,6 +773,8 @@ func TestInspectJournal(t *testing.T) {
 		`{"seq":3,"op":"commit","ref":99}`, // names no mutation
 		`{"seq":4,"op":"abort","ref":1}`,   // duplicate marker for 1
 		`{"seq":5,"op":"frobnicate"}`,      // unknown op
+		`{"seq":6,"op":"create","doc":"Y","content":"<pxml><A/></pxml>"}`,
+		`{"seq":7,"op":"commit"}`, // no ref: resolves nothing, Y stays pending
 	}
 	if err := os.MkdirAll(filepath.Join(bad, docsDir), 0o755); err != nil {
 		t.Fatal(err)
@@ -773,8 +786,11 @@ func TestInspectJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Problems) != 4 {
-		t.Errorf("problems = %v, want 4", sum.Problems)
+	if len(sum.Problems) != 5 {
+		t.Errorf("problems = %v, want 5", sum.Problems)
+	}
+	if len(sum.Pending) != 1 || sum.Pending[0].Seq != 6 {
+		t.Errorf("pending = %+v, want the create of Y (seq 6)", sum.Pending)
 	}
 
 	// A missing journal is an empty summary, not an error.

@@ -2,49 +2,35 @@ package warehouse
 
 import (
 	"context"
-	"sync"
 
-	"repro/internal/fuzzy"
 	"repro/internal/keyword"
 	"repro/internal/obs"
 )
 
-// searchIndexes caches one keyword.Index per document, built lazily on
-// the first search and keyed by the snapshot it was built from.
-// Snapshots are immutable and every mutation installs a fresh tree, so
-// the tree pointer is the document's generation token: a cached index
-// whose Tree differs from the current snapshot is stale and rebuilt.
-// Drop removes the entry; the map is otherwise bounded by the number of
-// stored documents.
-type searchIndexes struct {
-	mu  sync.Mutex
-	idx map[string]*keyword.Index
-
-	hits          *obs.Counter
-	invalidations *obs.Counter
-	searches      *obs.Counter
+// searchCounters counts keyword searches and how many of them found
+// their snapshot's index already built (see Snapshot.Search).
+type searchCounters struct {
+	hits     *obs.Counter
+	searches *obs.Counter
 }
 
-// initMetrics registers the index-cache counters on the warehouse's
-// registry. Called once from Open, before the warehouse is shared.
-func (s *searchIndexes) initMetrics(reg *obs.Registry) {
+// initMetrics registers the counters on the warehouse's registry.
+// Called once from Open, before the warehouse is shared.
+func (s *searchCounters) initMetrics(reg *obs.Registry) {
 	s.hits = reg.Counter("px_search_index_hits_total", "searches served by a cached up-to-date keyword index")
-	s.invalidations = reg.Counter("px_search_index_invalidations_total", "cached keyword indexes discarded after mutations")
 	s.searches = reg.Counter("px_searches_total", "keyword searches on this warehouse")
 }
 
 // SearchStats reports the keyword-search counters of this warehouse
-// (index cache behavior) together with the keyword engine's package
-// counters (builds, postings, threshold prunes). Served by pxserve
-// under /stats as "search".
+// together with the keyword engine's package counters (builds,
+// postings, threshold prunes). Served by pxserve under /stats as
+// "search".
 type SearchStats struct {
 	// Searches counts Search calls on this warehouse.
 	Searches int64 `json:"searches"`
-	// IndexHits counts searches served by a cached up-to-date index.
+	// IndexHits counts searches served by an index an earlier search
+	// of the same document version built.
 	IndexHits int64 `json:"index_hits"`
-	// IndexInvalidations counts cached indexes discarded because the
-	// document changed underneath them.
-	IndexInvalidations int64 `json:"index_invalidations"`
 	// IndexBuilds counts inverted-index builds (process-wide).
 	IndexBuilds int64 `json:"index_builds"`
 	// Postings counts inverted-index postings built (process-wide).
@@ -58,79 +44,16 @@ type SearchStats struct {
 func (w *Warehouse) SearchStats() SearchStats {
 	kc := keyword.ReadCounters()
 	return SearchStats{
-		Searches:           w.search.searches.Value(),
-		IndexHits:          w.search.hits.Value(),
-		IndexInvalidations: w.search.invalidations.Value(),
-		IndexBuilds:        kc.IndexBuilds,
-		Postings:           kc.Postings,
-		ThresholdPrunes:    kc.ThresholdPrunes,
+		Searches:        w.search.searches.Value(),
+		IndexHits:       w.search.hits.Value(),
+		IndexBuilds:     kc.IndexBuilds,
+		Postings:        kc.Postings,
+		ThresholdPrunes: kc.ThresholdPrunes,
 	}
 }
 
-// searchIndex returns an index matching the given snapshot, reusing the
-// cached one when the document has not changed since it was built. The
-// build itself runs outside the mutex — it is O(document) and holding
-// the (warehouse-wide) lock across it would serialize searches on
-// unrelated documents behind one cold build — so two racing first
-// searches may both build; the double-check install keeps one.
-func (w *Warehouse) searchIndex(ctx context.Context, name string, ft *fuzzy.Tree) *keyword.Index {
-	s := &w.search
-	s.mu.Lock()
-	cached, ok := s.idx[name]
-	s.mu.Unlock()
-	if ok {
-		if cached.Tree() == ft {
-			s.hits.Add(1)
-			return cached
-		}
-		// Stale entries are normally dropped eagerly by the mutation
-		// that invalidated them (see dropSearchIndex); this lazy path
-		// covers a search racing that drop.
-		s.invalidations.Add(1)
-	}
-	_, span := obs.StartSpan(ctx, "keyword.index")
-	ix := keyword.NewIndex(ft)
-	span.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.idx[name]; ok && cur.Tree() == ft {
-		return cur
-	}
-	if s.idx == nil {
-		s.idx = make(map[string]*keyword.Index)
-	}
-	s.idx[name] = ix
-	return ix
-}
-
-// reset discards every cached index (Reopen rebuilds state from disk;
-// the counters stay, registered once and monotonic).
-func (s *searchIndexes) reset() {
-	s.mu.Lock()
-	s.idx = nil
-	s.mu.Unlock()
-}
-
-// dropSearchIndex discards the document's cached index, counting the
-// invalidation when there was one. Called eagerly by every mutation
-// install and by Drop, so a superseded index never outlives the
-// mutation and pins the old snapshot tree in memory until the next
-// search.
-func (w *Warehouse) dropSearchIndex(name string) {
-	s := &w.search
-	s.mu.Lock()
-	if _, ok := s.idx[name]; ok {
-		s.invalidations.Add(1)
-		delete(s.idx, name)
-	}
-	s.mu.Unlock()
-}
-
-// Search runs a keyword search (SLCA or ELCA semantics, exact or
-// Monte-Carlo probabilities, optional MinProb threshold and TopK cut)
-// against the named document. The inverted index is built lazily on
-// first use and reused until the document is mutated; evaluation runs
-// on an immutable snapshot outside every lock, like Query.
+// Search runs a keyword search against the current version of the named
+// document (see Snapshot.Search).
 func (w *Warehouse) Search(name string, req keyword.Request) (*keyword.Result, error) {
 	return w.SearchCtx(context.Background(), name, req)
 }
@@ -139,13 +62,9 @@ func (w *Warehouse) Search(name string, req keyword.Request) (*keyword.Result, e
 // and search evaluation record spans when the context carries an obs
 // trace.
 func (w *Warehouse) SearchCtx(ctx context.Context, name string, req keyword.Request) (*keyword.Result, error) {
-	ft, err := w.readSnapshot(ctx, name)
+	s, err := w.Snapshot(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	w.search.searches.Add(1)
-	ix := w.searchIndex(ctx, name, ft)
-	_, span := obs.StartSpan(ctx, "keyword.search")
-	defer span.End()
-	return keyword.SearchContext(ctx, ix, req)
+	return s.Search(ctx, req)
 }

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -42,9 +43,10 @@ func TestWarehouseSearch(t *testing.T) {
 	}
 }
 
-// TestSearchIndexLifecycle checks that the per-document index is built
-// once, reused across searches, and invalidated (rebuilt) when the
-// document is mutated.
+// TestSearchIndexLifecycle checks that the inverted index belongs to
+// one document version: built by the first search of that version,
+// shared by later ones, never built for a version nobody searched, and
+// gone with the document.
 func TestSearchIndexLifecycle(t *testing.T) {
 	w, err := Open(t.TempDir())
 	if err != nil {
@@ -54,50 +56,55 @@ func TestSearchIndexLifecycle(t *testing.T) {
 	if err := w.Create("lib", searchDoc()); err != nil {
 		t.Fatal(err)
 	}
+	builds := w.SearchStats().IndexBuilds
 
 	req := keyword.Request{Keywords: []string{"kafka"}}
 	if _, err := w.Search("lib", req); err != nil {
 		t.Fatal(err)
 	}
 	s0 := w.SearchStats()
-	if s0.Searches != 1 || s0.IndexHits != 0 {
+	if s0.Searches != 1 || s0.IndexHits != 0 || s0.IndexBuilds != builds+1 {
 		t.Fatalf("after first search: %+v", s0)
 	}
 	if _, err := w.Search("lib", req); err != nil {
 		t.Fatal(err)
 	}
 	s1 := w.SearchStats()
-	if s1.IndexHits != s0.IndexHits+1 {
+	if s1.IndexHits != s0.IndexHits+1 || s1.IndexBuilds != builds+1 {
 		t.Fatalf("second search did not reuse the index: %+v", s1)
 	}
 
-	// A mutation installs a fresh snapshot; the next search must
-	// discard the cached index and see the new content.
-	tx := update.New(tpwj.MustParseQuery("lib $l"), 1, update.Insert("l", tree.MustParse("note:kafka")))
-	if _, err := w.Update("lib", tx); err != nil {
-		t.Fatal(err)
+	// Two mutations publish two versions; only the one that is searched
+	// gets an index, and the search sees its content.
+	for _, ins := range []string{"note:kafka", "note:other"} {
+		tx := update.New(tpwj.MustParseQuery("lib $l"), 1, update.Insert("l", tree.MustParse(ins)))
+		if _, err := w.Update("lib", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.SearchStats().IndexBuilds; got != builds+1 {
+		t.Fatalf("updates built %d indexes, want none until searched", got-builds-1)
 	}
 	res, err := w.Search("lib", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := w.SearchStats()
-	if s2.IndexInvalidations != s1.IndexInvalidations+1 {
-		t.Fatalf("update did not invalidate the index: %+v", s2)
+	if s2.IndexBuilds != builds+2 || s2.IndexHits != s1.IndexHits {
+		t.Fatalf("search after two updates: %+v, want exactly one more build", s2)
 	}
 	if len(res.Answers) != 3 {
 		t.Fatalf("post-update answers = %+v, want the inserted note too", res.Answers)
 	}
 
-	// Drop releases the cached index entry.
 	if err := w.Drop("lib"); err != nil {
 		t.Fatal(err)
 	}
-	w.search.mu.Lock()
-	_, still := w.search.idx["lib"]
-	w.search.mu.Unlock()
-	if still {
-		t.Error("dropped document still holds a cached search index")
+	if _, err := w.Search("lib", req); !errors.Is(err, ErrNotFound) {
+		t.Errorf("search of a dropped document: %v, want ErrNotFound", err)
+	}
+	if got := w.SearchStats().IndexBuilds; got != builds+2 {
+		t.Errorf("index builds = %d, want %d", got, builds+2)
 	}
 }
 

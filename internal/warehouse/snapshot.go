@@ -1,0 +1,115 @@
+package warehouse
+
+import (
+	"context"
+	"math/rand"
+	"sync"
+
+	"repro/internal/fuzzy"
+	"repro/internal/keyword"
+	"repro/internal/obs"
+	"repro/internal/tpwj"
+	"repro/internal/xmlio"
+)
+
+// Snapshot is one immutable version of one document, together with
+// everything derived from it. A mutation never edits a snapshot: it
+// publishes a successor with a larger Version, so whatever was computed
+// from a snapshot — its keyword index here, a result-cache entry or a
+// view state tagged with its version elsewhere — stays correct for that
+// version forever and becomes garbage with it. "Is this stale?" is
+// therefore always the one comparison of two version numbers.
+//
+// A Snapshot stays valid after its document is updated or dropped and
+// after the warehouse is closed; all methods are safe for concurrent
+// use and take no warehouse lock.
+type Snapshot struct {
+	tree    *fuzzy.Tree
+	version uint64
+	search  *searchCounters
+
+	// index is the keyword index over tree, built by the first Search.
+	indexOnce sync.Once
+	index     *keyword.Index
+}
+
+// Snapshot returns the current version of the named document. The
+// warehouse is pinned only for the fetch itself, so computing on the
+// snapshot never blocks Close or Compact.
+func (w *Warehouse) Snapshot(ctx context.Context, name string) (*Snapshot, error) {
+	_, span := obs.StartSpan(ctx, "warehouse.snapshot")
+	defer span.End()
+	if err := validName(name); err != nil {
+		return nil, err
+	}
+	release, err := w.startOp()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return w.loadSnapshot(name)
+}
+
+// publish makes ft the current version of the named document. Versions
+// increase warehouse-wide, so a name that is dropped and created again,
+// or reloaded by Reopen, never repeats one.
+func (w *Warehouse) publish(name string, ft *fuzzy.Tree) *Snapshot {
+	w.cacheMu.Lock()
+	defer w.cacheMu.Unlock()
+	w.version++
+	s := &Snapshot{tree: ft, version: w.version, search: &w.search}
+	w.cache[name] = s
+	return s
+}
+
+// Version identifies the snapshot among all versions of all documents
+// this warehouse has published: a later version of the same document
+// has a larger number.
+func (s *Snapshot) Version() uint64 { return s.version }
+
+// Query evaluates a TPWJ query on the snapshot, returning answers with
+// exact probabilities. When the context carries an obs trace, the
+// pipeline stages (symbolic match, DNF compile, probability
+// evaluation) record spans into it.
+func (s *Snapshot) Query(ctx context.Context, q *tpwj.Query) ([]tpwj.ProbAnswer, error) {
+	ctx, span := obs.StartSpan(ctx, "warehouse.query")
+	defer span.End()
+	return tpwj.EvalFuzzyContext(ctx, q, s.tree)
+}
+
+// QueryMC is Query with Monte-Carlo probability estimation, for
+// documents whose condition structure makes exact computation too
+// expensive.
+func (s *Snapshot) QueryMC(ctx context.Context, q *tpwj.Query, samples int, r *rand.Rand) ([]tpwj.ProbAnswer, error) {
+	ctx, span := obs.StartSpan(ctx, "warehouse.query")
+	defer span.End()
+	return tpwj.EvalFuzzyMonteCarloContext(ctx, q, s.tree, samples, r)
+}
+
+// Search runs a keyword search (SLCA or ELCA semantics, exact or
+// Monte-Carlo probabilities, optional MinProb threshold and TopK cut)
+// on the snapshot. The inverted index is built by the first search of
+// this version and shared by all later ones.
+func (s *Snapshot) Search(ctx context.Context, req keyword.Request) (*keyword.Result, error) {
+	s.search.searches.Add(1)
+	built := false
+	s.indexOnce.Do(func() {
+		_, span := obs.StartSpan(ctx, "keyword.index")
+		s.index = keyword.NewIndex(s.tree)
+		span.End()
+		built = true
+	})
+	if !built {
+		s.search.hits.Add(1)
+	}
+	_, span := obs.StartSpan(ctx, "keyword.search")
+	defer span.End()
+	return keyword.SearchContext(ctx, s.index, req)
+}
+
+// XML serializes the snapshot as pxml XML, in place: nothing is copied.
+func (s *Snapshot) XML(ctx context.Context) ([]byte, error) {
+	_, span := obs.StartSpan(ctx, "xml.encode")
+	defer span.End()
+	return xmlio.DocXML(s.tree)
+}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/fuzzy"
 	"repro/internal/obs"
 	"repro/internal/tpwj"
 	"repro/internal/view"
@@ -71,17 +70,17 @@ type ViewStats struct {
 
 // viewHandle is the registry's mutable slot for one view. def is
 // immutable after registration; v (the materialized state, an
-// immutable view.View), tree (the snapshot v was computed against) and
-// maintaining are guarded by mu. Holders of mu do only pointer work —
-// evaluation always runs outside it — so ReadView never blocks on a
-// maintenance pass.
+// immutable view.View), version (of the Snapshot v was computed
+// against) and maintaining are guarded by mu. Holders of mu do only
+// pointer work — evaluation always runs outside it — so ReadView never
+// blocks on a maintenance pass.
 type viewHandle struct {
 	def view.Definition
 
 	mu          sync.Mutex
 	q           *tpwj.Query // compiled lazily for recovered definitions
 	v           *view.View
-	tree        *fuzzy.Tree
+	version     uint64
 	maintaining bool
 }
 
@@ -296,7 +295,7 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	if _, ok := w.views.get(doc, name); ok {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewExists, name, doc)
 	}
-	ft, err := w.snapshot(doc)
+	snap, err := w.loadSnapshot(doc)
 	if err != nil {
 		w.releaseIfGone(doc, err)
 		return nil, err
@@ -305,12 +304,12 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	// serializes this against mutations of the document, and readers
 	// must not wait on query evaluation.
 	_, mspan := obs.StartSpan(ctx, "view.materialize")
-	v, err := view.MaterializeCtx(ctx, def, q, ft)
+	v, err := view.MaterializeCtx(ctx, def, q, snap.tree)
 	mspan.End()
 	if err != nil {
 		return nil, err
 	}
-	h := &viewHandle{def: def, q: q, v: v, tree: ft}
+	h := &viewHandle{def: def, q: q, v: v, version: snap.version}
 	err = w.install(ctx, dl,
 		Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax},
 		func(bool) error {
@@ -406,7 +405,7 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 	}
 	res := &ViewResult{Doc: doc, Name: name, Query: h.def.Query, Syntax: h.def.Syntax}
 	for {
-		cur, err := w.snapshot(doc)
+		cur, err := w.loadSnapshot(doc)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +418,7 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 			// in-flight pass, rather than paying a full materialization
 			// the imminent pass would duplicate.
 			res.Answers = h.v.Answers()
-			res.Stale = h.maintaining || h.tree != cur
+			res.Stale = h.maintaining || h.version != cur.version
 			h.mu.Unlock()
 			if res.Stale {
 				w.views.staleReads.Add(1)
@@ -434,14 +433,14 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 		if err != nil {
 			return nil, err
 		}
-		v, err := view.MaterializeCtx(ctx, h.def, q, cur)
+		v, err := view.MaterializeCtx(ctx, h.def, q, cur.tree)
 		if err != nil {
 			return nil, err
 		}
 		obs.Charge(obs.CostFromContext(ctx), obs.CostViewMaintRecomputed, w.views.full, 1)
 		h.mu.Lock()
 		if h.v == nil && !h.maintaining {
-			h.v, h.tree = v, cur
+			h.v, h.version = v, cur.version
 			h.mu.Unlock()
 			res.Answers = v.Answers()
 			return res, nil
@@ -473,27 +472,27 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 // context aborts the remaining passes: the document mutation is already
 // durable at this point, so the affected views are simply left
 // unmaterialized and the next ReadView rebuilds them lazily.
-func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *fuzzy.Tree, delta *view.Delta) {
+func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *Snapshot, delta *view.Delta) {
 	cost := obs.CostFromContext(ctx)
 	for _, h := range w.views.forDoc(doc) {
 		h.mu.Lock()
-		old, oldTree := h.v, h.tree
+		old, oldVersion := h.v, h.version
 		q, err := h.compiled()
 		h.maintaining = true
 		h.mu.Unlock()
 
 		var nv *view.View
 		if err == nil {
-			if old != nil && oldTree == pre {
+			if old != nil && oldVersion == pre.version {
 				var res view.Result
-				nv, res, err = old.MaintainCtx(ctx, next, delta)
+				nv, res, err = old.MaintainCtx(ctx, next.tree, delta)
 				if err == nil {
 					w.views.record(cost, res)
 				}
 			} else {
 				// The state does not correspond to the pre-update
 				// snapshot (first use after recovery): start over.
-				nv, err = view.MaterializeCtx(ctx, h.def, q, next)
+				nv, err = view.MaterializeCtx(ctx, h.def, q, next.tree)
 				if err == nil {
 					obs.Charge(cost, obs.CostViewMaintRecomputed, w.views.full, 1)
 				}
@@ -502,11 +501,11 @@ func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *fu
 
 		h.mu.Lock()
 		if err == nil {
-			h.v, h.tree = nv, next
+			h.v, h.version = nv, next.version
 		} else {
 			// Leave the view unmaterialized; the next ReadView retries
 			// against the then-current snapshot.
-			h.v, h.tree = nil, nil
+			h.v, h.version = nil, 0
 		}
 		h.maintaining = false
 		h.mu.Unlock()

@@ -178,16 +178,15 @@ type Warehouse struct {
 	recoveryRollbacks    *obs.Counter
 	recoveryRollforwards *obs.Counter
 
-	// cacheMu guards the cache map itself. The trees inside are
-	// immutable once installed: mutations build fresh trees and swap
-	// the entry, so a snapshot handed to a reader stays valid without
-	// any lock.
+	// cacheMu guards the cache map and the version counter. The
+	// snapshots inside are immutable: mutations publish a successor
+	// (see publish), so a snapshot handed to a reader stays valid
+	// without any lock.
 	cacheMu sync.Mutex
-	cache   map[string]*fuzzy.Tree
+	cache   map[string]*Snapshot
+	version uint64
 
-	// search caches one keyword-search index per document, keyed by
-	// the snapshot it was built from (see searchIndexes).
-	search searchIndexes
+	search searchCounters
 
 	// views holds the registered materialized views and their
 	// maintenance counters (see views.go).
@@ -279,7 +278,7 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 		dir:       dir,
 		st:        st,
 		reg:       reg,
-		cache:     make(map[string]*fuzzy.Tree),
+		cache:     make(map[string]*Snapshot),
 		journaled: make(map[string]bool),
 	}
 	w.jc = journalCounters{
@@ -412,8 +411,8 @@ func (w *Warehouse) startMutation() (release func(), err error) {
 }
 
 // Reopen recovers a degraded warehouse in place: it waits out in-flight
-// operations, discards all in-memory state (caches, search indexes,
-// view materializations, the failed journal instance), re-runs the full
+// operations, discards all in-memory state (snapshots, view
+// materializations, the failed journal instance), re-runs the full
 // open sequence — torn-tail truncation, journal replay, rollback of the
 // aborted mutation — and clears degraded mode. The acknowledged history
 // is exactly what recovery reconstructs from disk; callers resume as
@@ -430,12 +429,11 @@ func (w *Warehouse) Reopen() error {
 	// from disk.
 	w.journal.close() //nolint:errcheck
 	w.cacheMu.Lock()
-	w.cache = make(map[string]*fuzzy.Tree)
+	w.cache = make(map[string]*Snapshot)
 	w.cacheMu.Unlock()
 	w.journaledMu.Lock()
 	w.journaled = make(map[string]bool)
 	w.journaledMu.Unlock()
-	w.search.reset()
 	w.views.reset()
 	if err := w.loadFromDisk(); err != nil {
 		return err
@@ -501,17 +499,11 @@ func (w *Warehouse) startOp() (release func(), err error) {
 	return w.mu.RUnlock, nil
 }
 
-func (w *Warehouse) cacheGet(name string) (*fuzzy.Tree, bool) {
+func (w *Warehouse) cacheGet(name string) (*Snapshot, bool) {
 	w.cacheMu.Lock()
 	defer w.cacheMu.Unlock()
-	ft, ok := w.cache[name]
-	return ft, ok
-}
-
-func (w *Warehouse) cacheSet(name string, ft *fuzzy.Tree) {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	w.cache[name] = ft
+	s, ok := w.cache[name]
+	return s, ok
 }
 
 func (w *Warehouse) cacheDel(name string) {
@@ -601,22 +593,20 @@ func (w *Warehouse) readDoc(name string) (*fuzzy.Tree, error) {
 	return ft, nil
 }
 
-// snapshot returns the current immutable tree of the document, loading
-// and caching it on first use. The returned tree must not be mutated;
-// it stays valid after the locks are released because mutations install
-// fresh trees instead of editing in place.
+// loadSnapshot returns the document's current snapshot, loading the
+// document and publishing it on first use.
 //
-// Cached trees are swapped atomically and never edited, so the fast
-// path needs no lock. Names that exist neither in the cache nor on
+// Snapshots are swapped atomically and never edited, so the fast path
+// needs no lock. Names that exist neither in the cache nor on
 // disk are rejected before touching the lock table, so clients probing
 // arbitrary names can never grow it. The cold path rechecks table
 // membership after locking, like lockWriter, so a reader never
 // populates the cache while a concurrent Drop/Create cycle proceeds
 // under a successor entry.
-func (w *Warehouse) snapshot(name string) (*fuzzy.Tree, error) {
+func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
 	for {
-		if ft, ok := w.cacheGet(name); ok {
-			return ft, nil
+		if s, ok := w.cacheGet(name); ok {
+			return s, nil
 		}
 		if err := w.statGuard(name); err != nil {
 			return nil, err
@@ -627,13 +617,14 @@ func (w *Warehouse) snapshot(name string) (*fuzzy.Tree, error) {
 			dl.state.Unlock()
 			continue
 		}
-		if ft, ok := w.cacheGet(name); ok {
+		if s, ok := w.cacheGet(name); ok {
 			dl.state.Unlock()
-			return ft, nil
+			return s, nil
 		}
+		var s *Snapshot
 		ft, err := w.readDoc(name)
 		if err == nil {
-			w.cacheSet(name, ft)
+			s = w.publish(name, ft)
 		} else if errors.Is(err, ErrNotFound) && dl.writers.TryLock() {
 			// The document vanished between statGuard and the load, so
 			// the locks.get above may have re-created an entry for a
@@ -644,7 +635,7 @@ func (w *Warehouse) snapshot(name string) (*fuzzy.Tree, error) {
 			dl.writers.Unlock()
 		}
 		dl.state.Unlock()
-		return ft, err
+		return s, err
 	}
 }
 
@@ -732,7 +723,11 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 		return err
 	}
 	defer dl.writers.Unlock()
-	if exists, _ := w.st.DocExists(name); exists {
+	exists, err := w.st.DocExists(name)
+	if err != nil {
+		return err
+	}
+	if exists {
 		return fmt.Errorf("warehouse: %w: %q", ErrExists, name)
 	}
 	clone := ft.Clone()
@@ -742,7 +737,7 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 			if err := w.writeDoc(name, data, syncFile); err != nil {
 				return err
 			}
-			w.cacheSet(name, clone)
+			w.publish(name, clone)
 			return nil
 		})
 	if err != nil {
@@ -760,11 +755,11 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 // Get returns a deep copy of the named document. The copy is made
 // outside every lock.
 func (w *Warehouse) Get(name string) (*fuzzy.Tree, error) {
-	ft, err := w.readSnapshot(context.Background(), name)
+	s, err := w.Snapshot(context.Background(), name)
 	if err != nil {
 		return nil, err
 	}
-	return ft.Clone(), nil
+	return s.tree.Clone(), nil
 }
 
 // GetXML returns the document serialized as pxml XML. Unlike Get it
@@ -776,13 +771,11 @@ func (w *Warehouse) GetXML(name string) ([]byte, error) {
 
 // GetXMLCtx is GetXML with a context, traced like QueryCtx.
 func (w *Warehouse) GetXMLCtx(ctx context.Context, name string) ([]byte, error) {
-	ft, err := w.readSnapshot(ctx, name)
+	s, err := w.Snapshot(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	_, span := obs.StartSpan(ctx, "xml.encode")
-	defer span.End()
-	return xmlio.DocXML(ft)
+	return s.XML(ctx)
 }
 
 // List returns the sorted names of all stored documents.
@@ -830,16 +823,15 @@ func (w *Warehouse) Drop(name string) error {
 	// churn of unique names cannot grow the table. Writers blocked on
 	// this entry re-check and retry (see lockWriter).
 	w.locks.del(name)
-	w.dropSearchIndex(name)
 	// Views follow their document: the committed drop record implies
 	// their removal at recovery too (see recover).
 	w.views.delDoc(name)
 	return nil
 }
 
-// Query evaluates a TPWJ query on the named document, returning answers
-// with exact probabilities. Snapshots are immutable (updates install
-// fresh trees), so evaluation runs after every lock is released —
+// Query evaluates a TPWJ query on the current version of the named
+// document, returning answers with exact probabilities. Evaluation
+// runs on the immutable snapshot after every lock is released —
 // including the warehouse pin, so a slow query never stalls a pending
 // Close or Compact, and queries on the same document proceed in
 // parallel with each other and with the computation phase of a
@@ -852,13 +844,11 @@ func (w *Warehouse) Query(name string, q *tpwj.Query) ([]tpwj.ProbAnswer, error)
 // trace, the pipeline stages (snapshot fetch, symbolic match, DNF
 // compile, probability evaluation) record spans into it.
 func (w *Warehouse) QueryCtx(ctx context.Context, name string, q *tpwj.Query) ([]tpwj.ProbAnswer, error) {
-	ctx, span := obs.StartSpan(ctx, "warehouse.query")
-	defer span.End()
-	ft, err := w.readSnapshot(ctx, name)
+	s, err := w.Snapshot(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return tpwj.EvalFuzzyContext(ctx, q, ft)
+	return s.Query(ctx, q)
 }
 
 // QueryMC is Query with Monte-Carlo probability estimation, for
@@ -870,30 +860,11 @@ func (w *Warehouse) QueryMC(name string, q *tpwj.Query, samples int, r *rand.Ran
 
 // QueryMCCtx is QueryMC with a context, traced like QueryCtx.
 func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, samples int, r *rand.Rand) ([]tpwj.ProbAnswer, error) {
-	ctx, span := obs.StartSpan(ctx, "warehouse.query")
-	defer span.End()
-	ft, err := w.readSnapshot(ctx, name)
+	s, err := w.Snapshot(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return tpwj.EvalFuzzyMonteCarloContext(ctx, q, ft, samples, r)
-}
-
-// readSnapshot validates the name and fetches the document's immutable
-// snapshot, holding the warehouse pin only for the fetch itself so the
-// caller can compute on the snapshot without blocking Close or Compact.
-func (w *Warehouse) readSnapshot(ctx context.Context, name string) (*fuzzy.Tree, error) {
-	_, span := obs.StartSpan(ctx, "warehouse.snapshot")
-	defer span.End()
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	release, err := w.startOp()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return w.snapshot(name)
+	return s.QueryMC(ctx, q, samples, r)
 }
 
 // mutateDoc runs the shared writer path for document-transforming
@@ -927,39 +898,37 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	}
 	defer dl.writers.Unlock()
 	_, sspan := obs.StartSpan(ctx, "warehouse.snapshot")
-	ft, err := w.snapshot(name)
+	pre, err := w.loadSnapshot(name)
 	sspan.End()
 	if err != nil {
 		w.releaseIfGone(name, err)
 		return err
 	}
 	_, cspan := obs.StartSpan(ctx, "update.compute")
-	next, txNote, delta, err := compute(ft)
+	nextTree, txNote, delta, err := compute(pre.tree)
 	cspan.End()
 	if err != nil {
 		return err
 	}
-	data, err := xmlio.DocXML(next)
+	data, err := xmlio.DocXML(nextTree)
 	if err != nil {
 		return err
 	}
+	var next *Snapshot
 	err = w.install(ctx, dl,
 		Record{Op: OpUpdate, Doc: name, Tx: txNote, Content: string(data)},
 		func(syncFile bool) error {
 			if err := w.writeDoc(name, data, syncFile); err != nil {
 				return err
 			}
-			w.cacheSet(name, next)
+			next = w.publish(name, nextTree)
 			return nil
 		})
 	if err != nil {
 		return err
 	}
-	// The old snapshot is superseded; release its keyword index now so
-	// it cannot pin the whole pre-update tree until the next search.
-	w.dropSearchIndex(name)
 	_, vspan := obs.StartSpan(ctx, "view.maintain")
-	w.maintainViews(ctx, name, ft, next, delta)
+	w.maintainViews(ctx, name, pre, next, delta)
 	vspan.End()
 	return nil
 }
@@ -1029,10 +998,11 @@ type Info struct {
 
 // Stat returns summary information about the named document.
 func (w *Warehouse) Stat(name string) (Info, error) {
-	ft, err := w.readSnapshot(context.Background(), name)
+	s, err := w.Snapshot(context.Background(), name)
 	if err != nil {
 		return Info{}, err
 	}
+	ft := s.tree
 	return Info{
 		Name:   name,
 		Nodes:  ft.Size(),
