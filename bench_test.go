@@ -285,7 +285,6 @@ func BenchmarkE9MonteCarlo(b *testing.B) {
 func BenchmarkE10QueryScaling(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		doc := gen.TreeOfSize(rand.New(rand.NewSource(int64(n))), n, gen.TreeConfig{})
-		ix := tree.NewIndex(doc)
 		for _, p := range []struct{ name, query string }{
 			{"leaf", "//C $x"},
 			{"chain", "A(//C $x(//E $y))"},
@@ -295,7 +294,7 @@ func BenchmarkE10QueryScaling(b *testing.B) {
 				q := tpwj.MustParseQuery(p.query)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := tpwj.CountMatches(q, ix); err != nil {
+					if _, err := tpwj.CountMatches(q, doc); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -371,19 +370,18 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	doc := gen.TreeOfSize(rand.New(rand.NewSource(5)), 5000,
 		gen.TreeConfig{Labels: []string{"A", "B", "B", "B", "B", "C"}})
 	doc.Add(tree.NewLeaf("Rare", "x")) // exactly one Rare node
-	ix := tree.NewIndex(doc)
 	naive := tpwj.MustParseQuery(`A(//B $b, //Rare="missing" $r)`)
-	opt := tpwj.Optimize(naive, ix)
+	opt := tpwj.Optimize(naive, tree.NewIndex(doc))
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tpwj.CountMatches(naive, ix); err != nil {
+			if _, err := tpwj.CountMatches(naive, doc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("optimized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tpwj.CountMatches(opt, ix); err != nil {
+			if _, err := tpwj.CountMatches(opt, doc); err != nil {
 				b.Fatal(err)
 			}
 		}

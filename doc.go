@@ -34,6 +34,14 @@
 // probability (computed by memoized Shannon expansion; Monte-Carlo
 // estimation is available for heavy condition structures).
 //
+// Every evaluator — over fuzzy trees, plain trees and worlds, and the
+// update engine locating its targets — runs one matcher over one flat
+// form of the document, built by a single walk per call and dropped on
+// return: nodes numbered in preorder, label (interned), parent and
+// subtree end as integer columns, so children are end-to-end hops,
+// descendants an id range, and a label test an integer comparison.
+// Nothing copies or pointer-indexes a document to query it.
+//
 // # Probability engine
 //
 // Every exact answer probability ends in one computation: P(c₁ ∨ … ∨ c_k)

@@ -192,8 +192,31 @@ func (t *Tree) Events() []event.ID {
 
 // Validate checks the invariants of the model: structurally valid
 // underlying tree, unconditioned root, and every event used in a
-// condition present in the table.
+// condition present in the table. It is ValidateRoot followed by
+// ValidateNode on every node in preorder, and allocates nothing on a
+// valid tree.
 func (t *Tree) Validate() error {
+	if err := t.ValidateRoot(); err != nil {
+		return err
+	}
+	return t.validateSubtree(t.Root)
+}
+
+func (t *Tree) validateSubtree(n *Node) error {
+	if err := t.ValidateNode(n); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		if err := t.validateSubtree(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateRoot checks the tree-level invariants: a root, an event
+// table, and no condition on the root.
+func (t *Tree) ValidateRoot() error {
 	if t == nil || t.Root == nil {
 		return errors.New("fuzzy: nil tree or root")
 	}
@@ -203,25 +226,33 @@ func (t *Tree) Validate() error {
 	if len(t.Root.Cond) > 0 {
 		return fmt.Errorf("fuzzy: root must be unconditioned, has %q", t.Root.Cond)
 	}
-	var err error
-	t.Root.Walk(func(n *Node) bool {
-		if n.Label == "" {
-			err = errors.New("fuzzy: node with empty label")
-			return false
+	return nil
+}
+
+// ValidateNode checks the invariants local to one node: a label, no
+// mixed content, and only known events in its condition. It is exported
+// so that a caller already walking the tree (tpwj.FlattenFuzzy) checks
+// validity in the same pass.
+func (t *Tree) ValidateNode(n *Node) error {
+	if n.Label == "" {
+		return errors.New("fuzzy: node with empty label")
+	}
+	if n.Value != "" && len(n.Children) > 0 {
+		return fmt.Errorf("fuzzy: mixed content at %q", n.Label)
+	}
+	// Report the smallest unknown event, as a scan of the sorted event
+	// set would.
+	var unknown event.ID
+	found := false
+	for _, l := range n.Cond {
+		if (!found || l.Event < unknown) && !t.Table.Has(l.Event) {
+			unknown, found = l.Event, true
 		}
-		if n.Value != "" && len(n.Children) > 0 {
-			err = fmt.Errorf("fuzzy: mixed content at %q", n.Label)
-			return false
-		}
-		for _, ev := range n.Cond.Events() {
-			if !t.Table.Has(ev) {
-				err = fmt.Errorf("fuzzy: condition of %q uses unknown event %q", n.Label, ev)
-				return false
-			}
-		}
-		return true
-	})
-	return err
+	}
+	if found {
+		return fmt.Errorf("fuzzy: condition of %q uses unknown event %q", n.Label, unknown)
+	}
+	return nil
 }
 
 // Underlying returns the data tree obtained by stripping all conditions.

@@ -97,6 +97,35 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing pins the cost contract of Validate: every
+// document read, encode and update pays it, so a valid tree is checked
+// without a single allocation.
+func TestValidateAllocatesNothing(t *testing.T) {
+	ft := slide12()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ft.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v objects per run on a valid tree, want 0", n)
+	}
+}
+
+// TestValidateFirstError pins which violation is reported when a tree
+// has several: the first node in preorder, and within one condition the
+// smallest unknown event whatever the literal order.
+func TestValidateFirstError(t *testing.T) {
+	ft := New(&Node{Label: "A", Children: []*Node{
+		{Label: "B", Cond: event.Cond(event.Pos("zz"), event.Neg("aa"), event.Pos("w1"))},
+		{Label: ""},
+	}})
+	ft.Table.MustSet("w1", 0.5)
+	err := ft.Validate()
+	if want := `fuzzy: condition of "B" uses unknown event "aa"`; err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %s", err, want)
+	}
+}
+
 func TestUnderlyingStripsConditions(t *testing.T) {
 	u := slide12().Underlying()
 	want := tree.MustParse("A(B, C(D))")

@@ -71,7 +71,7 @@ func TestMatchingQueryAlwaysMatches(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := Tree(r, TreeConfig{})
 		q := MatchingQuery(r, doc, seed%2 == 0)
-		n, err := tpwj.CountMatches(q, tree.NewIndex(doc))
+		n, err := tpwj.CountMatches(q, doc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

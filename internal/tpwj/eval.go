@@ -17,10 +17,20 @@ import (
 // distinct answers (duplicates from different valuations merged), in
 // deterministic order (canonical form).
 func Eval(q *Query, doc *tree.Node, mode ResultMode) ([]*tree.Node, error) {
-	ix := tree.NewIndex(doc)
+	d := Flatten(doc)
 	seen := make(map[string]*tree.Node)
-	err := ForEachMatch(q, ix, func(m Match) bool {
-		a := AnswerTree(ix, m, mode)
+	var ids, full []int32
+	err := d.match(q, true, nil, func(m *matcher) bool {
+		ids = d.Closure(m.main.b, ids)
+		full = full[:0]
+		if mode == WithSubtrees {
+			for _, k := range m.p.positive {
+				if len(m.p.nodes[k].src.Children) == 0 {
+					full = append(full, m.main.b[k])
+				}
+			}
+		}
+		a := d.answer(ids, full)
 		c := tree.Canonical(a)
 		if _, ok := seen[c]; !ok {
 			seen[c] = a
@@ -168,12 +178,9 @@ func evalFuzzyProb(ctx context.Context, q *Query, ft *fuzzy.Tree, prob func(*Pro
 		answers[i].P = p
 		out = append(out, answers[i])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
-		}
-		return tree.Canonical(out[i].Tree) < tree.Canonical(out[j].Tree)
-	})
+	// The symbolic pass returns answers in ascending canonical form, so
+	// a stable sort on probability alone breaks ties by canonical form.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].P > out[j].P })
 	return out, nil
 }
 
@@ -198,49 +205,67 @@ func EvalFuzzySymbolicContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]
 	return evalFuzzySymbolic(ctx, q, ft)
 }
 
-// evalFuzzySymbolic computes answers and their conditions (DNF for
-// positive queries, general formulas when the pattern uses negation)
-// without probabilities. The match enumeration records a "tpwj.match"
-// span and the condition-DNF normalization an "event.compile" span
-// when ctx carries an obs trace.
+// evalFuzzySymbolic computes answers and their conditions without
+// probabilities. Valuations are found on the flattened underlying tree;
+// each one's condition is the conjunction of the conditions of its
+// minimal subtree (the matched nodes and their ancestors), and
+// valuations with the same answer tree are folded into one answer.
+//
+// With forbidden sub-patterns (negation extension) a valuation's
+// condition becomes
+//
+//	clause(valuation) ∧ ⋀ ¬( ∨ conditions of forbidden sub-matches )
+//
+// — a general Boolean formula, since a forbidden node may exist in some
+// worlds only. Valuations are then enumerated without the plain-tree
+// not-exists filter; the filter is expressed probabilistically instead.
+//
+// Flattening and enumeration record a "tpwj.match" span and the
+// per-answer condition normalization an "event.compile" span when ctx
+// carries an obs trace.
 func evalFuzzySymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	if err := ft.Validate(); err != nil {
+	_, mspan := obs.StartSpan(ctx, "tpwj.match")
+	d, err := FlattenFuzzy(ft)
+	if err != nil {
+		mspan.End()
 		return nil, err
 	}
-	if q.HasNegation() {
-		_, span := obs.StartSpan(ctx, "tpwj.match")
-		defer span.End()
-		return evalFuzzyNegSymbolic(ctx, q, ft)
-	}
-	_, mspan := obs.StartSpan(ctx, "tpwj.match")
-	doc, toFuzzy := underlyingWithMap(ft)
-	ix := tree.NewIndex(doc)
+	neg := q.HasNegation()
 	type acc struct {
-		tree *tree.Node
-		dnf  event.DNF
+		tree     *tree.Node
+		dnf      event.DNF
+		formulas []event.Formula
 	}
 	byCanon := make(map[string]*acc)
 	stop := newMatchCancel(ctx)
-	err := forEachMatch(q, ix, true, obs.CostFromContext(ctx), func(m Match) bool {
+	var ids []int32
+	err = d.match(q, !neg, obs.CostFromContext(ctx), func(m *matcher) bool {
 		if stop.hit() {
 			return false
 		}
-		var clause event.Condition
-		for _, n := range answerNodes(ix, m) {
-			clause = append(clause, toFuzzy[n].Cond...)
-		}
-		clause = clause.Normalize()
+		ids = d.Closure(m.main.b, ids)
+		clause := d.Condition(ids)
 		if !clause.Satisfiable() {
 			return true
 		}
-		a := AnswerTree(ix, m, MinimalSubtree)
+		var phi event.Formula
+		if neg {
+			if phi = m.negatedCondition(clause); phi == event.FFalse {
+				return true
+			}
+		}
+		a := d.answer(ids, nil)
 		c := tree.Canonical(a)
 		entry, ok := byCanon[c]
 		if !ok {
 			entry = &acc{tree: a}
 			byCanon[c] = entry
 		}
-		entry.dnf = append(entry.dnf, clause)
+		if neg {
+			entry.formulas = append(entry.formulas, phi)
+		} else {
+			entry.dnf = append(entry.dnf, clause)
+		}
 		return true
 	})
 	mspan.End()
@@ -260,10 +285,39 @@ func evalFuzzySymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAns
 	out := make([]ProbAnswer, 0, len(keys))
 	for _, k := range keys {
 		e := byCanon[k]
-		d := e.dnf.Normalize()
-		out = append(out, ProbAnswer{Tree: e.tree, Cond: d, Formula: event.FDNF(d)})
+		if neg {
+			out = append(out, ProbAnswer{Tree: e.tree, Formula: event.FOr(e.formulas...)})
+			continue
+		}
+		dnf := e.dnf.Normalize()
+		out = append(out, ProbAnswer{Tree: e.tree, Cond: dnf, Formula: event.FDNF(dnf)})
 	}
 	return out, nil
+}
+
+// negatedCondition returns the condition of the current valuation of a
+// query with negation: clause, and for every forbidden sub-pattern not
+// the disjunction of the conditions of its matches below the bound
+// node.
+func (m *matcher) negatedCondition(clause event.Condition) event.Formula {
+	parts := []event.Formula{event.FCond(clause)}
+	var ids []int32
+	for _, k := range m.p.positive {
+		for _, f := range m.p.nodes[k].forbidden {
+			var sub event.DNF
+			m.subMatches(f, m.main.b[k], func(bound []int32) bool {
+				ids = m.d.Closure(bound, ids)
+				if c := m.d.Condition(ids); c.Satisfiable() {
+					sub = append(sub, c)
+				}
+				return true
+			})
+			if len(sub) > 0 {
+				parts = append(parts, event.FNot(event.FDNF(sub.Normalize())))
+			}
+		}
+	}
+	return event.FAnd(parts...)
 }
 
 // matchCancel polls a context once every 256 match-callback calls, the
@@ -297,112 +351,4 @@ func (mc *matchCancel) hit() bool {
 		return true
 	}
 	return false
-}
-
-// evalFuzzyNegSymbolic handles queries with forbidden sub-patterns
-// (negation extension): a valuation's condition becomes
-//
-//	clause(valuation) ∧ ⋀ ¬( ∨ conditions of forbidden sub-matches )
-//
-// — a general Boolean formula, since a forbidden node may exist in some
-// worlds only. Matches are therefore enumerated without the plain-tree
-// not-exists filter; the filter is expressed probabilistically instead.
-func evalFuzzyNegSymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	doc, toFuzzy := underlyingWithMap(ft)
-	ix := tree.NewIndex(doc)
-	type acc struct {
-		tree     *tree.Node
-		formulas []event.Formula
-	}
-	byCanon := make(map[string]*acc)
-	stop := newMatchCancel(ctx)
-	err := forEachMatch(q, ix, false, obs.CostFromContext(ctx), func(m Match) bool {
-		if stop.hit() {
-			return false
-		}
-		var clause event.Condition
-		for _, n := range answerNodes(ix, m) {
-			clause = append(clause, toFuzzy[n].Cond...)
-		}
-		clause = clause.Normalize()
-		if !clause.Satisfiable() {
-			return true
-		}
-		parts := []event.Formula{event.FCond(clause)}
-		for p, n := range m {
-			for _, pc := range p.Children {
-				if !pc.Forbidden {
-					continue
-				}
-				var sub event.DNF
-				ForEachSubMatch(ix, pc, n, func(sm Match) bool {
-					var c event.Condition
-					seen := make(map[*tree.Node]bool)
-					for _, sn := range sm {
-						for _, a := range ix.PathToRoot(sn) {
-							if seen[a] {
-								continue
-							}
-							seen[a] = true
-							c = append(c, toFuzzy[a].Cond...)
-						}
-					}
-					c = c.Normalize()
-					if c.Satisfiable() {
-						sub = append(sub, c)
-					}
-					return true
-				})
-				if len(sub) > 0 {
-					parts = append(parts, event.FNot(event.FDNF(sub.Normalize())))
-				}
-			}
-		}
-		phi := event.FAnd(parts...)
-		if phi == event.FFalse {
-			return true
-		}
-		a := AnswerTree(ix, m, MinimalSubtree)
-		c := tree.Canonical(a)
-		entry, ok := byCanon[c]
-		if !ok {
-			entry = &acc{tree: a}
-			byCanon[c] = entry
-		}
-		entry.formulas = append(entry.formulas, phi)
-		return true
-	})
-	if err == nil {
-		err = stop.err
-	}
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(byCanon))
-	for k := range byCanon {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]ProbAnswer, 0, len(keys))
-	for _, k := range keys {
-		e := byCanon[k]
-		out = append(out, ProbAnswer{Tree: e.tree, Formula: event.FOr(e.formulas...)})
-	}
-	return out, nil
-}
-
-// underlyingWithMap strips conditions from a fuzzy tree, returning the
-// data tree and the mapping from each data node back to its fuzzy node.
-func underlyingWithMap(ft *fuzzy.Tree) (*tree.Node, map[*tree.Node]*fuzzy.Node) {
-	m := make(map[*tree.Node]*fuzzy.Node)
-	var conv func(n *fuzzy.Node) *tree.Node
-	conv = func(n *fuzzy.Node) *tree.Node {
-		d := &tree.Node{Label: n.Label, Value: n.Value}
-		m[d] = n
-		for _, c := range n.Children {
-			d.Children = append(d.Children, conv(c))
-		}
-		return d
-	}
-	return conv(ft.Root), m
 }

@@ -51,7 +51,7 @@ func TestNegationPlainMatching(t *testing.T) {
 	// A nodes with a B child but no C child.
 	q := MustParseQuery("//A $x(B, !C)")
 	doc := tree.MustParse("R(A(B), A(B, C), A(C), A(B, D))")
-	n, err := CountMatches(q, tree.NewIndex(doc))
+	n, err := CountMatches(q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestNegationDescendantScope(t *testing.T) {
 	// No C anywhere below, not just among children.
 	q := MustParseQuery("//A $x(!//C)")
 	doc := tree.MustParse("R(A(B(C)), A(B))")
-	n, err := CountMatches(q, tree.NewIndex(doc))
+	n, err := CountMatches(q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestNegationWithStructureInside(t *testing.T) {
 	q := MustParseQuery("A $x(!B(C, D))")
 	yes := tree.MustParse("A(B(C))")
 	no := tree.MustParse("A(B(C, D))")
-	if n, _ := CountMatches(q, tree.NewIndex(yes)); n != 1 {
+	if n, _ := CountMatches(q, yes); n != 1 {
 		t.Error("should match when forbidden shape absent")
 	}
-	if n, _ := CountMatches(q, tree.NewIndex(no)); n != 0 {
+	if n, _ := CountMatches(q, no); n != 0 {
 		t.Error("should not match when forbidden shape present")
 	}
 }
@@ -216,14 +216,14 @@ func TestOrderedMatching(t *testing.T) {
 	ordered := MustParseQuery("ordered A(B, C)")
 
 	for _, d := range []*tree.Node{doc1, doc2} {
-		if n, _ := CountMatches(plain, tree.NewIndex(d)); n != 1 {
+		if n, _ := CountMatches(plain, d); n != 1 {
 			t.Errorf("plain matches on %s = %d", tree.Format(d), n)
 		}
 	}
-	if n, _ := CountMatches(ordered, tree.NewIndex(doc1)); n != 1 {
+	if n, _ := CountMatches(ordered, doc1); n != 1 {
 		t.Error("ordered should match B-before-C document")
 	}
-	if n, _ := CountMatches(ordered, tree.NewIndex(doc2)); n != 0 {
+	if n, _ := CountMatches(ordered, doc2); n != 0 {
 		t.Error("ordered should not match C-before-B document")
 	}
 }
@@ -232,11 +232,11 @@ func TestOrderedStrict(t *testing.T) {
 	// The same node cannot serve two ordered siblings.
 	q := MustParseQuery("ordered A(B $x, B $y)")
 	doc := tree.MustParse("A(B)")
-	if n, _ := CountMatches(q, tree.NewIndex(doc)); n != 0 {
+	if n, _ := CountMatches(q, doc); n != 0 {
 		t.Error("strict order should forbid reusing one node")
 	}
 	doc2 := tree.MustParse("A(B, B)")
-	if n, _ := CountMatches(q, tree.NewIndex(doc2)); n != 1 {
+	if n, _ := CountMatches(q, doc2); n != 1 {
 		t.Error("exactly one ordered assignment expected")
 	}
 }
@@ -244,11 +244,11 @@ func TestOrderedStrict(t *testing.T) {
 func TestOrderedWithDescendants(t *testing.T) {
 	q := MustParseQuery("ordered A(//X $x, //Y $y)")
 	doc := tree.MustParse("A(B(X), C(Y))")
-	if n, _ := CountMatches(q, tree.NewIndex(doc)); n != 1 {
+	if n, _ := CountMatches(q, doc); n != 1 {
 		t.Error("ordered descendant match expected")
 	}
 	docRev := tree.MustParse("A(B(Y), C(X))")
-	if n, _ := CountMatches(q, tree.NewIndex(docRev)); n != 0 {
+	if n, _ := CountMatches(q, docRev); n != 0 {
 		t.Error("reversed document order should not match")
 	}
 }

@@ -41,302 +41,251 @@ func (m Match) Binding(q *Query, varName string) *tree.Node {
 	return nil
 }
 
-// nodeMatches reports whether the local tests of p hold at n.
-func nodeMatches(p *PNode, n *tree.Node) bool {
-	if p.Label != Wildcard && p.Label != n.Label {
-		return false
-	}
-	if p.HasValue && n.Value != p.Value {
-		return false
-	}
-	return true
+// Label tests resolved against a document's interned labels.
+const (
+	anyLabel = -1 // the wildcard
+	noLabel  = -2 // a label the document does not contain
+)
+
+// pnode is one pattern node resolved against one document. Pattern
+// nodes are numbered in pattern preorder; every reference between them
+// is such a number.
+type pnode struct {
+	src    *PNode
+	label  int32 // interned label test, anyLabel or noLabel
+	parent int32 // -1 for the pattern root
+	size   int32 // pattern nodes in this subtree
+	// prev is the previous positive sibling when the query is ordered
+	// (this node must bind strictly after it in document order), else -1.
+	prev      int32
+	joins     []int32 // nodes whose value must equal this node's
+	forbidden []int32 // forbidden children
 }
 
-// matcher carries the state of one enumeration.
+// plan is a query resolved against one document.
+type plan struct {
+	nodes []pnode
+	// all is 0..len(nodes)-1. The nodes of a sub-pattern are a
+	// contiguous run of it; positive lists the nodes outside forbidden
+	// sub-patterns. Either is the order in which an enumeration binds.
+	all, positive []int32
+}
+
+func compile(q *Query, d *Doc) *plan {
+	n := q.Size()
+	p := &plan{nodes: make([]pnode, 0, n), all: make([]int32, n), positive: make([]int32, 0, n)}
+	var add func(src *PNode, parent int32, forbidden bool) int32
+	add = func(src *PNode, parent int32, forbidden bool) int32 {
+		k := int32(len(p.nodes))
+		p.all[k] = k
+		label, ok := d.ids[src.Label]
+		switch {
+		case src.Label == Wildcard:
+			label = anyLabel
+		case !ok:
+			label = noLabel
+		}
+		p.nodes = append(p.nodes, pnode{src: src, label: label, parent: parent, prev: -1})
+		forbidden = forbidden || src.Forbidden
+		if !forbidden {
+			p.positive = append(p.positive, k)
+		}
+		prev := int32(-1)
+		for _, c := range src.Children {
+			ck := add(c, k, forbidden)
+			switch {
+			case c.Forbidden:
+				p.nodes[k].forbidden = append(p.nodes[k].forbidden, ck)
+			case q.Ordered && !forbidden:
+				p.nodes[ck].prev, prev = prev, ck
+			}
+		}
+		p.nodes[k].size = int32(len(p.nodes)) - k
+		return k
+	}
+	add(q.Root, -1, false)
+	if len(q.Joins) > 0 {
+		vars := q.VarPositions()
+		for _, j := range q.Joins {
+			l, r := int32(vars[j.Left]), int32(vars[j.Right])
+			p.nodes[l].joins = append(p.nodes[l].joins, r)
+			p.nodes[r].joins = append(p.nodes[r].joins, l)
+		}
+	}
+	return p
+}
+
+// run is one enumeration in progress: the pattern nodes it binds, in
+// order, and the document node each is bound to.
+type run struct {
+	seq []int32
+	b   []int32 // indexed by pattern-node number
+	// done is called at every complete binding; returning false stops
+	// the enumeration. A nil done stops at the first one and sets found.
+	done  func() bool
+	found bool
+}
+
+// matcher carries the state of one query evaluation: the main
+// enumeration over the positive pattern nodes, and the enumerations of
+// forbidden sub-patterns it starts below a bound node.
 type matcher struct {
-	q  *Query
-	ix *tree.Index
-	m  Match
-	// checkForbidden applies forbidden sub-patterns as existence filters
+	d *Doc
+	p *plan
+	// filter applies forbidden sub-patterns as not-exists filters
 	// (plain-tree semantics). The fuzzy evaluator disables it and turns
 	// forbidden sub-matches into negated formula parts instead, because
 	// a forbidden node may exist in some worlds only.
-	checkForbidden bool
-	joinPartners   map[string][]string
-	vars           map[string]*PNode
-	fn             func(Match) bool
+	filter    bool
+	main, sub run
 	// visited / matches tally assignment attempts and emitted valuations
-	// for cost accounting; flushed once per enumeration.
-	visited int64
-	matches int64
+	// for cost accounting; flushed once per evaluation.
+	visited, matches int64
 }
 
-// ForEachMatch enumerates all valuations of q in the indexed document, in
-// a deterministic order (document preorder at each pattern node,
-// depth-first over pattern nodes). Forbidden sub-patterns exclude
-// assignments under which they match; with q.Ordered, sibling pattern
-// nodes must match in strict document order. fn returning false stops
-// the enumeration. The match passed to fn is reused between calls; clone
-// it to retain it.
-func ForEachMatch(q *Query, ix *tree.Index, fn func(Match) bool) error {
-	return forEachMatch(q, ix, true, nil, fn)
-}
-
-func forEachMatch(q *Query, ix *tree.Index, checkForbidden bool, cost *obs.Cost, fn func(Match) bool) error {
+// match enumerates all valuations of q in d, in a deterministic order
+// (document preorder at each pattern node, depth-first over pattern
+// nodes), calling fn with the matcher at each: m.main.b holds the
+// valuation, -1 at the nodes of forbidden sub-patterns.
+func (d *Doc) match(q *Query, filter bool, cost *obs.Cost, fn func(m *matcher) bool) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	if ix.Root() == nil {
-		return nil
+	p := compile(q, d)
+	b := make([]int32, 2*len(p.nodes))
+	for i := range b {
+		b[i] = -1
 	}
-	mt := &matcher{
-		q:              q,
-		ix:             ix,
-		m:              make(Match, q.Size()),
-		checkForbidden: checkForbidden,
-		joinPartners:   make(map[string][]string),
-		vars:           q.Vars(),
-		fn:             fn,
-	}
-	for _, j := range q.Joins {
-		mt.joinPartners[j.Left] = append(mt.joinPartners[j.Left], j.Right)
-		mt.joinPartners[j.Right] = append(mt.joinPartners[j.Right], j.Left)
-	}
-	defer func() {
-		obs.Charge(cost, obs.CostTpwjNodesVisited, tpwjNodesVisited, mt.visited)
-		obs.Charge(cost, obs.CostTpwjMatchesTried, tpwjMatchesTried, mt.matches)
-	}()
-
-	emit := func() bool { mt.matches++; return fn(mt.m) }
-	switch {
-	case q.Root.Desc && q.Root.Label != Wildcard:
-		// Unanchored root with a concrete label: start from the label
-		// index (document preorder) instead of scanning every node.
-		for _, n := range ix.ByLabel(q.Root.Label) {
-			if !mt.assign(q.Root, n, emit) {
-				break
-			}
-		}
-	case q.Root.Desc:
-		ix.Root().Walk(func(n *tree.Node) bool {
-			return mt.assign(q.Root, n, emit)
-		})
-	default:
-		mt.assign(q.Root, ix.Root(), emit)
-	}
+	m := &matcher{d: d, p: p, filter: filter}
+	m.main = run{seq: p.positive, b: b[:len(p.nodes)], done: func() bool { m.matches++; return fn(m) }}
+	m.sub.b = b[len(p.nodes):]
+	m.bind(&m.main, 0)
+	obs.Charge(cost, obs.CostTpwjNodesVisited, tpwjNodesVisited, m.visited)
+	obs.Charge(cost, obs.CostTpwjMatchesTried, tpwjMatchesTried, m.matches)
 	return nil
 }
 
-// joinsOK checks every join constraint for which both sides are bound.
-func (mt *matcher) joinsOK(p *PNode) bool {
-	if p.Var == "" {
-		return true
+// bind binds the pattern nodes r.seq[i:] in every possible way, the
+// nodes before them being bound. It is the package's one enumerator:
+// candidates for a pattern node are the children (end[] hops) or the
+// descendants (an id range) of its pattern parent's document node, in
+// document order. It returns false to abort the whole enumeration.
+func (m *matcher) bind(r *run, i int) bool {
+	if i == len(r.seq) {
+		if r.done == nil {
+			r.found = true
+			return false
+		}
+		return r.done()
 	}
-	mine := mt.m[p]
-	for _, other := range mt.joinPartners[p.Var] {
-		op := mt.vars[other]
-		on, bound := mt.m[op]
-		if !bound {
+	d, k := m.d, r.seq[i]
+	pn := &m.p.nodes[k]
+	lo, hi, desc := int32(0), int32(len(d.label)), pn.src.Desc
+	switch {
+	case pn.parent >= 0:
+		lo = r.b[pn.parent] + 1
+		hi = d.end[lo-1]
+	case !desc: // anchored pattern root: the document root alone
+		hi, desc = min(hi, 1), true
+	}
+	for c := lo; c < hi; {
+		cur := c
+		if desc {
+			c++
+		} else {
+			c = d.end[c]
+		}
+		if pn.prev >= 0 && cur <= r.b[pn.prev] {
 			continue
 		}
-		if on.Value != mine.Value {
+		m.visited++
+		if pn.label != anyLabel && pn.label != d.label[cur] {
+			continue
+		}
+		if pn.src.HasValue && pn.src.Value != d.value[cur] {
+			continue
+		}
+		r.b[k] = cur
+		if m.joinsOK(r, pn, k) && m.forbiddenOK(pn, cur) && !m.bind(r, i+1) {
 			return false
 		}
 	}
 	return true
 }
 
-// assign binds pattern node p to document node n and recurses into p's
-// children in continuation-passing style, so that all combinations are
-// enumerated. Returns false to abort the whole enumeration.
-func (mt *matcher) assign(p *PNode, n *tree.Node, cont func() bool) bool {
-	mt.visited++
-	if !nodeMatches(p, n) {
-		return true
-	}
-	mt.m[p] = n
-	ok := true
-	if mt.joinsOK(p) && mt.forbiddenOK(p, n) {
-		ok = mt.assignChildren(p, 0, -1, cont)
-	}
-	delete(mt.m, p)
-	return ok
-}
-
-// forbiddenOK applies the forbidden children of p as not-exists filters
-// (plain-tree semantics only).
-func (mt *matcher) forbiddenOK(p *PNode, n *tree.Node) bool {
-	if !mt.checkForbidden {
-		return true
-	}
-	for _, pc := range p.Children {
-		if pc.Forbidden && ExistsSubMatch(mt.ix, pc, n) {
+// joinsOK checks node k's join constraints against the partners bound
+// before it (the smaller numbers).
+func (m *matcher) joinsOK(r *run, pn *pnode, k int32) bool {
+	for _, j := range pn.joins {
+		if j < k && m.d.value[r.b[j]] != m.d.value[r.b[k]] {
 			return false
 		}
 	}
 	return true
 }
 
-// assignChildren binds the positive children of p starting at index i.
-// minOrder carries the preorder position of the previously bound sibling
-// when the query is ordered (-1 initially).
-func (mt *matcher) assignChildren(p *PNode, i, minOrder int, cont func() bool) bool {
-	for i < len(p.Children) && p.Children[i].Forbidden {
-		i++ // forbidden children are filters, not bindings
-	}
-	if i == len(p.Children) {
-		return cont()
-	}
-	pc := p.Children[i]
-	n := mt.m[p]
-	try := func(c *tree.Node) bool {
-		if mt.q.Ordered && mt.ix.Order(c) <= minOrder {
-			return true
-		}
-		nextMin := minOrder
-		if mt.q.Ordered {
-			nextMin = mt.ix.Order(c)
-		}
-		return mt.assign(pc, c, func() bool {
-			return mt.assignChildren(p, i+1, nextMin, cont)
-		})
-	}
-	if pc.Desc {
-		// Candidate enumeration strategy: when the label test is
-		// concrete and the document-wide label list is smaller than the
-		// anchored subtree, scan the label index filtered by ancestry
-		// instead of walking the whole subtree. Both strategies visit
-		// candidates in document preorder, so enumeration order (and the
-		// ordered-matching semantics) is unchanged.
-		if pc.Label != Wildcard {
-			if byLabel := mt.ix.ByLabel(pc.Label); len(byLabel) < mt.ix.SubtreeSize(n) {
-				for _, d := range byLabel {
-					if d == n || !mt.ix.IsAncestor(n, d) {
-						continue
-					}
-					if !try(d) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		for _, c := range n.Children {
-			aborted := false
-			c.Walk(func(d *tree.Node) bool {
-				if !try(d) {
-					aborted = true
-					return false
-				}
-				return true
-			})
-			if aborted {
-				return false
-			}
-		}
+// forbiddenOK applies the forbidden children of pn, bound to document
+// node at, as not-exists filters (plain-tree semantics only).
+func (m *matcher) forbiddenOK(pn *pnode, at int32) bool {
+	if !m.filter {
 		return true
 	}
-	for _, c := range n.Children {
-		if !try(c) {
+	for _, f := range pn.forbidden {
+		if m.subMatches(f, at, nil) {
 			return false
 		}
 	}
 	return true
 }
 
-// ExistsSubMatch reports whether the sub-pattern pc (positive, without
-// joins — as inside forbidden subtrees) has at least one valuation
-// anchored at n: pc matches a child of n, or any proper descendant when
-// pc.Desc is set.
-func ExistsSubMatch(ix *tree.Index, pc *PNode, n *tree.Node) bool {
-	found := false
-	ForEachSubMatch(ix, pc, n, func(Match) bool {
-		found = true
-		return false
+// subMatches enumerates the valuations of the forbidden sub-pattern
+// rooted at pattern node f, anchored at the document node at (f matches
+// a child of at, or any proper descendant on a descendant edge). With a
+// nil fn it only reports whether one exists; otherwise fn sees each as
+// the ids bound to f's nodes in pattern preorder.
+func (m *matcher) subMatches(f, at int32, fn func(bound []int32) bool) bool {
+	pn := &m.p.nodes[f]
+	r := &m.sub
+	r.seq, r.found, r.done = m.p.all[f:f+pn.size], false, nil
+	if fn != nil {
+		r.done = func() bool { return fn(r.b[f : f+pn.size]) }
+	}
+	r.b[pn.parent] = at
+	m.bind(r, 0)
+	return r.found
+}
+
+// Valuations enumerates the valuations of q in the document, in a
+// deterministic order (document preorder at each pattern node,
+// depth-first over pattern nodes). bound[i] is the id of the document
+// node bound to the i-th pattern node in pattern preorder
+// (Query.VarPositions), -1 for the nodes of forbidden sub-patterns.
+// Forbidden sub-patterns exclude assignments under which they match;
+// with q.Ordered, sibling pattern nodes must match in strict document
+// order. fn returning false stops the enumeration. bound is reused
+// between calls.
+func (d *Doc) Valuations(q *Query, fn func(bound []int32) bool) error {
+	return d.match(q, true, nil, func(m *matcher) bool { return fn(m.main.b) })
+}
+
+// ForEachMatch enumerates the valuations of q in the document rooted at
+// doc, in the order of Doc.Valuations, as Match maps. The match passed
+// to fn is reused between calls; clone it to retain it.
+func ForEachMatch(q *Query, doc *tree.Node, fn func(Match) bool) error {
+	d := Flatten(doc)
+	match := make(Match)
+	return d.match(q, true, nil, func(m *matcher) bool {
+		for _, k := range m.p.positive {
+			match[m.p.nodes[k].src] = d.plain[m.main.b[k]]
+		}
+		return fn(match)
 	})
-	return found
-}
-
-// ForEachSubMatch enumerates the valuations of the sub-pattern pc
-// anchored at n (ignoring the Forbidden flag of pc itself; pc's subtree
-// must be positive and join-free). The match passed to fn is reused;
-// clone to retain. fn returning false stops the enumeration.
-func ForEachSubMatch(ix *tree.Index, pc *PNode, anchor *tree.Node, fn func(Match) bool) {
-	m := make(Match, pc.Size())
-
-	var assign func(p *PNode, n *tree.Node, cont func() bool) bool
-	var children func(p *PNode, i int, cont func() bool) bool
-
-	assign = func(p *PNode, n *tree.Node, cont func() bool) bool {
-		if !nodeMatches(p, n) {
-			return true
-		}
-		m[p] = n
-		ok := children(p, 0, cont)
-		delete(m, p)
-		return ok
-	}
-	children = func(p *PNode, i int, cont func() bool) bool {
-		if i == len(p.Children) {
-			return cont()
-		}
-		pc := p.Children[i]
-		n := m[p]
-		next := func(c *tree.Node) bool {
-			return assign(pc, c, func() bool { return children(p, i+1, cont) })
-		}
-		if pc.Desc {
-			for _, c := range n.Children {
-				aborted := false
-				c.Walk(func(d *tree.Node) bool {
-					if !next(d) {
-						aborted = true
-						return false
-					}
-					return true
-				})
-				if aborted {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.Children {
-			if !next(c) {
-				return false
-			}
-		}
-		return true
-	}
-
-	emit := func() bool { return fn(m) }
-	if pc.Desc {
-		for _, c := range anchor.Children {
-			aborted := false
-			c.Walk(func(d *tree.Node) bool {
-				if !assign(pc, d, emit) {
-					aborted = true
-					return false
-				}
-				return true
-			})
-			if aborted {
-				return
-			}
-		}
-		return
-	}
-	for _, c := range anchor.Children {
-		if !assign(pc, c, emit) {
-			return
-		}
-	}
 }
 
 // FindMatches collects all valuations of q in the document.
-func FindMatches(q *Query, ix *tree.Index) ([]Match, error) {
+func FindMatches(q *Query, doc *tree.Node) ([]Match, error) {
 	var out []Match
-	err := ForEachMatch(q, ix, func(m Match) bool {
+	err := ForEachMatch(q, doc, func(m Match) bool {
 		out = append(out, m.Clone())
 		return true
 	})
@@ -347,9 +296,9 @@ func FindMatches(q *Query, ix *tree.Index) ([]Match, error) {
 }
 
 // CountMatches returns the number of valuations of q in the document.
-func CountMatches(q *Query, ix *tree.Index) (int, error) {
+func CountMatches(q *Query, doc *tree.Node) (int, error) {
 	n := 0
-	err := ForEachMatch(q, ix, func(Match) bool {
+	err := Flatten(doc).Valuations(q, func([]int32) bool {
 		n++
 		return true
 	})
@@ -360,7 +309,7 @@ func CountMatches(q *Query, ix *tree.Index) (int, error) {
 // (the paper's "t is selected by Q").
 func Selects(q *Query, doc *tree.Node) (bool, error) {
 	found := false
-	err := ForEachMatch(q, tree.NewIndex(doc), func(Match) bool {
+	err := Flatten(doc).Valuations(q, func([]int32) bool {
 		found = true
 		return false
 	})

@@ -17,7 +17,7 @@ func countMatches(t *testing.T, query string, docText string) int {
 	t.Helper()
 	q := MustParseQuery(query)
 	d := tree.MustParse(docText)
-	n, err := CountMatches(q, tree.NewIndex(d))
+	n, err := CountMatches(q, d)
 	if err != nil {
 		t.Fatalf("CountMatches(%q): %v", query, err)
 	}
@@ -100,7 +100,7 @@ func TestMatchDeepPattern(t *testing.T) {
 func TestMatchJoin(t *testing.T) {
 	// C:bar appears under both E and D: join on equal values.
 	q := MustParseQuery("A(E(C $x), D(C $y)) where $x = $y")
-	n, err := CountMatches(q, tree.NewIndex(doc()))
+	n, err := CountMatches(q, doc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMatchJoin(t *testing.T) {
 
 	// Join that never holds.
 	q2 := MustParseQuery("A(B $x, E(C $y)) where $x = $y")
-	n2, err := CountMatches(q2, tree.NewIndex(doc()))
+	n2, err := CountMatches(q2, doc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMatchJoinPrunesEarly(t *testing.T) {
 	// The join between the two B values holds for all four combinations
 	// (both have value foo).
 	q := MustParseQuery("A(B $x, B $y) where $x = $y")
-	n, err := CountMatches(q, tree.NewIndex(tree.MustParse("A(B:foo, B:foo)")))
+	n, err := CountMatches(q, tree.MustParse("A(B:foo, B:foo)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMatchJoinPrunesEarly(t *testing.T) {
 		t.Errorf("matches = %d, want 4", n)
 	}
 	// Different values: only the diagonal (each with itself).
-	n2, err := CountMatches(q, tree.NewIndex(tree.MustParse("A(B:x, B:y)")))
+	n2, err := CountMatches(q, tree.MustParse("A(B:x, B:y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMatchJoinPrunesEarly(t *testing.T) {
 func TestForEachMatchEarlyStop(t *testing.T) {
 	q := MustParseQuery("A(B)")
 	count := 0
-	err := ForEachMatch(q, tree.NewIndex(tree.MustParse("A(B, B, B)")), func(Match) bool {
+	err := ForEachMatch(q, tree.MustParse("A(B, B, B)"), func(Match) bool {
 		count++
 		return false
 	})
@@ -157,7 +157,7 @@ func TestForEachMatchEarlyStop(t *testing.T) {
 
 func TestFindMatchesBindings(t *testing.T) {
 	q := MustParseQuery("A(E(C $x))")
-	ms, err := FindMatches(q, tree.NewIndex(doc()))
+	ms, err := FindMatches(q, doc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSelects(t *testing.T) {
 
 func TestMatchInvalidQuery(t *testing.T) {
 	q := NewQuery(NewPNode("A", NewPNode("B").WithVar("x"), NewPNode("C").WithVar("x")))
-	if err := ForEachMatch(q, tree.NewIndex(doc()), func(Match) bool { return true }); err == nil {
+	if err := ForEachMatch(q, doc(), func(Match) bool { return true }); err == nil {
 		t.Error("duplicate variable accepted")
 	}
 }
@@ -193,7 +193,7 @@ func TestMatchInvalidQuery(t *testing.T) {
 func TestMatchCloneIndependence(t *testing.T) {
 	q := MustParseQuery("A(B $x)")
 	var saved []Match
-	err := ForEachMatch(q, tree.NewIndex(tree.MustParse("A(B:1, B:2)")), func(m Match) bool {
+	err := ForEachMatch(q, tree.MustParse("A(B:1, B:2)"), func(m Match) bool {
 		saved = append(saved, m.Clone())
 		return true
 	})

@@ -118,17 +118,17 @@ func TestOptimizeForbiddenLast(t *testing.T) {
 	}
 }
 
-// TestLabelIndexedDescendantsAgreeWithWalk pins the matcher's candidate
-// strategies against each other: rare labels take the label-index path,
-// wildcards the subtree walk; both must agree on the match count.
+// TestLabelIndexedDescendantsAgreeWithWalk pins the two ways a
+// descendant step can find one node against each other: by its
+// (interned) label and by a wildcard with a value test; both must agree
+// on the match count.
 func TestLabelIndexedDescendantsAgreeWithWalk(t *testing.T) {
 	doc := bigDoc()
-	ix := tree.NewIndex(doc)
-	viaLabel, err := CountMatches(MustParseQuery("A(//C $x)"), ix)
+	viaLabel, err := CountMatches(MustParseQuery("A(//C $x)"), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaWalk, err := CountMatches(MustParseQuery(`A(//*="y" $x)`), ix)
+	viaWalk, err := CountMatches(MustParseQuery(`A(//*="y" $x)`), doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,6 +191,22 @@ func (q *Query) Vars() map[string]*PNode {
 	return vars
 }
 
+// VarPositions returns, for every variable, the number of the pattern
+// node binding it in pattern preorder: its index in a flat valuation
+// (Doc.Valuations).
+func (q *Query) VarPositions() map[string]int {
+	pos := make(map[string]int)
+	i := 0
+	q.Root.Walk(func(p *PNode) bool {
+		if p.Var != "" {
+			pos[p.Var] = i
+		}
+		i++
+		return true
+	})
+	return pos
+}
+
 // Validate checks that the query is well formed: non-empty label tests,
 // variables bound at most once, joins referring to bound variables, and
 // forbidden subtrees that are variable-free, join-free and not nested.

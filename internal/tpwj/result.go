@@ -1,11 +1,5 @@
 package tpwj
 
-import (
-	"sort"
-
-	"repro/internal/tree"
-)
-
 // ResultMode selects how query answers are materialized.
 type ResultMode int
 
@@ -22,51 +16,3 @@ const (
 	// possible-worlds sets.
 	WithSubtrees
 )
-
-// AnswerTree materializes the answer for one valuation: a fresh tree
-// containing exactly the document nodes on the paths from the root to the
-// matched nodes (plus, in WithSubtrees mode, everything below matched
-// nodes). Kept leaves keep their values.
-func AnswerTree(ix *tree.Index, m Match, mode ResultMode) *tree.Node {
-	keep := make(map[*tree.Node]bool)
-	full := make(map[*tree.Node]bool) // roots of fully copied subtrees
-	for p, n := range m {
-		for _, a := range ix.PathToRoot(n) {
-			keep[a] = true
-		}
-		if mode == WithSubtrees && len(p.Children) == 0 {
-			full[n] = true
-		}
-	}
-	var build func(n *tree.Node) *tree.Node
-	build = func(n *tree.Node) *tree.Node {
-		if full[n] {
-			return n.Clone()
-		}
-		out := &tree.Node{Label: n.Label, Value: n.Value}
-		for _, c := range n.Children {
-			if keep[c] {
-				out.Children = append(out.Children, build(c))
-			}
-		}
-		return out
-	}
-	return build(ix.Root())
-}
-
-// answerNodes returns the document nodes forming the minimal subtree for
-// the valuation: the matched nodes and all their ancestors, in preorder.
-func answerNodes(ix *tree.Index, m Match) []*tree.Node {
-	set := make(map[*tree.Node]bool)
-	for _, n := range m {
-		for _, a := range ix.PathToRoot(n) {
-			set[a] = true
-		}
-	}
-	out := make([]*tree.Node, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return ix.Order(out[i]) < ix.Order(out[j]) })
-	return out
-}

@@ -2,6 +2,7 @@ package update
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,59 +76,52 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	if err := tx.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := ft.Validate(); err != nil {
+	// Clone needs a root and a table; flattening the clone checks the
+	// rest.
+	if err := ft.ValidateRoot(); err != nil {
 		return nil, nil, err
 	}
 	work := ft.Clone()
 	stats := &FuzzyStats{}
 
-	doc, toFuzzy := underlyingWithMap(work)
-	ix := tree.NewIndex(doc)
-
-	// Pre-update navigational data over the fuzzy tree.
-	fparent := make(map[*fuzzy.Node]*fuzzy.Node)
-	fpath := make(map[*fuzzy.Node]event.Condition)
-	var nav func(n *fuzzy.Node, parent *fuzzy.Node, path event.Condition)
-	nav = func(n *fuzzy.Node, parent *fuzzy.Node, path event.Condition) {
-		fparent[n] = parent
-		eff := path.And(n.Cond)
-		fpath[n] = eff
-		for _, c := range n.Children {
-			nav(c, n, eff)
-		}
+	// The flat form of the pre-update tree: valuations are found on it,
+	// and targets, their parents, depths and path conditions are read
+	// off it after the mutations below have started moving nodes.
+	d, err := tpwj.FlattenFuzzy(work)
+	if err != nil {
+		return nil, nil, err
 	}
-	nav(work.Root, nil, nil)
 
 	// Collect per-valuation operation instances against the pre-update
 	// tree.
-	vars := tx.Query.Vars()
+	targets := tx.targetPositions()
 	type insApp struct {
 		target  *fuzzy.Node
 		subtree *tree.Node
 		cond    event.Condition // residual, before the confidence event
 	}
 	var inserts []insApp
-	delRho := make(map[*fuzzy.Node][]event.Condition)
-	delSeen := make(map[*fuzzy.Node]map[string]bool)
-	var delOrder []*fuzzy.Node
+	delRho := make(map[int32][]event.Condition)
+	delSeen := make(map[int32]map[string]bool)
+	var delOrder []int32
 
-	err := tpwj.ForEachMatch(tx.Query, ix, func(m tpwj.Match) bool {
-		gamma := matchCondition(ix, m, toFuzzy)
+	var ids []int32
+	err = d.Valuations(tx.Query, func(bound []int32) bool {
+		// γ: the conjunction of the conditions of all nodes required
+		// for the valuation to exist (matched nodes and their ancestors).
+		ids = d.Closure(bound, ids)
+		gamma := d.Condition(ids)
 		if !gamma.Satisfiable() {
 			return true // valuation exists in no world
 		}
 		stats.Valuations++
-		for _, op := range tx.Ops {
-			target := toFuzzy[m[vars[op.Var]]]
+		for i, op := range tx.Ops {
+			target := bound[targets[i]]
+			rho := residual(d, gamma, target)
 			switch op.Kind {
 			case OpInsert:
-				inserts = append(inserts, insApp{
-					target:  target,
-					subtree: op.Subtree,
-					cond:    gamma.Minus(fpath[target]),
-				})
+				inserts = append(inserts, insApp{target: d.Fuzzy(target), subtree: op.Subtree, cond: rho})
 			case OpDelete:
-				rho := gamma.Minus(fpath[target])
 				key := rho.String()
 				if delSeen[target] == nil {
 					delSeen[target] = make(map[string]bool)
@@ -160,7 +154,7 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	stats.InsertedLabels = sortedKeys(insLabels)
 	delPaths := make(map[string]bool)
 	for _, target := range delOrder {
-		delPaths[labelPath(fparent, target)] = true
+		delPaths[labelPath(d, target)] = true
 	}
 	stats.DeleteTargetPaths = sortedKeys(delPaths)
 
@@ -197,19 +191,16 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 		stats.Inserted++
 	}
 
-	// Deletions, deepest target first so that expanding a node happens
-	// after all deletions inside its subtree are done.
-	sort.SliceStable(delOrder, func(i, j int) bool {
-		di := len(fpathDepth(fparent, delOrder[i]))
-		dj := len(fpathDepth(fparent, delOrder[j]))
-		return di > dj
-	})
+	// Deletions, in reverse document order so that expanding a node
+	// happens after all deletions inside its subtree are done.
+	slices.Sort(delOrder)
+	slices.Reverse(delOrder)
 	for _, target := range delOrder {
-		if target == work.Root {
+		if target == 0 {
 			return nil, nil, fmt.Errorf("update: cannot delete the document root")
 		}
-		parent := fparent[target]
-		copies := []*fuzzy.Node{target}
+		parent := d.Fuzzy(d.Parent(target))
+		copies := []*fuzzy.Node{d.Fuzzy(target)}
 		for _, rho := range delRho[target] {
 			// The confidence literal goes last, so the expansion tries
 			// the pre-existing condition literals first and only then
@@ -256,29 +247,29 @@ func expandDeletion(c *fuzzy.Node, delta event.Condition) []*fuzzy.Node {
 	return out
 }
 
-// matchCondition returns γ: the conjunction of the conditions of all
-// nodes required for the valuation to exist (matched nodes and their
-// ancestors).
-func matchCondition(ix *tree.Index, m tpwj.Match, toFuzzy map[*tree.Node]*fuzzy.Node) event.Condition {
-	seen := make(map[*tree.Node]bool)
-	var gamma event.Condition
-	for _, n := range m {
-		for _, a := range ix.PathToRoot(n) {
-			if seen[a] {
-				continue
-			}
-			seen[a] = true
-			gamma = append(gamma, toFuzzy[a].Cond...)
+// residual returns γ minus the literals that the path conditions of
+// target (its own condition and its ancestors') already imply, in
+// canonical form: what must additionally hold for the valuation to
+// exist where target does.
+func residual(d *tpwj.Doc, gamma event.Condition, target int32) event.Condition {
+	var rho event.Condition
+	for _, l := range gamma {
+		implied := false
+		for a := target; a >= 0 && !implied; a = d.Parent(a) {
+			implied = d.Fuzzy(a).Cond.Contains(l)
+		}
+		if !implied {
+			rho = append(rho, l)
 		}
 	}
-	return gamma.Normalize()
+	return rho
 }
 
-// labelPath returns n's rooted label path "/A/B/C".
-func labelPath(parent map[*fuzzy.Node]*fuzzy.Node, n *fuzzy.Node) string {
+// labelPath returns the rooted label path "/A/B/C" of node id.
+func labelPath(d *tpwj.Doc, id int32) string {
 	var labels []string
-	for p := n; p != nil; p = parent[p] {
-		labels = append(labels, p.Label)
+	for a := id; a >= 0; a = d.Parent(a) {
+		labels = append(labels, d.Fuzzy(a).Label)
 	}
 	var b strings.Builder
 	for i := len(labels) - 1; i >= 0; i-- {
@@ -299,29 +290,4 @@ func sortedKeys(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// fpathDepth returns the ancestor chain of n (used for depth ordering).
-func fpathDepth(parent map[*fuzzy.Node]*fuzzy.Node, n *fuzzy.Node) []*fuzzy.Node {
-	var chain []*fuzzy.Node
-	for p := n; p != nil; p = parent[p] {
-		chain = append(chain, p)
-	}
-	return chain
-}
-
-// underlyingWithMap strips conditions, returning the data tree and the
-// mapping from data nodes back to fuzzy nodes.
-func underlyingWithMap(ft *fuzzy.Tree) (*tree.Node, map[*tree.Node]*fuzzy.Node) {
-	m := make(map[*tree.Node]*fuzzy.Node)
-	var conv func(n *fuzzy.Node) *tree.Node
-	conv = func(n *fuzzy.Node) *tree.Node {
-		d := &tree.Node{Label: n.Label, Value: n.Value}
-		m[d] = n
-		for _, c := range n.Children {
-			d.Children = append(d.Children, conv(c))
-		}
-		return d
-	}
-	return conv(ft.Root), m
 }

@@ -2,7 +2,7 @@ package update
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/tpwj"
 	"repro/internal/tree"
@@ -24,25 +24,25 @@ func (tx *Transaction) ApplyData(doc *tree.Node) (result *tree.Node, selected bo
 	if err := doc.Validate(); err != nil {
 		return nil, false, err
 	}
-	ix := tree.NewIndex(doc)
-	vars := tx.Query.Vars()
+	d := tpwj.Flatten(doc)
+	targets := tx.targetPositions()
 
 	type insApp struct {
-		target  *tree.Node
+		target  int32
 		subtree *tree.Node
 	}
 	var inserts []insApp
-	deletes := make(map[*tree.Node]bool)
+	var deletes []int32
 
-	err = tpwj.ForEachMatch(tx.Query, ix, func(m tpwj.Match) bool {
+	err = d.Valuations(tx.Query, func(bound []int32) bool {
 		selected = true
-		for _, op := range tx.Ops {
-			target := m[vars[op.Var]]
+		for i, op := range tx.Ops {
+			target := bound[targets[i]]
 			switch op.Kind {
 			case OpInsert:
 				inserts = append(inserts, insApp{target: target, subtree: op.Subtree})
 			case OpDelete:
-				deletes[target] = true
+				deletes = append(deletes, target)
 			}
 		}
 		return true
@@ -54,50 +54,34 @@ func (tx *Transaction) ApplyData(doc *tree.Node) (result *tree.Node, selected bo
 		return doc.Clone(), false, nil
 	}
 
-	clone, cloneOf := cloneWithMap(doc)
+	// Deep-copy the tree by id: clone[i] is the copy of node i.
+	clone := make([]*tree.Node, d.Len())
+	for id := range clone {
+		n := d.Plain(int32(id))
+		clone[id] = &tree.Node{Label: n.Label, Value: n.Value}
+		if p := d.Parent(int32(id)); p >= 0 {
+			clone[p].Children = append(clone[p].Children, clone[id])
+		}
+	}
 
 	for _, ins := range inserts {
-		t := cloneOf[ins.target]
+		t := clone[ins.target]
 		if t.Value != "" {
 			return nil, true, fmt.Errorf("update: insert under value leaf %q would create mixed content", t.Label)
 		}
 		t.Children = append(t.Children, ins.subtree.Clone())
 	}
 
-	// Deepest first, so that removing a node whose ancestor is also
-	// deleted stays well defined.
-	delNodes := make([]*tree.Node, 0, len(deletes))
-	for n := range deletes {
-		delNodes = append(delNodes, n)
-	}
-	sort.Slice(delNodes, func(i, j int) bool {
-		if d1, d2 := ix.Depth(delNodes[i]), ix.Depth(delNodes[j]); d1 != d2 {
-			return d1 > d2
-		}
-		return ix.Order(delNodes[i]) < ix.Order(delNodes[j])
-	})
-	for _, n := range delNodes {
-		if n == doc {
+	// Each target once, in reverse document order, so that removing a
+	// node whose ancestor is also deleted stays well defined.
+	slices.Sort(deletes)
+	deletes = slices.Compact(deletes)
+	slices.Reverse(deletes)
+	for _, id := range deletes {
+		if id == 0 {
 			return nil, true, fmt.Errorf("update: cannot delete the document root")
 		}
-		parent := cloneOf[ix.Parent(n)]
-		parent.RemoveChild(cloneOf[n])
+		clone[d.Parent(id)].RemoveChild(clone[id])
 	}
-	return clone, true, nil
-}
-
-// cloneWithMap deep-copies a tree and returns the copy together with the
-// original→copy node mapping.
-func cloneWithMap(n *tree.Node) (*tree.Node, map[*tree.Node]*tree.Node) {
-	m := make(map[*tree.Node]*tree.Node)
-	var rec func(o *tree.Node) *tree.Node
-	rec = func(o *tree.Node) *tree.Node {
-		c := &tree.Node{Label: o.Label, Value: o.Value}
-		m[o] = c
-		for _, ch := range o.Children {
-			c.Children = append(c.Children, rec(ch))
-		}
-		return c
-	}
-	return rec(n), m
+	return clone[0], true, nil
 }

@@ -144,6 +144,17 @@ func (tx *Transaction) Validate() error {
 	return nil
 }
 
+// targetPositions returns, per operation, the index of its target in a
+// flat valuation of the transaction's query (tpwj.Doc.Valuations).
+func (tx *Transaction) targetPositions() []int {
+	pos := tx.Query.VarPositions()
+	out := make([]int, len(tx.Ops))
+	for i, op := range tx.Ops {
+		out[i] = pos[op.Var]
+	}
+	return out
+}
+
 // String renders the transaction for logs and debugging.
 func (tx *Transaction) String() string {
 	var b strings.Builder

@@ -65,7 +65,6 @@ func TestCompileErrors(t *testing.T) {
 
 func TestCompiledQueriesEvaluate(t *testing.T) {
 	doc := tree.MustParse("library(book(title:TheTrial, author:Kafka), book(title:Ulysses, author:Joyce), journal(title:TODS))")
-	ix := tree.NewIndex(doc)
 	cases := []struct {
 		xpath string
 		want  int
@@ -85,7 +84,7 @@ func TestCompiledQueriesEvaluate(t *testing.T) {
 			t.Errorf("Compile(%q): %v", tc.xpath, err)
 			continue
 		}
-		n, err := tpwj.CountMatches(q, ix)
+		n, err := tpwj.CountMatches(q, doc)
 		if err != nil {
 			t.Errorf("eval %q: %v", tc.xpath, err)
 			continue
@@ -99,7 +98,7 @@ func TestCompiledQueriesEvaluate(t *testing.T) {
 func TestResultVariableBinding(t *testing.T) {
 	q := MustCompile("/library/book/title")
 	doc := tree.MustParse("library(book(title:Ulysses))")
-	ms, err := tpwj.FindMatches(q, tree.NewIndex(doc))
+	ms, err := tpwj.FindMatches(q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
