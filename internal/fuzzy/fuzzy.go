@@ -192,31 +192,9 @@ func (t *Tree) Events() []event.ID {
 
 // Validate checks the invariants of the model: structurally valid
 // underlying tree, unconditioned root, and every event used in a
-// condition present in the table. It is ValidateRoot followed by
-// ValidateNode on every node in preorder, and allocates nothing on a
-// valid tree.
+// condition present in the table. It reports the first violation in
+// document preorder and allocates nothing on a valid tree.
 func (t *Tree) Validate() error {
-	if err := t.ValidateRoot(); err != nil {
-		return err
-	}
-	return t.validateSubtree(t.Root)
-}
-
-func (t *Tree) validateSubtree(n *Node) error {
-	if err := t.ValidateNode(n); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := t.validateSubtree(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ValidateRoot checks the tree-level invariants: a root, an event
-// table, and no condition on the root.
-func (t *Tree) ValidateRoot() error {
 	if t == nil || t.Root == nil {
 		return errors.New("fuzzy: nil tree or root")
 	}
@@ -226,14 +204,10 @@ func (t *Tree) ValidateRoot() error {
 	if len(t.Root.Cond) > 0 {
 		return fmt.Errorf("fuzzy: root must be unconditioned, has %q", t.Root.Cond)
 	}
-	return nil
+	return t.validateSubtree(t.Root)
 }
 
-// ValidateNode checks the invariants local to one node: a label, no
-// mixed content, and only known events in its condition. It is exported
-// so that a caller already walking the tree (tpwj.FlattenFuzzy) checks
-// validity in the same pass.
-func (t *Tree) ValidateNode(n *Node) error {
+func (t *Tree) validateSubtree(n *Node) error {
 	if n.Label == "" {
 		return errors.New("fuzzy: node with empty label")
 	}
@@ -251,6 +225,11 @@ func (t *Tree) ValidateNode(n *Node) error {
 	}
 	if found {
 		return fmt.Errorf("fuzzy: condition of %q uses unknown event %q", n.Label, unknown)
+	}
+	for _, c := range n.Children {
+		if err := t.validateSubtree(c); err != nil {
+			return err
+		}
 	}
 	return nil
 }

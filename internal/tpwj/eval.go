@@ -225,11 +225,11 @@ func EvalFuzzySymbolicContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]
 // carries an obs trace.
 func evalFuzzySymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
 	_, mspan := obs.StartSpan(ctx, "tpwj.match")
-	d, err := FlattenFuzzy(ft)
-	if err != nil {
+	if err := ft.Validate(); err != nil {
 		mspan.End()
 		return nil, err
 	}
+	d := FlattenFuzzy(ft)
 	neg := q.HasNegation()
 	type acc struct {
 		tree     *tree.Node
@@ -239,7 +239,7 @@ func evalFuzzySymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAns
 	byCanon := make(map[string]*acc)
 	stop := newMatchCancel(ctx)
 	var ids []int32
-	err = d.match(q, !neg, obs.CostFromContext(ctx), func(m *matcher) bool {
+	err := d.match(q, !neg, obs.CostFromContext(ctx), func(m *matcher) bool {
 		if stop.hit() {
 			return false
 		}

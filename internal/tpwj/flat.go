@@ -55,19 +55,13 @@ func Flatten(root *tree.Node) *Doc {
 }
 
 // FlattenFuzzy builds the flat form of a fuzzy tree's underlying data
-// tree, checking the tree's validity (fuzzy.Tree.Validate: same errors,
-// same order) in the same walk.
-func FlattenFuzzy(ft *fuzzy.Tree) (*Doc, error) {
-	if err := ft.ValidateRoot(); err != nil {
-		return nil, err
-	}
+// tree. The tree must be valid (fuzzy.Tree.Validate).
+func FlattenFuzzy(ft *fuzzy.Tree) *Doc {
 	n := ft.Root.Size()
 	d := newDoc(n)
 	d.fuzzy = make([]*fuzzy.Node, 0, n)
-	if err := d.addFuzzy(ft, ft.Root, -1); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d.addFuzzy(ft.Root, -1)
+	return d
 }
 
 // add appends one node in preorder, interning its label, and returns
@@ -96,19 +90,13 @@ func (d *Doc) addPlain(n *tree.Node, parent int32) {
 	d.end[id] = int32(len(d.label))
 }
 
-func (d *Doc) addFuzzy(ft *fuzzy.Tree, n *fuzzy.Node, parent int32) error {
-	if err := ft.ValidateNode(n); err != nil {
-		return err
-	}
+func (d *Doc) addFuzzy(n *fuzzy.Node, parent int32) {
 	id := d.add(n.Label, n.Value, parent)
 	d.fuzzy = append(d.fuzzy, n)
 	for _, c := range n.Children {
-		if err := d.addFuzzy(ft, c, id); err != nil {
-			return err
-		}
+		d.addFuzzy(c, id)
 	}
 	d.end[id] = int32(len(d.label))
-	return nil
 }
 
 // Len returns the number of nodes.
@@ -123,6 +111,24 @@ func (d *Doc) Plain(id int32) *tree.Node { return d.plain[id] }
 // Fuzzy returns the source node of id in a document built by
 // FlattenFuzzy.
 func (d *Doc) Fuzzy(id int32) *fuzzy.Node { return d.fuzzy[id] }
+
+// labelled returns the ids of the nodes with the given interned label,
+// ascending.
+func (d *Doc) labelled(label int32) []int32 {
+	n := 0
+	for _, l := range d.label {
+		if l == label {
+			n++
+		}
+	}
+	ids := make([]int32, 0, n)
+	for id, l := range d.label {
+		if l == label {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
 
 // Closure returns the nodes of a valuation's minimal subtree — the
 // bound nodes (negative entries of bound are skipped) and all their

@@ -1,6 +1,8 @@
 package tpwj
 
 import (
+	"slices"
+
 	"repro/internal/obs"
 	"repro/internal/tree"
 )
@@ -57,7 +59,11 @@ type pnode struct {
 	size   int32 // pattern nodes in this subtree
 	// prev is the previous positive sibling when the query is ordered
 	// (this node must bind strictly after it in document order), else -1.
-	prev      int32
+	prev int32
+	// byLabel is set on a descendant step with a label test: the ids of
+	// the document's nodes with that label, ascending, so that the step
+	// tries them alone instead of every node below its anchor.
+	byLabel   []int32
 	joins     []int32 // nodes whose value must equal this node's
 	forbidden []int32 // forbidden children
 }
@@ -86,6 +92,9 @@ func compile(q *Query, d *Doc) *plan {
 			label = noLabel
 		}
 		p.nodes = append(p.nodes, pnode{src: src, label: label, parent: parent, prev: -1})
+		if src.Desc && label >= 0 {
+			p.nodes[k].byLabel = d.labelled(label)
+		}
 		forbidden = forbidden || src.Forbidden
 		if !forbidden {
 			p.positive = append(p.positive, k)
@@ -168,8 +177,9 @@ func (d *Doc) match(q *Query, filter bool, cost *obs.Cost, fn func(m *matcher) b
 // bind binds the pattern nodes r.seq[i:] in every possible way, the
 // nodes before them being bound. It is the package's one enumerator:
 // candidates for a pattern node are the children (end[] hops) or the
-// descendants (an id range) of its pattern parent's document node, in
-// document order. It returns false to abort the whole enumeration.
+// descendants (an id range, or the part of the label's id list inside
+// it) of its pattern parent's document node, in document order. It
+// returns false to abort the whole enumeration.
 func (m *matcher) bind(r *run, i int) bool {
 	if i == len(r.seq) {
 		if r.done == nil {
@@ -178,8 +188,11 @@ func (m *matcher) bind(r *run, i int) bool {
 		}
 		return r.done()
 	}
-	d, k := m.d, r.seq[i]
-	pn := &m.p.nodes[k]
+	d := m.d
+	pn := &m.p.nodes[r.seq[i]]
+	if pn.label == noLabel {
+		return true
+	}
 	lo, hi, desc := int32(0), int32(len(d.label)), pn.src.Desc
 	switch {
 	case pn.parent >= 0:
@@ -188,6 +201,15 @@ func (m *matcher) bind(r *run, i int) bool {
 	case !desc: // anchored pattern root: the document root alone
 		hi, desc = min(hi, 1), true
 	}
+	if pn.byLabel != nil {
+		at, _ := slices.BinarySearch(pn.byLabel, lo)
+		for ; at < len(pn.byLabel) && pn.byLabel[at] < hi; at++ {
+			if !m.try(r, i, pn.byLabel[at]) {
+				return false
+			}
+		}
+		return true
+	}
 	for c := lo; c < hi; {
 		cur := c
 		if desc {
@@ -195,22 +217,30 @@ func (m *matcher) bind(r *run, i int) bool {
 		} else {
 			c = d.end[c]
 		}
-		if pn.prev >= 0 && cur <= r.b[pn.prev] {
-			continue
-		}
-		m.visited++
-		if pn.label != anyLabel && pn.label != d.label[cur] {
-			continue
-		}
-		if pn.src.HasValue && pn.src.Value != d.value[cur] {
-			continue
-		}
-		r.b[k] = cur
-		if m.joinsOK(r, pn, k) && m.forbiddenOK(pn, cur) && !m.bind(r, i+1) {
+		if !m.try(r, i, cur) {
 			return false
 		}
 	}
 	return true
+}
+
+// try binds pattern node r.seq[i] to the candidate cur if its tests
+// pass, and goes on to the nodes after it.
+func (m *matcher) try(r *run, i int, cur int32) bool {
+	d, k := m.d, r.seq[i]
+	pn := &m.p.nodes[k]
+	if pn.prev >= 0 && cur <= r.b[pn.prev] {
+		return true
+	}
+	m.visited++
+	if pn.label != anyLabel && pn.label != d.label[cur] {
+		return true
+	}
+	if pn.src.HasValue && pn.src.Value != d.value[cur] {
+		return true
+	}
+	r.b[k] = cur
+	return !m.joinsOK(r, pn, k) || !m.forbiddenOK(pn, cur) || m.bind(r, i+1)
 }
 
 // joinsOK checks node k's join constraints against the partners bound

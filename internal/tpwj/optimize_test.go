@@ -118,10 +118,11 @@ func TestOptimizeForbiddenLast(t *testing.T) {
 	}
 }
 
-// TestLabelIndexedDescendantsAgreeWithWalk pins the two ways a
-// descendant step can find one node against each other: by its
-// (interned) label and by a wildcard with a value test; both must agree
-// on the match count.
+// TestLabelIndexedDescendantsAgreeWithWalk pins the matcher's two
+// descendant strategies against each other: a step with a label test
+// reads the label's id list clipped to the anchor's subtree range, a
+// wildcard scans the range; both must find the same nodes, and the list
+// must be clipped on both sides when the anchor is not the root.
 func TestLabelIndexedDescendantsAgreeWithWalk(t *testing.T) {
 	doc := bigDoc()
 	viaLabel, err := CountMatches(MustParseQuery("A(//C $x)"), doc)
@@ -134,5 +135,29 @@ func TestLabelIndexedDescendantsAgreeWithWalk(t *testing.T) {
 	}
 	if viaLabel != 1 || viaWalk != 1 {
 		t.Errorf("counts: label=%d walk=%d, want 1 and 1", viaLabel, viaWalk)
+	}
+
+	// C nodes before, inside, between and after the S subtrees.
+	doc = tree.MustParse("A(C:c, S(C:c, D(C:c)), C:c, S(D), S(C:c), C:c)")
+	for _, c := range []struct {
+		query string
+		want  int
+	}{
+		{"A(S(//C $x))", 3},
+		{`A(S(//*="c" $x))`, 3},
+		{"A(//C $x)", 6},
+		{"//S(//C $x)", 3},
+		{"A(S(D(//C $x)))", 1},
+		{"ordered A(S(//C $x, //C $y))", 1},
+		{"A(S(//C $x), !//E)", 3},
+		{"A(S $s(!//C))", 1},
+	} {
+		got, err := CountMatches(MustParseQuery(c.query), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: %d valuations, want %d", c.query, got, c.want)
+		}
 	}
 }

@@ -76,9 +76,7 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	if err := tx.Validate(); err != nil {
 		return nil, nil, err
 	}
-	// Clone needs a root and a table; flattening the clone checks the
-	// rest.
-	if err := ft.ValidateRoot(); err != nil {
+	if err := ft.Validate(); err != nil {
 		return nil, nil, err
 	}
 	work := ft.Clone()
@@ -87,10 +85,7 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	// The flat form of the pre-update tree: valuations are found on it,
 	// and targets, their parents, depths and path conditions are read
 	// off it after the mutations below have started moving nodes.
-	d, err := tpwj.FlattenFuzzy(work)
-	if err != nil {
-		return nil, nil, err
-	}
+	d := tpwj.FlattenFuzzy(work)
 
 	// Collect per-valuation operation instances against the pre-update
 	// tree.
@@ -106,7 +101,7 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	var delOrder []int32
 
 	var ids []int32
-	err = d.Valuations(tx.Query, func(bound []int32) bool {
+	err := d.Valuations(tx.Query, func(bound []int32) bool {
 		// γ: the conjunction of the conditions of all nodes required
 		// for the valuation to exist (matched nodes and their ancestors).
 		ids = d.Closure(bound, ids)
