@@ -51,8 +51,11 @@
 // integer-literal slices (deduplicated, contradictions dropped,
 // absorbed clauses removed), and — whenever the DNF touches at most 64
 // distinct events, which covers practically every query answer — each
-// clause additionally carries positive/negative bitset masks so
-// absorption and world checks are single word operations. Evaluation
+// clause is also kept as a positive and a negative mask word, on which
+// the whole evaluation then runs (cofactoring, absorption, connectivity
+// and pivot choice as word operations; above 64 events the same
+// algorithm runs on the literal slices). Scratch memory is per call:
+// nothing outlives an evaluation. Evaluation
 // is memoized Shannon expansion over that form: sub-DNFs are keyed by
 // structural 64-bit hash (verified against the stored key, so a
 // collision can only cost a recomputation, never correctness),

@@ -10,17 +10,18 @@ import (
 
 // This file implements the compilation front end of the exact
 // probability engine: interning of event IDs to dense integers, the
-// canonical integer-literal clause representation with a bitset fast
-// path, and the engine counters surfaced by the pxserve /stats route.
+// canonical integer-literal clause representation, its single-word mask
+// form for DNFs over at most 64 events, and the engine counters
+// surfaced by the pxserve /stats route.
 //
 // A compiled literal is slot<<1|neg where slot is the index of the
 // event in the DNF-local universe (events ordered by their per-table
 // interned index, so the expansion order — and hence the floating-point
 // rounding — is deterministic for a given table). A compiled clause
-// keeps its literals sorted ascending; when the whole DNF touches at
-// most 64 distinct events every clause additionally carries pos/neg
-// uint64 masks over the local slots, making contradiction, subset
-// (absorption) and sample-evaluation checks single word operations.
+// keeps its literals sorted ascending. When the whole DNF touches at
+// most 64 distinct events the clauses are also kept as pos/neg uint64
+// masks over the local slots (mask.go), and exact evaluation and
+// sampling run on the masks alone.
 
 // engine counters (package-global, lock-free: tables are read
 // concurrently by query evaluation running outside warehouse locks).
@@ -89,13 +90,9 @@ func ResetEngineCounters() {
 	engineMCSamples.Reset()
 }
 
-// cclause is one compiled conjunctive clause: sorted local literals,
-// plus pos/neg slot masks when the owning Compiled is small.
-type cclause struct {
-	lits []int32
-	pos  uint64
-	neg  uint64
-}
+// cclause is one compiled conjunctive clause: its local literals,
+// sorted ascending.
+type cclause []int32
 
 // Compiled is a DNF compiled against a Table: normalized (unsatisfiable
 // clauses dropped, duplicate literals and absorbed clauses removed),
@@ -103,8 +100,9 @@ type cclause struct {
 // for concurrent use; Prob and Estimate both run on it.
 type Compiled struct {
 	clauses []cclause
+	masks   []mclause // clauses in mask form and mask order; small only
 	probs   []float64 // local slot -> event probability (0 for unused slots)
-	small   bool      // at most 64 local slots: clause masks are valid
+	small   bool      // at most 64 local slots: the mask engine evaluates it
 	isTrue  bool      // the DNF contains an always-true clause
 }
 
@@ -118,23 +116,20 @@ func (c *Compiled) NumClauses() int { return len(c.clauses) }
 // cmpClause orders clauses canonically: shorter first, then
 // lexicographically by literal.
 func cmpClause(a, b cclause) int {
-	if len(a.lits) != len(b.lits) {
-		return len(a.lits) - len(b.lits)
+	if len(a) != len(b) {
+		return len(a) - len(b)
 	}
-	return slices.Compare(a.lits, b.lits)
+	return slices.Compare(a, b)
 }
 
 // subsetClause reports whether every literal of a occurs in b.
-func subsetClause(a, b cclause, small bool) bool {
-	if small {
-		return a.pos&^b.pos == 0 && a.neg&^b.neg == 0
-	}
+func subsetClause(a, b cclause) bool {
 	i := 0
-	for _, l := range a.lits {
-		for i < len(b.lits) && b.lits[i] < l {
+	for _, l := range a {
+		for i < len(b) && b[i] < l {
 			i++
 		}
-		if i >= len(b.lits) || b.lits[i] != l {
+		if i >= len(b) || b[i] != l {
 			return false
 		}
 		i++
@@ -146,12 +141,12 @@ func subsetClause(a, b cclause, small bool) bool {
 // every clause that contains all literals of an earlier kept clause
 // (including exact duplicates). The input must be sorted by cmpClause
 // so that weaker (shorter) clauses come first.
-func absorb(cls []cclause, small bool) []cclause {
+func absorb(cls []cclause) []cclause {
 	kept := cls[:0]
 	for _, c := range cls {
 		absorbed := false
 		for _, k := range kept {
-			if subsetClause(k, c, small) {
+			if subsetClause(k, c) {
 				absorbed = true
 				break
 			}
@@ -161,18 +156,6 @@ func absorb(cls []cclause, small bool) []cclause {
 		}
 	}
 	return kept
-}
-
-// clauseMasks computes the pos/neg slot masks of a clause.
-func clauseMasks(lits []int32) (pos, neg uint64) {
-	for _, l := range lits {
-		if l&1 == 1 {
-			neg |= 1 << uint(l>>1)
-		} else {
-			pos |= 1 << uint(l>>1)
-		}
-	}
-	return pos, neg
 }
 
 // CompileDNFCtx is CompileDNF charging the context's cost accumulator
@@ -266,7 +249,7 @@ func (t *Table) compileDNF(cost *obs.Cost, d DNF) (*Compiled, error) {
 			// Always-true clause: the whole DNF is true; no event of any
 			// other clause is ever consulted.
 			c.isTrue = true
-			c.clauses = []cclause{{}}
+			c.clauses = []cclause{nil}
 			c.probs = make([]float64, len(globals))
 			return c, nil
 		}
@@ -289,23 +272,22 @@ func (t *Table) compileDNF(cost *obs.Cost, d DNF) (*Compiled, error) {
 		if contradicted {
 			continue
 		}
-		cl := cclause{lits: lits}
-		if c.small {
-			cl.pos, cl.neg = clauseMasks(lits)
-		}
-		clauses = append(clauses, cl)
+		clauses = append(clauses, lits)
 	}
 
 	slices.SortFunc(clauses, cmpClause)
-	clauses = absorb(clauses, c.small)
+	clauses = absorb(clauses)
 	c.clauses = clauses
+	if c.small {
+		c.masks = maskClauses(clauses)
+	}
 
 	// Only events that survive normalization must be known; resolve
 	// their probabilities into the dense local table.
 	c.probs = make([]float64, len(globals))
 	seen := make([]bool, len(globals))
 	for _, cl := range clauses {
-		for _, l := range cl.lits {
+		for _, l := range cl {
 			slot := l >> 1
 			if seen[slot] {
 				continue

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,7 +35,7 @@ func (c Condition) Normalize() Condition {
 		return nil
 	}
 	out := c.Clone()
-	sort.Slice(out, func(i, j int) bool { return compareLiterals(out[i], out[j]) < 0 })
+	slices.SortFunc(out, compareLiterals)
 	dedup := out[:1]
 	for _, l := range out[1:] {
 		if l != dedup[len(dedup)-1] {
@@ -48,14 +49,45 @@ func (c Condition) Normalize() Condition {
 }
 
 // Satisfiable reports whether some assignment makes c true, i.e. whether c
-// contains no contradictory literal pair.
+// contains no contradictory literal pair. Conditions are a handful of
+// literals, which are compared pairwise without allocating; a long one
+// is sorted first.
 func (c Condition) Satisfiable() bool {
-	seen := make(map[ID]bool, len(c))
-	for _, l := range c {
-		if neg, ok := seen[l.Event]; ok && neg != l.Neg {
+	if len(c) > 16 {
+		return c.Normalize().canonicalSatisfiable()
+	}
+	for i, l := range c {
+		for _, m := range c[:i] {
+			if m.Event == l.Event && m.Neg != l.Neg {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// canonicalSatisfiable is Satisfiable for a condition in canonical form,
+// where a contradictory pair is adjacent.
+func (c Condition) canonicalSatisfiable() bool {
+	for i := 1; i < len(c); i++ {
+		if c[i].Event == c[i-1].Event {
 			return false
 		}
-		seen[l.Event] = l.Neg
+	}
+	return true
+}
+
+// canonicalSubset reports whether every literal of c occurs in d, both
+// in canonical form.
+func canonicalSubset(c, d Condition) bool {
+	for _, l := range c {
+		for len(d) > 0 && compareLiterals(d[0], l) < 0 {
+			d = d[1:]
+		}
+		if len(d) == 0 || d[0] != l {
+			return false
+		}
+		d = d[1:]
 	}
 	return true
 }

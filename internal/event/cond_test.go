@@ -1,6 +1,8 @@
 package event
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -50,6 +52,36 @@ func TestSatisfiable(t *testing.T) {
 	}
 	if !Condition(nil).Satisfiable() {
 		t.Error("true should be satisfiable")
+	}
+}
+
+// TestSatisfiableNonCanonical: the pairwise scan of short conditions
+// and the sort-first path of long ones give the map-based definition's
+// answer on unsorted input with repeated literals, and the short path
+// allocates nothing.
+func TestSatisfiableNonCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := r.Intn(40)
+		c := make(Condition, n)
+		for j := range c {
+			c[j] = Literal{Event: ID(fmt.Sprintf("e%d", r.Intn(2*n+1))), Neg: r.Intn(4) == 0}
+		}
+		seen := map[ID]bool{}
+		want := true
+		for _, l := range c {
+			if neg, ok := seen[l.Event]; ok && neg != l.Neg {
+				want = false
+			}
+			seen[l.Event] = l.Neg
+		}
+		if got := c.Satisfiable(); got != want {
+			t.Fatalf("Satisfiable(%v) = %v, want %v", c, got, want)
+		}
+	}
+	c := Cond(Pos("e3"), Neg("e1"), Pos("e3"), Pos("e2"), Neg("e7"), Pos("e5"))
+	if n := testing.AllocsPerRun(100, func() { c.Satisfiable() }); n != 0 {
+		t.Errorf("Satisfiable allocates %v times on a six-literal condition, want 0", n)
 	}
 }
 

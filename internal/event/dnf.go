@@ -3,8 +3,8 @@ package event
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,41 +44,36 @@ func (d DNF) Clone() DNF {
 // sorted. Absorption (dropping clauses entailed by another clause) is
 // also applied, since it preserves the disjunction.
 func (d DNF) Normalize() DNF {
-	var clauses []Condition
+	clauses := make([]Condition, 0, len(d))
 	for _, c := range d {
-		n := c.Normalize()
-		if !n.Satisfiable() {
-			continue
+		if n := c.Normalize(); n.canonicalSatisfiable() {
+			clauses = append(clauses, n)
 		}
-		clauses = append(clauses, n)
 	}
 	// Absorption: a clause that contains all literals of another clause
-	// is redundant. Sort by length so shorter (weaker) clauses come
-	// first, then filter.
-	sort.Slice(clauses, func(i, j int) bool {
-		if len(clauses[i]) != len(clauses[j]) {
-			return len(clauses[i]) < len(clauses[j])
-		}
-		return clauses[i].String() < clauses[j].String()
-	})
-	var kept []Condition
+	// is redundant. Shorter (weaker) clauses come first, so what is kept
+	// is the set of minimal clauses, whatever the order among equals.
+	slices.SortFunc(clauses, func(a, b Condition) int { return len(a) - len(b) })
+	// The result is ordered by the clauses' text, rendered once each.
+	type rendered struct {
+		c Condition
+		s string
+	}
+	kept := make([]rendered, 0, len(clauses))
 	for _, c := range clauses {
-		absorbed := false
-		for _, k := range kept {
-			if c.Entails(k) { // c ⊨ k means c ∨ k ≡ k
-				absorbed = true
-				break
-			}
-		}
-		if !absorbed {
-			kept = append(kept, c)
+		if !slices.ContainsFunc(kept, func(k rendered) bool { return canonicalSubset(k.c, c) }) {
+			kept = append(kept, rendered{c, c.String()})
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].String() < kept[j].String() })
 	if len(kept) == 0 {
 		return nil
 	}
-	return DNF(kept)
+	slices.SortFunc(kept, func(a, b rendered) int { return strings.Compare(a.s, b.s) })
+	out := make(DNF, len(kept))
+	for i, k := range kept {
+		out[i] = k.c
+	}
+	return out
 }
 
 // IsTrue reports whether the normalized DNF is the constant true (has an
@@ -168,28 +163,8 @@ func (t *Table) ProbDNFCtx(ctx context.Context, d DNF) (float64, error) {
 // ProbDNFBrute computes P(d) by enumerating all assignments over the
 // events of d. Exponential; used as a testing oracle for ProbDNF.
 func (t *Table) ProbDNFBrute(d DNF) (float64, error) {
-	return t.ProbDNFBruteCtx(context.Background(), d)
-}
-
-// ProbDNFBruteCtx is ProbDNFBrute honoring context cancellation: the
-// assignment enumeration polls ctx every cancelCheckInterval
-// assignments — the same cadence as the compiled engine — so the
-// brute-force differential path can be stopped mid-flight too.
-func (t *Table) ProbDNFBruteCtx(ctx context.Context, d DNF) (float64, error) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	total := 0.0
-	var steps int
-	var cerr error
 	err := t.ForEachAssignment(d.Events(), func(a Assignment, p float64) bool {
-		if ctx != nil {
-			if steps++; steps&(cancelCheckInterval-1) == 0 {
-				if cerr = ctx.Err(); cerr != nil {
-					return false
-				}
-			}
-		}
 		if d.Eval(a) {
 			total += p
 		}
@@ -197,10 +172,6 @@ func (t *Table) ProbDNFBruteCtx(ctx context.Context, d DNF) (float64, error) {
 	})
 	if err != nil {
 		return 0, err
-	}
-	if cerr != nil {
-		engineCancellations.Inc()
-		return math.NaN(), cerr
 	}
 	return total, nil
 }

@@ -1,8 +1,11 @@
 package event
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +19,56 @@ func TestDNFNormalizeAbsorption(t *testing.T) {
 	n := d.Normalize()
 	if len(n) != 1 || n[0].String() != "w1" {
 		t.Errorf("Normalize = %v", n)
+	}
+}
+
+// normalizeReference is DNF.Normalize as first written: it renders
+// clauses inside its comparators and absorbs through Entails. The wire
+// format carries the normalized clauses' text, so Normalize must keep
+// returning exactly this.
+func normalizeReference(d DNF) DNF {
+	var clauses []Condition
+	for _, c := range d {
+		if n := c.Normalize(); n.Satisfiable() {
+			clauses = append(clauses, n)
+		}
+	}
+	sort.Slice(clauses, func(i, j int) bool {
+		if len(clauses[i]) != len(clauses[j]) {
+			return len(clauses[i]) < len(clauses[j])
+		}
+		return clauses[i].String() < clauses[j].String()
+	})
+	var kept []Condition
+	for _, c := range clauses {
+		if !slices.ContainsFunc(kept, func(k Condition) bool { return c.Entails(k) }) {
+			kept = append(kept, c)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].String() < kept[j].String() })
+	if len(kept) == 0 {
+		return nil
+	}
+	return DNF(kept)
+}
+
+func TestDNFNormalizeMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tab := NewTable()
+		// Names of different lengths, so that text order and literal
+		// order differ ("e1 e10" sorts before "e1 e2").
+		for i := 0; i < 3+r.Intn(12); i++ {
+			tab.MustSet(ID(fmt.Sprintf("e%d", i)), r.Float64())
+		}
+		d := randomDNF(r, tab, 12, 4)
+		if r.Intn(10) == 0 {
+			d = append(d, nil)
+		}
+		got, want := d.Normalize(), normalizeReference(d)
+		if got.String() != want.String() || len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("seed %d: Normalize(%v)\n got  %v\n want %v", seed, d, got, want)
+		}
 	}
 }
 

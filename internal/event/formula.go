@@ -397,28 +397,8 @@ func (t *Table) EstimateFormulaCtx(ctx context.Context, f Formula, samples int, 
 // ProbFormulaBrute computes P(f) by enumerating all assignments over the
 // formula's events; the testing oracle for ProbFormula.
 func (t *Table) ProbFormulaBrute(f Formula) (float64, error) {
-	return t.ProbFormulaBruteCtx(context.Background(), f)
-}
-
-// ProbFormulaBruteCtx is ProbFormulaBrute honoring context cancellation:
-// the assignment enumeration polls ctx every cancelCheckInterval
-// assignments, the same cadence as the memoized evaluator, so the
-// brute-force differential path can be stopped mid-flight too.
-func (t *Table) ProbFormulaBruteCtx(ctx context.Context, f Formula) (float64, error) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
 	total := 0.0
-	var steps int
-	var cerr error
 	err := t.ForEachAssignment(f.Events(), func(a Assignment, p float64) bool {
-		if ctx != nil {
-			if steps++; steps&(cancelCheckInterval-1) == 0 {
-				if cerr = ctx.Err(); cerr != nil {
-					return false
-				}
-			}
-		}
 		if f.Eval(a) {
 			total += p
 		}
@@ -426,10 +406,6 @@ func (t *Table) ProbFormulaBruteCtx(ctx context.Context, f Formula) (float64, er
 	})
 	if err != nil {
 		return 0, err
-	}
-	if cerr != nil {
-		engineCancellations.Inc()
-		return math.NaN(), cerr
 	}
 	return total, nil
 }

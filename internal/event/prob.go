@@ -23,10 +23,12 @@ const cancelCheckInterval = 1024
 // — ProbCtx recovers it.
 type evalCanceled struct{ err error }
 
-// This file is the evaluation back end of the exact probability engine:
-// memoized Shannon expansion over the compiled clause form, with
-// independent-component decomposition and arena-based scratch memory so
-// the hot recursion allocates almost nothing.
+// This file is the evaluation back end of the exact probability engine
+// for DNFs over more than 64 events: memoized Shannon expansion over the
+// literal-list clause form, with independent-component decomposition and
+// arena-based scratch memory. DNFs over at most 64 events run the same
+// algorithm on single-word masks (mask.go). Both engines live for one
+// Prob call; nothing they allocate outlives it.
 
 // memoEntry stores the probability of one expanded sub-DNF together
 // with its flattened canonical key: the structural uint64 hash indexes
@@ -37,13 +39,11 @@ type memoEntry struct {
 	p   float64
 }
 
-// engine carries the per-call state of one exact evaluation. Scratch
-// buffers are sized by the compiled DNF's local universe and reused
-// across the whole recursion; counter deltas are flushed to the global
-// atomics once per Prob call.
-type engine struct {
-	c    *Compiled
-	memo map[uint64]memoEntry
+// walk is what both exact engines carry through one evaluation: the
+// event probabilities, the context to poll and the counter deltas,
+// flushed to the global atomics once per Prob call.
+type walk struct {
+	probs []float64
 
 	// ctx, when non-nil, is polled every cancelCheckInterval expansion
 	// nodes; a cancellation aborts the recursion via evalCanceled. nil
@@ -51,20 +51,34 @@ type engine struct {
 	// costs nothing on the hot path beyond one pointer test.
 	ctx context.Context
 
-	// cost, when non-nil, receives the per-request charges flushed
-	// alongside the global counters (see probCtx's defer).
-	cost *obs.Cost
+	// nodes counts expansion nodes visited; it doubles as the
+	// cancellation-poll tick.
+	nodes                                int64
+	hits, misses, components, collisions int64
+}
+
+// step counts one expansion node and polls the context.
+func (w *walk) step() {
+	w.nodes++
+	if w.ctx != nil && w.nodes&(cancelCheckInterval-1) == 0 {
+		if err := w.ctx.Err(); err != nil {
+			panic(evalCanceled{err})
+		}
+	}
+}
+
+// engine carries the per-call state of one exact evaluation over
+// literal lists. Scratch buffers are sized by the compiled DNF's local
+// universe and reused across the whole recursion.
+type engine struct {
+	walk
+	memo map[uint64]memoEntry
 
 	cnt   []int32 // per-slot literal counts (most-frequent-event scratch)
 	owner []int32 // per-slot first-clause index (component scratch)
 
 	intArena []int32   // backing store for shrunk clauses and memo keys
 	clArena  []cclause // backing store for cofactor clause lists
-
-	// nodes counts expansion nodes visited; it doubles as the
-	// cancellation-poll tick.
-	nodes                                int64
-	hits, misses, components, collisions int64
 }
 
 // Prob computes the exact probability of the compiled DNF.
@@ -106,35 +120,47 @@ func (c *Compiled) probCtx(ctx context.Context, cost *obs.Cost) (p float64, err 
 	if len(c.clauses) == 0 {
 		return 0, nil
 	}
-	e := &engine{
-		c:     c,
-		ctx:   ctx,
-		cost:  cost,
+	if c.small {
+		e := maskEngine{walk: walk{probs: c.probs, ctx: ctx}}
+		defer e.finish(cost, &p, &err)
+		return e.prob(c.masks), nil
+	}
+	e := c.listEngine(ctx)
+	defer e.finish(cost, &p, &err)
+	return e.prob(c.clauses), nil
+}
+
+// listEngine returns a literal-list engine for one evaluation of c.
+func (c *Compiled) listEngine(ctx context.Context) *engine {
+	return &engine{
+		walk:  walk{probs: c.probs, ctx: ctx},
 		memo:  make(map[uint64]memoEntry),
 		cnt:   make([]int32, len(c.probs)),
 		owner: make([]int32, len(c.probs)),
 	}
-	defer func() {
-		// Counter deltas flush even on abort, so /stats stays truthful
-		// about work done by cancelled evaluations. Charge feeds the
-		// global counter and the request's cost accumulator from the
-		// same delta (collisions stay process-global only: a hash
-		// accident is not a property of the request's plan).
-		obs.Charge(e.cost, obs.CostEngineMemoHits, engineMemoHits, e.hits)
-		obs.Charge(e.cost, obs.CostEngineMemoMisses, engineMemoMisses, e.misses)
-		obs.Charge(e.cost, obs.CostEngineComponents, engineComponents, e.components)
-		obs.Charge(e.cost, obs.CostEngineExpansionNodes, engineExpansionNodes, e.nodes)
-		engineHashCollisions.Add(e.collisions)
-		if r := recover(); r != nil {
-			ec, ok := r.(evalCanceled)
-			if !ok {
-				panic(r)
-			}
-			engineCancellations.Inc()
-			p, err = math.NaN(), ec.err
+}
+
+// finish is deferred around an evaluation: it flushes the counter
+// deltas and turns a cancellation panic into the call's result.
+func (w *walk) finish(cost *obs.Cost, p *float64, err *error) {
+	// Counter deltas flush even on abort, so /stats stays truthful
+	// about work done by cancelled evaluations. Charge feeds the
+	// global counter and the request's cost accumulator from the
+	// same delta (collisions stay process-global only: a hash
+	// accident is not a property of the request's plan).
+	obs.Charge(cost, obs.CostEngineMemoHits, engineMemoHits, w.hits)
+	obs.Charge(cost, obs.CostEngineMemoMisses, engineMemoMisses, w.misses)
+	obs.Charge(cost, obs.CostEngineComponents, engineComponents, w.components)
+	obs.Charge(cost, obs.CostEngineExpansionNodes, engineExpansionNodes, w.nodes)
+	engineHashCollisions.Add(w.collisions)
+	if r := recover(); r != nil {
+		ec, ok := r.(evalCanceled)
+		if !ok {
+			panic(r)
 		}
-	}()
-	return e.prob(c.clauses), nil
+		engineCancellations.Inc()
+		*p, *err = math.NaN(), ec.err
+	}
 }
 
 // allocInts hands out n int32s of arena memory. Blocks are never
@@ -173,7 +199,7 @@ const (
 func hashClauses(cls []cclause) uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range cls {
-		for _, l := range c.lits {
+		for _, l := range c {
 			h ^= uint64(uint32(l))
 			h *= fnvPrime
 		}
@@ -188,12 +214,12 @@ func hashClauses(cls []cclause) uint64 {
 func (e *engine) flatten(cls []cclause) []int32 {
 	n := 0
 	for _, c := range cls {
-		n += len(c.lits) + 1
+		n += len(c) + 1
 	}
 	key := e.allocInts(n)
 	i := 0
 	for _, c := range cls {
-		i += copy(key[i:], c.lits)
+		i += copy(key[i:], c)
 		key[i] = -1
 		i++
 	}
@@ -204,7 +230,7 @@ func (e *engine) flatten(cls []cclause) []int32 {
 func keyMatches(key []int32, cls []cclause) bool {
 	i := 0
 	for _, c := range cls {
-		for _, l := range c.lits {
+		for _, l := range c {
 			if i >= len(key) || key[i] != l {
 				return false
 			}
@@ -222,8 +248,8 @@ func keyMatches(key []int32, cls []cclause) bool {
 // the product of its literal probabilities (1 for the empty clause).
 func (e *engine) clauseProb(c cclause) float64 {
 	p := 1.0
-	for _, l := range c.lits {
-		pe := e.c.probs[l>>1]
+	for _, l := range c {
+		pe := e.probs[l>>1]
 		if l&1 == 1 {
 			p *= 1 - pe
 		} else {
@@ -236,12 +262,7 @@ func (e *engine) clauseProb(c cclause) float64 {
 // prob computes P(∨ cls) for a canonical clause list by memoized
 // Shannon expansion with component decomposition.
 func (e *engine) prob(cls []cclause) float64 {
-	e.nodes++
-	if e.ctx != nil && e.nodes&(cancelCheckInterval-1) == 0 {
-		if err := e.ctx.Err(); err != nil {
-			panic(evalCanceled{err})
-		}
-	}
+	e.step()
 	switch len(cls) {
 	case 0:
 		return 0
@@ -269,7 +290,7 @@ func (e *engine) prob(cls []cclause) float64 {
 		p = 1 - q
 	} else {
 		slot := e.mostFrequent(cls)
-		pe := e.c.probs[slot]
+		pe := e.probs[slot]
 		var pT, pF float64
 		if cof, isTrue := e.cofactor(cls, slot, true); isTrue {
 			pT = 1
@@ -312,7 +333,7 @@ func (e *engine) split(cls []cclause) [][]cclause {
 	}
 	roots := len(cls)
 	for i, c := range cls {
-		for _, l := range c.lits {
+		for _, l := range c {
 			s := l >> 1
 			if owner[s] < 0 {
 				owner[s] = int32(i)
@@ -369,7 +390,7 @@ func (e *engine) split(cls []cclause) [][]cclause {
 func (e *engine) mostFrequent(cls []cclause) int32 {
 	cnt := e.cnt
 	for _, c := range cls {
-		for _, l := range c.lits {
+		for _, l := range c {
 			cnt[l>>1]++
 		}
 	}
@@ -380,7 +401,7 @@ func (e *engine) mostFrequent(cls []cclause) int32 {
 		}
 	}
 	for _, c := range cls {
-		for _, l := range c.lits {
+		for _, l := range c {
 			cnt[l>>1] = 0
 		}
 	}
@@ -390,7 +411,7 @@ func (e *engine) mostFrequent(cls []cclause) int32 {
 // cofactor substitutes truth value v for the event at slot and returns
 // the residual clause list in canonical form, maintained incrementally:
 // untouched clauses keep their order; shrunk clauses trigger one sort
-// plus a bitset-subset absorption pass instead of a full Normalize. The
+// plus an absorption pass instead of a full Normalize. The
 // second result is true when some clause became empty (the cofactor is
 // constantly true).
 func (e *engine) cofactor(cls []cclause, slot int32, v bool) ([]cclause, bool) {
@@ -398,9 +419,9 @@ func (e *engine) cofactor(cls []cclause, slot int32, v bool) ([]cclause, bool) {
 	posLit := slot << 1
 	changed := false
 	for _, c := range cls {
-		i, found := slices.BinarySearch(c.lits, posLit)
+		i, found := slices.BinarySearch(c, posLit)
 		if !found {
-			if i < len(c.lits) && c.lits[i] == posLit|1 {
+			if i < len(c) && c[i] == posLit|1 {
 				found = true
 			}
 		}
@@ -408,34 +429,29 @@ func (e *engine) cofactor(cls []cclause, slot int32, v bool) ([]cclause, bool) {
 			out = append(out, c)
 			continue
 		}
-		l := c.lits[i]
+		l := c[i]
 		if (l&1 == 0) != v {
 			continue // literal false under the substitution: clause dropped
 		}
 		// Literal true: remove it from the clause.
-		if len(c.lits) == 1 {
+		if len(c) == 1 {
 			return nil, true
 		}
-		nl := e.allocInts(len(c.lits) - 1)
-		copy(nl, c.lits[:i])
-		copy(nl[i:], c.lits[i+1:])
-		nc := cclause{lits: nl}
-		if e.c.small {
-			bit := uint64(1) << uint(slot)
-			nc.pos, nc.neg = c.pos&^bit, c.neg&^bit
-		}
-		out = append(out, nc)
+		nl := e.allocInts(len(c) - 1)
+		copy(nl, c[:i])
+		copy(nl[i:], c[i+1:])
+		out = append(out, nl)
 		changed = true
 	}
 	if changed {
 		slices.SortFunc(out, cmpClause)
-		out = absorb(out, e.c.small)
+		out = absorb(out)
 	}
 	return out, false
 }
 
 // Estimate estimates the probability of the compiled DNF by Monte-Carlo
-// sampling. On the ≤64-event fast path each sampled world is a single
+// sampling. Over at most 64 events each sampled world is a single
 // uint64 and clause evaluation is two word operations. A non-positive
 // sample count returns NaN (EstimateDNF reports it as an error).
 func (c *Compiled) Estimate(samples int, r *rand.Rand) float64 {
@@ -490,7 +506,7 @@ func (c *Compiled) estimateCtx(ctx context.Context, cost *obs.Cost, samples int,
 				}
 			}
 			done++
-			for _, cl := range c.clauses {
+			for _, cl := range c.masks {
 				if w&cl.pos == cl.pos && w&cl.neg == 0 {
 					hits++
 					break
@@ -512,7 +528,7 @@ func (c *Compiled) estimateCtx(ctx context.Context, cost *obs.Cost, samples int,
 			done++
 			for _, cl := range c.clauses {
 				sat := true
-				for _, l := range cl.lits {
+				for _, l := range cl {
 					if world[l>>1] == (l&1 == 1) {
 						sat = false
 						break
