@@ -83,7 +83,7 @@ type (
 	// WarehouseInfo summarizes a stored document.
 	WarehouseInfo = warehouse.Info
 	// JournalStats reports warehouse journal counters: durable
-	// appends, group-commit fsync batches, recovery outcomes.
+	// appends, group-commit fsync batches, documents replayed at Open.
 	JournalStats = warehouse.JournalStats
 	// JournalSummary describes a warehouse journal file as found on
 	// disk, without recovering it (see InspectJournal).
@@ -303,10 +303,9 @@ const (
 )
 
 // OpenWarehouse opens (creating if necessary) a warehouse directory and
-// runs scan-based crash recovery: each document is restored to its last
-// committed journaled state and in-flight mutations are rolled back.
-// The file-per-document backend is used; OpenWarehouseBackend selects
-// others.
+// runs recovery: each document is brought to the state of its last
+// journal record. The file-per-document backend is used;
+// OpenWarehouseBackend selects others.
 func OpenWarehouse(dir string) (*Warehouse, error) { return warehouse.Open(dir) }
 
 // OpenWarehouseBackend is OpenWarehouse with an explicit storage
@@ -316,9 +315,9 @@ func OpenWarehouseBackend(dir, backend string) (*Warehouse, error) {
 	return warehouse.OpenBackend(dir, backend, vfs.OS)
 }
 
-// InspectJournal summarizes a warehouse directory's journal — record
-// and outcome counts, in-flight mutations, torn tails, structural
-// problems — without opening the warehouse or running recovery (the
+// InspectJournal summarizes a warehouse directory's journal — record,
+// mutation and abort counts, a torn tail, structural problems —
+// without opening the warehouse or running recovery (the
 // pxwarehouse verify-journal subcommand). The storage backend is
 // detected from the directory layout.
 func InspectJournal(dir string) (JournalSummary, error) { return warehouse.InspectJournal(dir) }

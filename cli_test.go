@@ -171,14 +171,16 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("document survived drop:\n%s", out)
 	}
 
-	// verify-journal inspects without recovering; recover reports the
-	// recovery outcome of an open (a no-op on this healthy warehouse).
+	// verify-journal inspects without recovering: load, update, simplify
+	// and drop are four mutations, one record each. recover reports what
+	// an open had to replay — nothing, every invocation above having
+	// closed (and so checkpointed) the warehouse.
 	out = run(t, bins["pxwarehouse"], "-dir", wh, "verify-journal")
-	if !strings.Contains(out, "0 pending") || strings.Contains(out, "problem:") {
+	if !strings.Contains(out, "4 records (4 mutations, 0 view operations, 0 aborted)") || strings.Contains(out, "problem:") {
 		t.Errorf("pxwarehouse verify-journal:\n%s", out)
 	}
 	out = run(t, bins["pxwarehouse"], "-dir", wh, "recover")
-	if !strings.Contains(out, "0 rollbacks") {
+	if !strings.Contains(out, "recovered: 0 documents") {
 		t.Errorf("pxwarehouse recover:\n%s", out)
 	}
 
@@ -203,7 +205,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("pxwarehouse query on kv store:\n%s", out)
 	}
 	out = run(t, bins["pxwarehouse"], "-dir", kvwh, "verify-journal")
-	if !strings.Contains(out, "0 pending") || strings.Contains(out, "problem:") {
+	if !strings.Contains(out, "2 records (2 mutations, 0 view operations, 0 aborted)") || strings.Contains(out, "problem:") {
 		t.Errorf("pxwarehouse verify-journal on kv store:\n%s", out)
 	}
 }

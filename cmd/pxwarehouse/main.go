@@ -38,8 +38,8 @@ func main() {
 	}
 
 	// verify-journal is read-only diagnosis and must run before the
-	// warehouse is opened: opening runs recovery, which resolves the
-	// very in-flight mutations the summary is meant to show.
+	// warehouse is opened: opening runs recovery, which truncates the
+	// very torn tail the summary is meant to show.
 	if args[0] == "verify-journal" {
 		verifyJournal(*dir)
 		return
@@ -56,11 +56,9 @@ func main() {
 		fmt.Printf("warehouse ready at %s (%s backend)\n", w.Dir(), w.Backend())
 
 	case "recover":
-		// Opening the warehouse above already ran scan-based recovery;
-		// report what it did.
-		s := w.JournalStats()
-		fmt.Printf("recovered: %d replays, %d rollbacks, %d rollforwards\n",
-			s.RecoveryReplays, s.RecoveryRollbacks, s.RecoveryRollforwards)
+		// Opening the warehouse above already ran recovery; report how
+		// many documents it caught up to the journal.
+		fmt.Printf("recovered: %d documents replayed from the journal\n", w.JournalStats().RecoveryReplays)
 
 	case "load":
 		need(args, 3, "load <name> <file.pxml>")
@@ -166,20 +164,20 @@ func main() {
 
 // verifyJournal prints a journal health summary and exits nonzero when
 // the journal has structural problems (corruption no crash can cause).
-// Pending mutations and torn tails are normal crash leftovers that the
-// next open resolves; they are reported but do not fail the check.
+// A torn tail is a normal crash leftover that the next open drops; it
+// is reported but does not fail the check.
 func verifyJournal(dir string) {
 	sum, err := fuzzyxml.InspectJournal(dir)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("journal: %d records (%d mutations: %d committed, %d aborted, %d pending), last seq %d\n",
-		sum.Records, sum.Mutations, sum.Committed, sum.Aborted, len(sum.Pending), sum.LastSeq)
+	fmt.Printf("journal: %d records (%d mutations, %d view operations, %d aborted), last seq %d\n",
+		sum.Records, sum.Mutations, sum.ViewOps, sum.Aborted, sum.LastSeq)
+	if sum.LegacyCommits > 0 {
+		fmt.Printf("legacy: %d commit markers written by an earlier version (ignored)\n", sum.LegacyCommits)
+	}
 	if sum.TornTail {
 		fmt.Println("torn tail: partial trailing record (crash mid-append; dropped on next open)")
-	}
-	for _, p := range sum.Pending {
-		fmt.Printf("pending: seq %d %s %q (in-flight at crash; rolled back on next open)\n", p.Seq, p.Op, p.Doc)
 	}
 	for _, p := range sum.Problems {
 		fmt.Println("problem:", p)

@@ -118,9 +118,9 @@
 // # Warehouse
 //
 // OpenWarehouse provides the durable store of the paper's architecture:
-// named fuzzy documents on the file system with atomic replacement, a
-// write-ahead journal carrying full post-states, and scan-based crash
-// recovery. Updates can also be expressed in an XUpdate-style XML syntax
+// named fuzzy documents on the file system, a journal in which one
+// record — the full post-state — is one mutation, document files that
+// are checkpoints of that journal, and replay-only crash recovery. Updates can also be expressed in an XUpdate-style XML syntax
 // (ParseTransactionXML).
 //
 // # Durability and recovery
@@ -130,31 +130,32 @@
 // in full or not at all, and which one the caller was told is what a
 // crash preserves. Concretely:
 //
-//   - A mutation (Create, Update, Simplify, Drop) is durable exactly
-//     when the call returns nil. By then the journal holds the
-//     mutation record — its own sequence number and the full
-//     post-state, fsynced before the document file is touched — and a
-//     fsynced commit marker naming that sequence number. Mutations on
-//     different documents interleave their durable phases; concurrent
-//     fsyncs are group-committed. The journal, not the document file,
-//     is the durable copy of recent content: file swaps defer their
-//     fsync to it, and Compact syncs the files before dropping it.
+//   - A mutation (Create, Update, Simplify, Drop) is its single
+//     journal record: its own sequence number and the full post-state.
+//     It is acknowledged — the call returns nil — exactly when that
+//     record has been flushed and fsynced, and its result becomes
+//     visible to readers only after that, so a reader never observes
+//     a state a crash can take back. Mutations on different documents
+//     interleave their records; concurrent fsyncs are group-committed.
+//     An update touches no document file: the files are checkpoints
+//     of the journal, written by Compact (which then syncs them and
+//     drops the journal) and by Close.
 //
-//   - A mutation that returned an error, or that was in flight at a
-//     crash (record journaled, marker missing), never happened:
-//     recovery at OpenWarehouse scans the whole journal, restores
-//     every document to its last committed journaled state, and
-//     resolves each in-flight mutation with an abort marker. An abort
-//     in the journal always means "the caller was told this failed
-//     and the document is unchanged". One narrow exception: an error
-//     from journaling the outcome marker itself (a failing disk)
-//     leaves the result visible to the live process, and the next
-//     OpenWarehouse resolves it either way.
+//   - A mutation that returned an error never happened, with one
+//     exception: the mutation whose own journal write, flush or fsync
+//     failed. Nobody can say whether its bytes reached the disk; the
+//     warehouse goes read-only (ErrDegraded), never shows the result,
+//     and the next OpenWarehouse keeps the mutation if its record is
+//     whole and drops it if it is torn. Either is legal for a call
+//     that was not acknowledged.
 //
-//   - Visibility precedes durability: a concurrent reader of the same
-//     document may observe a mutation's result between its install
-//     and the commit fsync. The returned nil — not the first read
-//     that sees the data — is the durability acknowledgment.
+//   - Recovery at OpenWarehouse only replays: it scans the whole
+//     journal and brings every document to its last record, whatever
+//     a kill left in the document files. A record that was whole but
+//     unacknowledged at a crash rolls forward; a torn one vanishes.
+//     The one marker is abort, written when the store step of a
+//     Create or Drop failed after its record was durable: it means
+//     "the caller was told this failed and nothing changed".
 //
 // The on-disk record format, the torn-write rules and a worked
 // recovery example are in docs/JOURNAL.md; pxwarehouse verify-journal

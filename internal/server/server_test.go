@@ -401,12 +401,12 @@ func TestStatsSurfacesJournalCounters(t *testing.T) {
 		t.Fatal("setup create failed")
 	}
 	after := serverStats(t, ts).Journal
-	// A create appends a mutation record and its commit marker.
-	if after.Appends != before.Appends+2 {
-		t.Errorf("journal appends = %d -> %d, want +2", before.Appends, after.Appends)
+	// A create is one journal record and one fsync.
+	if after.Appends != before.Appends+1 {
+		t.Errorf("journal appends = %d -> %d, want +1", before.Appends, after.Appends)
 	}
-	if after.SyncBatches <= before.SyncBatches || after.SyncBatches > after.Appends {
-		t.Errorf("sync batches = %d, want in (%d, %d]", after.SyncBatches, before.SyncBatches, after.Appends)
+	if after.SyncBatches != before.SyncBatches+1 {
+		t.Errorf("sync batches = %d -> %d, want +1", before.SyncBatches, after.SyncBatches)
 	}
 }
 

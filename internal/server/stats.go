@@ -153,9 +153,9 @@ type SearchSnapshot struct {
 // StatsSnapshot is the GET /stats response body. Engine reports the
 // probability-engine counters (DNF compiles, bitset fast-path share,
 // Shannon memo hits/misses, component decompositions) accumulated over
-// the whole process; Journal reports the warehouse's write-ahead
-// journal counters (durable appends, group-commit fsync batches, and
-// the recovery outcomes of the last Open); Search reports the keyword
+// the whole process; Journal reports the warehouse's journal counters
+// (durable appends — one per mutation — group-commit fsync batches, and
+// the documents the last Open replayed); Search reports the keyword
 // search subsystem (see SearchSnapshot). Every number is read from the
 // same obs registries that GET /metrics exposes.
 type StatsSnapshot struct {

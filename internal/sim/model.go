@@ -92,10 +92,10 @@ func (d *docModel) applyUpdate(tx *update.Transaction) (*update.FuzzyStats, erro
 
 // noteWriteFailure records a failed update. When the failure is an
 // upfront rejection (the server refused before applying: degraded
-// mode, validation), the shadow is untouched. Otherwise the server may
-// have applied the mutation in memory and failed afterwards — the
-// journal commit-marker path keeps the installed state visible to the
-// live process even when the append errors — so both outcomes are
+// mode, validation), the shadow is untouched. Otherwise the failure
+// may be the journal's own: the live process keeps serving the
+// pre-state, but the record may have reached the disk whole, in which
+// case the next recovery keeps the mutation — so both outcomes are
 // acceptable until a later acknowledged write disambiguates: the
 // not-applied state stays in d.tree, the applied state goes to d.alt.
 func (d *docModel) noteWriteFailure(tx *update.Transaction, seq int64, upfront bool) {

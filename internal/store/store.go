@@ -76,10 +76,12 @@ type Store interface {
 	// land on a clean boundary — and returns the surviving record
 	// payloads in append order plus a fresh Log positioned after them.
 	// valid reports whether a payload parses as a journal record;
-	// backends use it to tell a torn tail from a clean end. Open is
-	// also the recovery entry point after a failure: calling it on an
-	// already-open store discards all in-memory state and re-reads the
-	// disk.
+	// backends use it to tell a torn tail from a clean end, calling it
+	// exactly once per journal payload, in append order, and keeping a
+	// payload iff it returned true (the warehouse decodes its records
+	// inside the callback). Open is also the recovery entry point after
+	// a failure: calling it on an already-open store discards all
+	// in-memory state and re-reads the disk.
 	Open(valid func(payload []byte) bool) ([][]byte, Log, error)
 
 	// ScanJournal re-reads the journal payloads without truncating or
@@ -102,8 +104,8 @@ type Store interface {
 	ReadDoc(name string) ([]byte, error)
 	// WriteDoc atomically replaces the document's content. With sync
 	// the content is durable on return; without it the caller relies
-	// on the journal holding a committed copy (see the warehouse's
-	// deferred-fsync contract).
+	// on the journal holding a copy (the warehouse's stored documents
+	// are checkpoints of its journal and are always written unsynced).
 	WriteDoc(name string, data []byte, sync bool) error
 	// RemoveDoc deletes the document.
 	RemoveDoc(name string) error

@@ -13,10 +13,10 @@ import (
 // BenchmarkWarehouseParallelUpdates measures mutation throughput when
 // goroutines update distinct documents. The transaction matches nothing
 // (the document never grows, so every iteration costs the same) but
-// still runs the full durable path: journal append, file swap, commit
-// marker. With per-mutation Seq/RefSeq pairing the durable phases of
-// different documents interleave freely and fsyncs group-commit, so
-// throughput should scale with goroutines instead of serializing.
+// still runs the full durable path: one journal record, flushed and
+// fsynced. The durable phases of different documents interleave freely
+// and their fsyncs group-commit, so throughput should scale with
+// goroutines instead of serializing.
 func BenchmarkWarehouseParallelUpdates(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", workers), func(b *testing.B) {

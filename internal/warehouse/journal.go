@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -9,8 +10,9 @@ import (
 	"repro/internal/store"
 )
 
-// Op enumerates the journal record kinds: three document mutations and
-// the two markers that resolve them.
+// Op enumerates the journal record kinds: three document mutations,
+// two view operations, and the abort marker (plus the commit marker
+// earlier versions wrote).
 type Op string
 
 const (
@@ -26,40 +28,39 @@ const (
 	OpViewRegister Op = "view-register"
 	// OpViewDrop removes a materialized view.
 	OpViewDrop Op = "view-drop"
-	// OpCommit marks the mutation its RefSeq names as taken effect.
+	// OpCommit is the second record of the two-record protocol earlier
+	// versions wrote. Nothing writes it any more and recovery ignores
+	// it — a whole record is committed by being whole — but it stays a
+	// recognised op so that journals written by those versions open.
 	OpCommit Op = "commit"
-	// OpAbort marks the mutation its RefSeq names as without effect.
+	// OpAbort marks the mutation its RefSeq names as without effect:
+	// its record was durable, the store step after it (the page write
+	// of a create, the removal of a drop) failed, and the caller was
+	// told so.
 	OpAbort Op = "abort"
 )
 
 // Mutation reports whether op is a document mutation (as opposed to a
-// view operation or a commit/abort marker). Only mutations carry
-// document content, so only they make the journal the durable copy of
-// a document (see Warehouse.journaled).
+// view operation or a marker).
 func (op Op) Mutation() bool { return op == OpCreate || op == OpUpdate || op == OpDrop }
 
 // ViewOp reports whether op changes the view registry. View operations
-// follow the same two-record Seq/RefSeq protocol as mutations but
-// carry no document content.
+// are journaled like mutations but carry no document content.
 func (op Op) ViewOp() bool { return op == OpViewRegister || op == OpViewDrop }
 
-// Marker reports whether op resolves a prior mutation record.
-func (op Op) Marker() bool { return op == OpCommit || op == OpAbort }
-
-// Record is one entry of the write-ahead journal. Every mutation is a
-// two-record protocol: first a mutation record (create/update/drop)
-// carrying its own Seq and the full post-state content, made durable
-// before the document file is touched; then a commit marker whose
-// RefSeq echoes that Seq ("abort" marks a mutation whose apply
-// failed). Markers of concurrent mutations on different documents may
-// interleave freely with other records — recovery pairs records by
-// Seq/RefSeq, not by adjacency — and a mutation whose marker never
-// made it to disk is rolled back on recovery.
+// Record is one entry of the journal, and one record is one mutation:
+// a create or update carries its own Seq and the document's full
+// post-state, and the mutation is committed the moment the record is
+// durable — the caller is acknowledged after that one fsync, readers
+// see the result only after it, and recovery takes every whole record
+// as a mutation that happened. Records of concurrent mutations on
+// different documents interleave freely. The only record that refers
+// to another is the abort marker (see OpAbort).
 type Record struct {
 	Seq int64 `json:"seq"`
 	Op  Op    `json:"op"`
-	// RefSeq, on commit/abort markers, names the Seq of the mutation
-	// record the marker resolves. Zero on mutation records.
+	// RefSeq, on an abort (or legacy commit) marker, names the Seq of
+	// the record the marker is about. Zero on every other record.
 	RefSeq int64  `json:"ref,omitempty"`
 	Doc    string `json:"doc,omitempty"` // document name (mutations only)
 	// Tx is the XUpdate serialization of the applied transaction
@@ -84,12 +85,33 @@ type Record struct {
 // with the storage contract.
 const maxRecordBytes = store.MaxRecordBytes
 
-// validRecord reports whether a journal payload parses as a Record
-// within the size cap. The storage backends call it while scanning to
+// encodeRecord renders r as its journal payload: one JSON object with
+// '<', '>' and '&' written as themselves — document content is XML,
+// and json.Marshal's HTML-safe six-byte escapes nearly doubled every
+// record — and no trailing newline (framing is the backend's).
+// Payloads written either way decode alike.
+func encodeRecord(r Record) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(len(r.Content) + len(r.Content)/8 + len(r.Tx) + 256) // quotes and line breaks double
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(r); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}), nil
+}
+
+// decodeRecord parses a journal payload, reporting whether it is a
+// Record within the size cap.
+func decodeRecord(payload []byte, r *Record) bool {
+	return len(payload) < maxRecordBytes && json.Unmarshal(payload, r) == nil
+}
+
+// validRecord is what the storage backends call while scanning to
 // tell a torn tail from a clean record boundary.
 func validRecord(payload []byte) bool {
 	var r Record
-	return len(payload) < maxRecordBytes && json.Unmarshal(payload, &r) == nil
+	return decodeRecord(payload, &r)
 }
 
 // parseRecords decodes the payloads a backend scan returned. The
@@ -205,22 +227,17 @@ func (j *journal) failure() error {
 // record is buffered under the journal mutex and then made durable by
 // syncTo, so concurrent appends batch their fsyncs. Marshal and
 // oversize errors reject the record without touching the file — they
-// are the caller's problem, not a durability failure.
-func (j *journal) append(r Record) (int64, error) {
-	return j.appendCost(nil, r)
-}
-
-// appendCost is append charging the appended byte count to cost (the
-// mutation's request cost, nil on recovery paths) alongside the global
-// journal byte counter.
-func (j *journal) appendCost(cost *obs.Cost, r Record) (int64, error) {
+// are the caller's problem, not a durability failure. The appended
+// byte count is charged to cost (the mutation's request cost, which
+// may be nil) alongside the global journal byte counter.
+func (j *journal) append(cost *obs.Cost, r Record) (int64, error) {
 	if err := j.failure(); err != nil {
 		return 0, fmt.Errorf("warehouse: journal failed: %w", err)
 	}
 	j.mu.Lock()
 	seq := j.seq + 1
 	r.Seq = seq
-	data, err := json.Marshal(r)
+	data, err := encodeRecord(r)
 	if err != nil {
 		j.mu.Unlock()
 		return 0, fmt.Errorf("warehouse: marshal journal record: %w", err)

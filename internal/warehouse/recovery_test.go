@@ -75,27 +75,25 @@ func wantDoc(t *testing.T, w *Warehouse, name, want string) {
 // forgeJournal writes the records into dir's journal via the real
 // append path of the named backend, continuing sequence numbers above
 // whatever the journal already holds (1..n on a fresh directory), and
-// returns the assigned seqs. RefSeq values in the input index into the
-// records slice is NOT supported — callers pass final RefSeq values
-// directly.
+// returns the assigned seqs. A marker names its target relative to
+// itself: RefSeq -k is the record forged k places before it.
 func forgeJournal(t *testing.T, dir, backend string, records []Record) []int64 {
 	t.Helper()
 	st, err := newBackendStore(dir, backend, vfs.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, log, err := st.Open(validRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior, err := parseRecords(payloads)
+	prior, log, err := openRecords(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := newJournal(log, maxSeq(prior), &journalCounters{}, nil)
 	seqs := make([]int64, len(records))
 	for i, r := range records {
-		seq, err := j.append(r)
+		if r.RefSeq < 0 {
+			r.RefSeq = seqs[i+int(r.RefSeq)]
+		}
+		seq, err := j.append(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,90 +109,52 @@ func forgeJournal(t *testing.T, dir, backend string, records []Record) []int64 {
 }
 
 // interleavedJournal builds the reference multi-document journal used
-// by the scan and record-boundary tests. Mutations on A, B and C
-// interleave their durable phases the way concurrent installs do. The
-// final state: A keeps its create content (its update aborted), B is
-// dropped, and C rolls back to its create content (its update is
-// in-flight, never marked).
+// by the scan and record-boundary tests: mutations on A, B, C and D
+// interleaved the way concurrent installs interleave them, a view
+// registration, a create and a drop whose store step failed (each
+// withdrawn by its abort marker), one commit marker as earlier versions
+// wrote them, and at the tail a whole update nobody acknowledged. The
+// final state: A is at its update (its drop was aborted) and keeps its
+// view, B is dropped, C is at the tail update, D never came to exist.
 func interleavedJournal(t *testing.T) []Record {
 	t.Helper()
 	a1, a2 := content(t, "A(one)"), content(t, "A(two)")
 	b1, b2 := content(t, "B(one)"), content(t, "B(two)")
 	c1, c2 := content(t, "C(one)"), content(t, "C(two)")
 	return []Record{
-		{Op: OpCreate, Doc: "A", Content: a1},             // seq 1
-		{Op: OpCreate, Doc: "B", Content: b1},             // seq 2
-		{Op: OpCommit, RefSeq: 2},                         // B's create commits first
-		{Op: OpCommit, RefSeq: 1},                         // then A's
-		{Op: OpUpdate, Doc: "B", Tx: "<t/>", Content: b2}, // seq 5
-		{Op: OpCreate, Doc: "C", Content: c1},             // seq 6
-		{Op: OpCommit, RefSeq: 5},
-		{Op: OpUpdate, Doc: "A", Tx: "<t/>", Content: a2}, // seq 8
-		{Op: OpCommit, RefSeq: 6},
-		{Op: OpAbort, RefSeq: 8},                          // A's update failed
-		{Op: OpDrop, Doc: "B"},                            // seq 11
-		{Op: OpUpdate, Doc: "C", Tx: "<t/>", Content: c2}, // seq 12, never marked
-		{Op: OpCommit, RefSeq: 11},
+		{Op: OpCreate, Doc: "A", Content: a1},                    // seq 1
+		{Op: OpCreate, Doc: "B", Content: b1},                    // seq 2
+		{Op: OpCommit, RefSeq: -1},                               // legacy marker: ignored
+		{Op: OpUpdate, Doc: "B", Tx: "<t/>", Content: b2},        // seq 4
+		{Op: OpCreate, Doc: "C", Content: c1},                    // seq 5
+		{Op: OpViewRegister, Doc: "A", View: "v", Query: "A $a"}, // seq 6
+		{Op: OpUpdate, Doc: "A", Tx: "<t/>", Content: a2},        // seq 7
+		{Op: OpCreate, Doc: "D", Content: content(t, "D(one)")},  // seq 8: page write failed
+		{Op: OpAbort, RefSeq: -1},                                //
+		{Op: OpDrop, Doc: "B"},                                   // seq 10
+		{Op: OpDrop, Doc: "A"},                                   // seq 11: removal failed
+		{Op: OpAbort, RefSeq: -1},                                //
+		{Op: OpUpdate, Doc: "C", Tx: "<t/>", Content: c2},        // seq 13: unacknowledged tail
 	}
 }
 
-// TestRecoveryScanInterleaved: recovery pairs interleaved markers with
-// their mutations by RefSeq across documents, replays each document's
-// last committed state, and rolls back the one in-flight mutation.
-func TestRecoveryScanInterleaved(t *testing.T) {
-	for _, backend := range storeBackends {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			forgeJournal(t, dir, backend, interleavedJournal(t))
-			// Adversarial disk state: every swap ran before the crash.
-			seedDocs(t, dir, backend, map[string]string{
-				"A": content(t, "A(two)"), // aborted update's content (impossible in real
-				// operation — apply failed means no swap — but replay must fix it anyway)
-				"C": content(t, "C(two)"), // in-flight update swapped, marker lost
-			}) // B: dropped, file absent
-
-			w := openB(t, dir, backend)
-			defer w.Close()
-			wantDoc(t, w, "A", content(t, "A(one)"))
-			wantDoc(t, w, "B", "")
-			wantDoc(t, w, "C", content(t, "C(one)"))
-
-			// The in-flight update on C must now carry an abort marker.
-			recs, err := w.Journal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var resolved bool
-			for _, r := range recs {
-				if r.Op == OpAbort && r.RefSeq == 12 {
-					resolved = true
-				}
-			}
-			if !resolved {
-				t.Error("in-flight mutation seq 12 not resolved with an abort marker")
-			}
-			if s := w.JournalStats(); s.RecoveryRollbacks != 1 {
-				t.Errorf("rollbacks = %d, want 1", s.RecoveryRollbacks)
-			}
-
-			// A second open finds a fully marked journal and does nothing.
-			w.Close()
-			w2 := openB(t, dir, backend)
-			defer w2.Close()
-			if s := w2.JournalStats(); s.RecoveryRollbacks != 0 || s.RecoveryReplays != 0 || s.RecoveryRollforwards != 0 {
-				t.Errorf("second open not a no-op: %+v", s)
-			}
-			wantDoc(t, w2, "A", content(t, "A(one)"))
-			wantDoc(t, w2, "B", "")
-			wantDoc(t, w2, "C", content(t, "C(one)"))
-		})
+// numbered returns the records as forgeJournal writes them into a
+// fresh directory: seqs 1..n, relative marker refs resolved.
+func numbered(records []Record) []Record {
+	out := append([]Record(nil), records...)
+	for i := range out {
+		out[i].Seq = int64(i + 1)
+		if out[i].RefSeq < 0 {
+			out[i].RefSeq += out[i].Seq
+		}
 	}
+	return out
 }
 
 // seedDocs forces dir's document state to exactly files through the
 // backend's own store API: every existing document is removed, then
 // each entry is written with a durable sync — simulating an arbitrary
-// set of completed swaps at crash time.
+// set of stored pages at crash time.
 func seedDocs(t *testing.T, dir, backend string, files map[string]string) {
 	t.Helper()
 	st, err := newBackendStore(dir, backend, vfs.OS)
@@ -227,19 +187,25 @@ func seedDocs(t *testing.T, dir, backend string, files map[string]string) {
 	}
 }
 
+// journalFilePath is the file that holds the backend's journal.
+func journalFilePath(dir, backend string) string {
+	if backend == BackendKV {
+		return filepath.Join(dir, kv.FileName)
+	}
+	return filepath.Join(dir, journalFile)
+}
+
 // tearJournalTail appends a torn record fragment to the backend's
 // journal region: a partial JSON line for the filestore, a truncated
 // frame header for the kv page file. Either is what a crash mid-append
 // leaves behind.
 func tearJournalTail(t *testing.T, dir, backend string) {
 	t.Helper()
-	path := filepath.Join(dir, journalFile)
 	frag := []byte(`{"seq":99,"op":"upd`)
 	if backend == BackendKV {
-		path = filepath.Join(dir, kv.FileName)
 		frag = []byte{1, 0x00, 0x03} // kindJournal frame cut inside its header
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(journalFilePath(dir, backend), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,137 +276,221 @@ func kvParseJournalPrefix(data []byte) []Record {
 	return records
 }
 
-// expectState is the tests' independent model of scan-based recovery
-// over a journal prefix: per document, the last committed mutation
-// wins; documents whose only trace is an in-flight create end absent;
-// documents with no trace keep their seeded file. The prefixes used
-// here never produce an in-flight update/drop without a committed
-// predecessor (the write-ahead ordering makes that impossible short of
-// compaction), so the model omits the evidence rule.
-func expectState(records []Record, seeded map[string]string) map[string]string {
-	marked := make(map[int64]Op)
+// expectState is the tests' independent model of recovery over a
+// journal prefix, the whole one-record contract in a dozen lines: per
+// document, the last mutation record that no abort names is the state;
+// a document no such record mentions keeps its stored page.
+func expectState(records []Record, stored map[string]string) map[string]string {
+	aborted := make(map[int64]bool)
 	for _, r := range records {
-		if r.Op.Marker() {
-			marked[r.RefSeq] = r.Op
+		if r.Op == OpAbort {
+			aborted[r.RefSeq] = true
 		}
 	}
-	expect := make(map[string]string, len(seeded))
-	for doc, c := range seeded {
+	expect := make(map[string]string, len(stored))
+	for doc, c := range stored {
 		expect[doc] = c
 	}
-	type state struct {
-		committed *Record
-		pending   *Record
-	}
-	perDoc := make(map[string]*state)
-	for i := range records {
-		r := records[i]
-		if !r.Op.Mutation() {
-			continue
-		}
-		ds := perDoc[r.Doc]
-		if ds == nil {
-			ds = &state{}
-			perDoc[r.Doc] = ds
-		}
-		switch marked[r.Seq] {
-		case OpCommit:
-			ds.committed = &records[i]
-		case OpAbort:
-		default:
-			ds.pending = &records[i]
-		}
-	}
-	for doc, ds := range perDoc {
+	for _, r := range records {
 		switch {
-		case ds.committed != nil && ds.committed.Op == OpDrop:
-			delete(expect, doc)
-		case ds.committed != nil:
-			expect[doc] = ds.committed.Content
-		case ds.pending != nil && ds.pending.Op == OpCreate:
-			delete(expect, doc)
+		case !r.Op.Mutation() || aborted[r.Seq]:
+		case r.Op == OpDrop:
+			delete(expect, r.Doc)
+		default:
+			expect[r.Doc] = r.Content
 		}
 	}
 	return expect
 }
 
+// expectViews is the same model for the view registry: view records no
+// abort names, in journal order, a drop taking its document's views.
+func expectViews(records []Record) map[string][]string {
+	aborted := make(map[int64]bool)
+	for _, r := range records {
+		if r.Op == OpAbort {
+			aborted[r.RefSeq] = true
+		}
+	}
+	views := make(map[string][]string)
+	for _, r := range records {
+		switch {
+		case aborted[r.Seq]:
+		case r.Op == OpDrop:
+			delete(views, r.Doc)
+		case r.Op == OpViewRegister:
+			views[r.Doc] = append(views[r.Doc], r.View)
+		case r.Op == OpViewDrop:
+			kept := views[r.Doc][:0]
+			for _, v := range views[r.Doc] {
+				if v != r.View {
+					kept = append(kept, v)
+				}
+			}
+			views[r.Doc] = kept
+		}
+	}
+	return views
+}
+
+// storedPages lists the stored-page states a crash can leave under the
+// records, from as stale as possible to as advanced as possible: no
+// page at all (none of the unsynced writes reached the disk), each
+// document's page as its create wrote it (updates never touch pages,
+// drops not yet removed), and every record's effect in place (as a
+// checkpoint or an earlier recovery leaves it). A create or drop that
+// an abort names failed in the store, so it changed no page.
+func storedPages(records []Record) map[string]map[string]string {
+	aborted := make(map[int64]bool)
+	for _, r := range records {
+		if r.Op == OpAbort {
+			aborted[r.RefSeq] = true
+		}
+	}
+	created, advanced := make(map[string]string), make(map[string]string)
+	for _, r := range records {
+		if !r.Op.Mutation() || aborted[r.Seq] {
+			continue
+		}
+		switch r.Op {
+		case OpCreate:
+			created[r.Doc], advanced[r.Doc] = r.Content, r.Content
+		case OpUpdate:
+			advanced[r.Doc] = r.Content
+		case OpDrop:
+			delete(advanced, r.Doc)
+		}
+	}
+	return map[string]map[string]string{"absent": {}, "created": created, "advanced": advanced}
+}
+
+// checkRecovered opens dir, requires every document and view of the
+// models, requires that recovery appended nothing — the journal still
+// reads as records — and that a second open finds nothing to replay.
+func checkRecovered(t *testing.T, dir, backend string, records []Record, docs map[string]string, views map[string][]string, names ...string) {
+	t.Helper()
+	w := openB(t, dir, backend)
+	for _, doc := range names {
+		wantDoc(t, w, doc, docs[doc])
+		if _, ok := docs[doc]; !ok {
+			continue
+		}
+		defs, err := w.ListViews(doc)
+		if err != nil {
+			t.Errorf("ListViews(%q): %v", doc, err)
+		}
+		var got []string
+		for _, d := range defs {
+			got = append(got, d.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(views[doc], ",") {
+			t.Errorf("views of %q = %v, want %v", doc, got, views[doc])
+		}
+	}
+	if s := w.JournalStats(); s.Appends != 0 {
+		t.Errorf("recovery appended %d records", s.Appends)
+	}
+	got, err := w.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(records) {
+		t.Errorf("journal holds %d records after recovery, want the %d it held before", len(got), len(records))
+	}
+	for i := range got {
+		if i < len(records) && got[i] != records[i] {
+			t.Errorf("journal record %d = %+v after recovery, was %+v", i, got[i], records[i])
+		}
+	}
+	w.Close()
+
+	w2 := openB(t, dir, backend)
+	defer w2.Close()
+	if s := w2.JournalStats(); s.RecoveryReplays != 0 {
+		t.Errorf("recovery did not converge after one open: %+v", s)
+	}
+	for _, doc := range names {
+		wantDoc(t, w2, doc, docs[doc])
+	}
+}
+
+// TestRecoveryScanInterleaved: recovery reads interleaved records of
+// several documents, takes each document's last unaborted record as
+// its state, honours both abort markers, ignores the legacy commit
+// marker, rolls the unacknowledged tail forward, and repairs pages that
+// no crash could have produced.
+func TestRecoveryScanInterleaved(t *testing.T) {
+	for _, backend := range storeBackends {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			forgeJournal(t, dir, backend, interleavedJournal(t))
+			records := numbered(interleavedJournal(t))
+			// Adversarial pages: stale where the journal moved on, present
+			// where it dropped, and content no record ever held.
+			seedDocs(t, dir, backend, map[string]string{
+				"A": content(t, "A(one)"),
+				"B": content(t, "B(two)"),
+				"C": content(t, "C(nonsense)"),
+			})
+			checkRecovered(t, dir, backend, records, expectState(records, nil), expectViews(records), "A", "B", "C", "D")
+
+			w := openB(t, dir, backend)
+			defer w.Close()
+			wantDoc(t, w, "A", content(t, "A(two)"))
+			wantDoc(t, w, "B", "")
+			wantDoc(t, w, "C", content(t, "C(two)"))
+			wantDoc(t, w, "D", "")
+		})
+	}
+}
+
 // TestRecoveryRecordBoundaries kills the interleaved journal at every
 // record boundary — every prefix a crash between appends could leave —
-// with the disk files seeded as if every surviving mutation's swap had
-// run, and checks recovery lands each document exactly on the model's
-// prediction. Each recovered warehouse is then reopened to verify
-// recovery converged (no further rollbacks or replays).
+// over each stored-page state such a crash could leave (storedPages),
+// and checks recovery lands each document and view exactly on the
+// model's prediction for the surviving prefix, appends nothing, and has
+// converged after one open.
 func TestRecoveryRecordBoundaries(t *testing.T) {
 	full := interleavedJournal(t)
 	for _, backend := range storeBackends {
 		for cut := 0; cut <= len(full); cut++ {
 			t.Run(fmt.Sprintf("%s/records=%d", backend, cut), func(t *testing.T) {
-				dir := t.TempDir()
-				forgeJournal(t, dir, backend, full[:cut])
-				// Seed: every mutation in the prefix applied its file
-				// effect (the most advanced crash state possible).
-				seeded := make(map[string]string)
-				for _, r := range full[:cut] {
-					switch r.Op {
-					case OpCreate, OpUpdate:
-						seeded[r.Doc] = r.Content
-					case OpDrop:
-						delete(seeded, r.Doc)
-					}
-				}
-				seedDocs(t, dir, backend, seeded)
-
-				// The oracle sees the same prefix with the seqs the forge
-				// assigned (1..cut on a fresh directory).
-				prefix := append([]Record(nil), full[:cut]...)
-				for i := range prefix {
-					prefix[i].Seq = int64(i + 1)
-				}
-				expect := expectState(prefix, seeded)
-
-				w := openB(t, dir, backend)
-				for _, doc := range []string{"A", "B", "C"} {
-					wantDoc(t, w, doc, expect[doc])
-				}
-				w.Close()
-
-				w2 := openB(t, dir, backend)
-				defer w2.Close()
-				if s := w2.JournalStats(); s.RecoveryRollbacks != 0 || s.RecoveryReplays != 0 || s.RecoveryRollforwards != 0 {
-					t.Errorf("recovery did not converge after one open: %+v", s)
-				}
-				for _, doc := range []string{"A", "B", "C"} {
-					wantDoc(t, w2, doc, expect[doc])
+				prefix := numbered(full)[:cut]
+				for name, pages := range storedPages(prefix) {
+					dir := t.TempDir()
+					forgeJournal(t, dir, backend, full[:cut])
+					seedDocs(t, dir, backend, pages)
+					t.Log("stored pages:", name)
+					checkRecovered(t, dir, backend, prefix, expectState(prefix, pages), expectViews(prefix), "A", "B", "C", "D")
 				}
 			})
 		}
 	}
 }
 
-// TestRecoveryByteBoundaries truncates a synthetic single-document
-// journal at every byte boundary of its final records and asserts
-// recovery never loses a committed mutation nor resurrects an aborted
-// one: whatever the cut, the document lands exactly on the model's
-// prediction — the last committed state surviving the cut. For the kv
-// backend the document page shares the truncated file with the
-// journal frames, so the page is seeded first and only cuts at or
-// past its end are crash-reachable (the page was written and synced
-// before the journal frames existed).
+// TestRecoveryByteBoundaries truncates a single-document journal at
+// every byte boundary and asserts recovery never loses a whole record
+// nor resurrects an aborted one: whatever the cut, the document lands
+// exactly on the model's prediction for the records that survive it
+// whole. The journals are in the format earlier versions wrote — every
+// mutation followed by a commit marker, which must change nothing —
+// ending in a commit or in an abort of the last update. The stored
+// page is seeded both ways, as its create wrote it and as advanced as
+// the full journal. For the kv backend the page shares the truncated
+// file with the journal frames; it sits where a create puts it, right
+// behind the create's record, so early cuts take the page with them.
 func TestRecoveryByteBoundaries(t *testing.T) {
 	v1, v2, v3 := content(t, "D(one)"), content(t, "D(two)"), content(t, "D(three)")
 	scenarios := []struct {
 		name  string
-		final Op     // marker resolving the last update
-		seed  string // doc file at crash time
+		final Op // marker following the last update
 	}{
-		// Committed final update: the swap ran before the marker.
-		{"final-commit", OpCommit, v3},
-		// Aborted final update: the apply failed, file untouched.
-		{"final-abort", OpAbort, v2},
+		{"final-commit", OpCommit},
+		{"final-abort", OpAbort},
 	}
-	journalRecords := func(final Op) []Record {
+	create := []Record{{Op: OpCreate, Doc: "D", Content: v1}} // seq 1
+	rest := func(final Op) []Record {
 		return []Record{
-			{Op: OpCreate, Doc: "D", Content: v1}, // seq 1
 			{Op: OpCommit, RefSeq: 1},
 			{Op: OpUpdate, Doc: "D", Tx: "<t/>", Content: v2}, // seq 3
 			{Op: OpCommit, RefSeq: 3},
@@ -448,184 +498,217 @@ func TestRecoveryByteBoundaries(t *testing.T) {
 			{Op: final, RefSeq: 5},
 		}
 	}
-	checkCut := func(t *testing.T, dir, backend string, cut int, expect map[string]string) {
+	// checkCut requires the state of the records that survive the cut
+	// whole, D being the only document.
+	checkCut := func(t *testing.T, dir, backend string, cut int, records []Record, stored map[string]string) {
 		t.Helper()
-		w := openB(t, dir, backend)
-		got, err := w.Get("D")
-		w.Close()
-		want := expect["D"]
-		if want == "" {
-			if !errors.Is(err, ErrNotFound) {
-				t.Fatalf("cut=%d: Get = %v, want ErrNotFound", cut, err)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		wantTree, err := xmlio.ParseDoc([]byte(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fuzzy.Equal(got.Root, wantTree.Root) {
-			t.Fatalf("cut=%d: doc = %s, want %s", cut, fuzzy.Format(got.Root), fuzzy.Format(wantTree.Root))
+		checkRecovered(t, dir, backend, records, expectState(records, stored), nil, "D")
+		if t.Failed() {
+			t.Fatalf("at cut=%d", cut)
 		}
 	}
 	for _, sc := range scenarios {
+		sc := sc
 		t.Run("filestore/"+sc.name, func(t *testing.T) {
+			t.Parallel()
 			base := t.TempDir()
-			forgeJournal(t, base, BackendFile, journalRecords(sc.final))
+			forgeJournal(t, base, BackendFile, append(create, rest(sc.final)...))
 			full, err := os.ReadFile(filepath.Join(base, journalFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cut := 0; cut <= len(full); cut++ {
-				dir := t.TempDir()
-				if err := os.MkdirAll(filepath.Join(dir, docsDir), 0o755); err != nil {
-					t.Fatal(err)
+				records := parsePrefix(full[:cut])
+				for _, page := range []string{v1, v3} {
+					if len(records) == 0 {
+						page = "" // no page can predate its create record
+					}
+					dir := t.TempDir()
+					if err := os.MkdirAll(filepath.Join(dir, docsDir), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(dir, journalFile), full[:cut], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					stored := map[string]string{}
+					if page != "" {
+						stored["D"] = page
+						if err := os.WriteFile(filepath.Join(dir, docsDir, "D"+docExt), []byte(page), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkCut(t, dir, BackendFile, cut, records, stored)
 				}
-				if err := os.WriteFile(filepath.Join(dir, journalFile), full[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				seeded := map[string]string{"D": sc.seed}
-				seedDocs(t, dir, BackendFile, seeded)
-				expect := expectState(parsePrefix(full[:cut]), seeded)
-				checkCut(t, dir, BackendFile, cut, expect)
 			}
 		})
 		t.Run("kv/"+sc.name, func(t *testing.T) {
-			base := t.TempDir()
-			// Page first, journal frames after: a crash can then tear the
-			// file anywhere past the synced page.
-			seedDocs(t, base, BackendKV, map[string]string{"D": sc.seed})
-			pageInfo, err := os.Stat(filepath.Join(base, kv.FileName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			docEnd := int(pageInfo.Size())
-			forgeJournal(t, base, BackendKV, journalRecords(sc.final))
-			full, err := os.ReadFile(filepath.Join(base, kv.FileName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for cut := docEnd; cut <= len(full); cut++ {
-				dir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir, kv.FileName), full[:cut], 0o644); err != nil {
+			t.Parallel()
+			for _, page := range []string{v1, v3} {
+				base := t.TempDir()
+				forgeJournal(t, base, BackendKV, create)
+				seedDocs(t, base, BackendKV, map[string]string{"D": page})
+				forgeJournal(t, base, BackendKV, rest(sc.final))
+				full, err := os.ReadFile(filepath.Join(base, kv.FileName))
+				if err != nil {
 					t.Fatal(err)
 				}
-				seeded := map[string]string{"D": sc.seed}
-				expect := expectState(kvParseJournalPrefix(full[:cut]), seeded)
-				checkCut(t, dir, BackendKV, cut, expect)
+				for cut := 0; cut <= len(full); cut++ {
+					dir := t.TempDir()
+					if err := os.WriteFile(filepath.Join(dir, kv.FileName), full[:cut], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					// The page frame follows the create record, so whenever
+					// it survives the cut the journal decides D anyway.
+					checkCut(t, dir, BackendKV, cut, kvParseJournalPrefix(full[:cut]), nil)
+				}
 			}
 		})
 	}
 }
 
-// TestRecoveryOrphanEvidence covers in-flight mutations whose
-// committed predecessor was compacted out of the journal: the
-// pre-state content is unrecoverable, so recovery decides by on-disk
-// evidence — roll forward when the apply visibly completed, roll back
-// when the file is untouched.
-func TestRecoveryOrphanEvidence(t *testing.T) {
-	v1, v2 := content(t, "D(one)"), content(t, "D(two)")
-	cases := []struct {
-		name        string
-		op          Op
-		fileAfter   string // doc file at crash time ("" = absent)
-		wantDoc     string // expected content after recovery ("" = absent)
-		wantMarker  Op
-		rollforward bool
-	}{
-		{"update-swapped", OpUpdate, v2, v2, OpCommit, true},
-		{"update-untouched", OpUpdate, v1, v1, OpAbort, false},
-		{"drop-removed", OpDrop, "", "", OpCommit, true},
-		{"drop-untouched", OpDrop, v1, v1, OpAbort, false},
-	}
-	for _, backend := range storeBackends {
-		for _, tc := range cases {
-			t.Run(backend+"/"+tc.name, func(t *testing.T) {
-				dir := t.TempDir()
-				// A compacted warehouse: the document exists on disk with
-				// no journal trace.
-				w := openB(t, dir, backend)
-				doc, err := xmlio.ParseDoc([]byte(v1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Create("D", doc); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Compact(); err != nil {
-					t.Fatal(err)
-				}
-				w.Close()
+// tailRow is one line of the table "a whole unacknowledged record
+// rolls forward, a torn one vanishes": document D is brought to a base
+// state through the warehouse, a tail is forged behind it as a crash
+// would leave it — whole, then with its last record torn — over a
+// given stored page, and recovery must land D on want, respectively
+// wantTorn. Rows are filed under the tests that covered the same
+// crashes for the two-record protocol, where an unmarked record rolled
+// back (or was judged by on-disk evidence once its predecessor had been
+// compacted away); the test and row names are kept from there so each
+// case keeps its history. What is left of those distinctions is the
+// column they vary: the stored page never decides anything.
+type tailRow struct {
+	test, name string
+	base       string   // D as created before the tail ("" = not created)
+	compacted  bool     // Compact after the base: empty journal, the page is the authority
+	tail       []Record // forged behind the base
+	page       string   // D's stored page at the crash ("" = absent)
+	want       string   // D after recovery of the whole tail ("" = absent)
+	wantTorn   string   // D after recovery with the tail's last record torn; unreachable = no such crash
+}
 
-				// Forge the orphan in-flight mutation and the crash-time
-				// file state.
-				rec := Record{Op: tc.op, Doc: "D"}
-				if tc.op == OpUpdate {
-					rec.Content = v2
-				}
-				seqs := forgeJournal(t, dir, backend, []Record{rec})
-				files := map[string]string{}
-				if tc.fileAfter != "" {
-					files["D"] = tc.fileAfter
-				}
-				seedDocs(t, dir, backend, files)
+const unreachable = "\x00unreachable"
 
-				w2 := openB(t, dir, backend)
-				defer w2.Close()
-				wantDoc(t, w2, "D", tc.wantDoc)
-				recs, err := w2.Journal()
-				if err != nil {
-					t.Fatal(err)
-				}
-				last := recs[len(recs)-1]
-				if last.Op != tc.wantMarker || last.RefSeq != seqs[0] {
-					t.Errorf("resolution = %s ref %d, want %s ref %d", last.Op, last.RefSeq, tc.wantMarker, seqs[0])
-				}
-				s := w2.JournalStats()
-				if tc.rollforward && (s.RecoveryRollforwards != 1 || s.RecoveryRollbacks != 0) {
-					t.Errorf("counters = %+v, want 1 rollforward", s)
-				}
-				if !tc.rollforward && (s.RecoveryRollbacks != 1 || s.RecoveryRollforwards != 0) {
-					t.Errorf("counters = %+v, want 1 rollback", s)
-				}
-			})
-		}
+func tailRows(t *testing.T) []tailRow {
+	v1, v2, v3 := content(t, "D(one)"), content(t, "D(two)"), content(t, "D(three)")
+	update := func(c string) Record { return Record{Op: OpUpdate, Doc: "D", Tx: "<forged/>", Content: c} }
+	create := Record{Op: OpCreate, Doc: "D", Content: v1}
+	drop := Record{Op: OpDrop, Doc: "D"}
+	return []tailRow{
+		// An update behind a journaled create: the page is as the create
+		// wrote it, or already at the update (an earlier recovery).
+		{test: "TestRecoveryRollsBackUnmarkedUpdate", name: "stale-page", base: v1, tail: []Record{update(v2)}, page: v1, want: v2, wantTorn: v1},
+		{test: "TestRecoveryRollsBackUnmarkedUpdate", name: "advanced-page", base: v1, tail: []Record{update(v2)}, page: v2, want: v2, wantTorn: v1},
+		// A drop behind a journaled create, the page removed or not.
+		{test: "TestRecoveryDropRollsBack", name: "page-removed", base: v1, tail: []Record{drop}, page: "", want: "", wantTorn: v1},
+		{test: "TestRecoveryDropRollsBack", name: "page-present", base: v1, tail: []Record{drop}, page: v1, want: "", wantTorn: v1},
+		// The same behind a compaction: the journal holds nothing but the
+		// tail, and the page is all there is of the pre-state — so a torn
+		// tail can only be met with the page untouched.
+		{test: "TestRecoveryOrphanEvidence", name: "update-swapped", base: v1, compacted: true, tail: []Record{update(v2)}, page: v2, want: v2, wantTorn: unreachable},
+		{test: "TestRecoveryOrphanEvidence", name: "update-untouched", base: v1, compacted: true, tail: []Record{update(v2)}, page: v1, want: v2, wantTorn: v1},
+		{test: "TestRecoveryOrphanEvidence", name: "drop-removed", base: v1, compacted: true, tail: []Record{drop}, page: "", want: "", wantTorn: unreachable},
+		{test: "TestRecoveryOrphanEvidence", name: "drop-untouched", base: v1, compacted: true, tail: []Record{drop}, page: v1, want: "", wantTorn: v1},
+		// A create on an empty journal, and one followed by a marker that
+		// names nothing (which resolves nothing, torn or whole).
+		{test: "TestRecoveryOrphanCreateRollsBack", name: "unmarked", tail: []Record{create}, page: "", want: v1, wantTorn: ""},
+		{test: "TestRecoveryOrphanCreateRollsBack", name: "marker-without-ref", tail: []Record{create, {Op: OpCommit}}, page: v1, want: v1, wantTorn: v1},
+		// A journal written by an earlier version: commit markers change
+		// nothing, and its unmarked tail rolls forward too.
+		{test: "TestRecoveryMarkers", name: "legacy-commits", tail: []Record{create, {Op: OpCommit, RefSeq: -1},
+			update(v2), {Op: OpCommit, RefSeq: -1}, update(v3)}, page: v2, want: v3, wantTorn: v2},
+		{test: "TestRecoveryMarkers", name: "legacy-aborted-update", base: v1, tail: []Record{update(v2), {Op: OpAbort, RefSeq: -1}}, page: v1, want: v1, wantTorn: v2},
+		// The abort marker is honoured; torn, it withdraws nothing — its
+		// mutation is the one whose outcome the failed call left open.
+		{test: "TestRecoveryMarkers", name: "aborted-create", tail: []Record{create, {Op: OpAbort, RefSeq: -1}}, page: "", want: "", wantTorn: v1},
+		{test: "TestRecoveryMarkers", name: "aborted-drop", base: v1, tail: []Record{drop, {Op: OpAbort, RefSeq: -1}}, page: v1, want: v1, wantTorn: ""},
 	}
 }
 
-// TestRecoveryOrphanCreateRollsBack: an in-flight create on an empty
-// journal always rolls back — its pre-state is "absent" by definition.
-// A marker that names no mutation (RefSeq 0, malformed) resolves
-// nothing, so the create it follows is just as in-flight.
-func TestRecoveryOrphanCreateRollsBack(t *testing.T) {
-	v1 := content(t, "D(one)")
-	cases := []struct {
-		name    string
-		records []Record
-	}{
-		{"unmarked", []Record{{Op: OpCreate, Doc: "D", Content: v1}}},
-		{"marker-without-ref", []Record{{Op: OpCreate, Doc: "D", Content: v1}, {Op: OpCommit}}},
-	}
+// runTailRows runs, on both backends, the rows filed under the calling
+// test.
+func runTailRows(t *testing.T) {
 	for _, backend := range storeBackends {
-		for _, tc := range cases {
-			t.Run(backend+"/"+tc.name, func(t *testing.T) {
-				dir := t.TempDir()
-				forgeJournal(t, dir, backend, tc.records)
-				seedDocs(t, dir, backend, map[string]string{"D": v1}) // the swap ran
-
-				w := openB(t, dir, backend)
-				defer w.Close()
-				wantDoc(t, w, "D", "")
-				if s := w.JournalStats(); s.RecoveryRollbacks != 1 {
-					t.Errorf("rollbacks = %d, want 1", s.RecoveryRollbacks)
+		t.Run(backend, func(t *testing.T) {
+			for _, row := range tailRows(t) {
+				if row.test != strings.SplitN(t.Name(), "/", 2)[0] {
+					continue
 				}
-			})
-		}
+				t.Run(row.name, func(t *testing.T) {
+					for _, torn := range []bool{false, true} {
+						want := row.want
+						if torn {
+							want = row.wantTorn
+						}
+						if want == unreachable {
+							continue
+						}
+						dir := t.TempDir()
+						if row.base != "" {
+							w := openB(t, dir, backend)
+							doc, err := xmlio.ParseDoc([]byte(row.base))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := w.Create("D", doc); err != nil {
+								t.Fatal(err)
+							}
+							if row.compacted {
+								if err := w.Compact(); err != nil {
+									t.Fatal(err)
+								}
+							}
+							w.Close()
+						}
+						// Pages first, so that the tail's last record ends the
+						// kv page file and can be torn there.
+						pages := map[string]string{}
+						if row.page != "" {
+							pages["D"] = row.page
+						}
+						seedDocs(t, dir, backend, pages)
+						forgeJournal(t, dir, backend, row.tail)
+						path := journalFilePath(dir, backend)
+						if torn {
+							info, err := os.Stat(path)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := os.Truncate(path, info.Size()-3); err != nil {
+								t.Fatal(err)
+							}
+						}
+						st, err := newBackendStore(dir, backend, vfs.OS)
+						if err != nil {
+							t.Fatal(err)
+						}
+						payloads, tornTail, err := st.ScanJournal(validRecord)
+						if err != nil || tornTail != torn {
+							t.Fatalf("forged journal: torn tail = %v, want %v (err %v)", tornTail, torn, err)
+						}
+						records, err := parseRecords(payloads)
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Logf("torn=%v", torn)
+						docs := map[string]string{}
+						if want != "" {
+							docs["D"] = want
+						}
+						checkRecovered(t, dir, backend, records, docs, nil, "D")
+					}
+				})
+			}
+		})
 	}
 }
+
+// The first four names date from the two-record protocol (see tailRow).
+func TestRecoveryRollsBackUnmarkedUpdate(t *testing.T) { runTailRows(t) }
+func TestRecoveryDropRollsBack(t *testing.T)           { runTailRows(t) }
+func TestRecoveryOrphanEvidence(t *testing.T)          { runTailRows(t) }
+func TestRecoveryOrphanCreateRollsBack(t *testing.T)   { runTailRows(t) }
+func TestRecoveryMarkers(t *testing.T)                 { runTailRows(t) }
 
 // TestRecoveryRepairsTornDocFile pins the deferred-fsync contract:
 // steady-state file swaps skip their own fsync because the journal is
@@ -694,7 +777,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 			tearJournalTail(t, dir, backend)
 
-			// Reopen and mutate: the new records must land on a clean boundary.
+			// Reopen and mutate: the new record must land on a clean boundary.
 			w2 := openB(t, dir, backend)
 			if err := w2.Create("doc2", slide12()); err != nil {
 				t.Fatal(err)
@@ -714,22 +797,70 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// create+commit for each document; the torn fragment is gone.
-			if len(recs) != 4 {
-				t.Fatalf("journal records = %d, want 4: %+v", len(recs), recs)
+			// One create per document; the torn fragment is gone.
+			if len(recs) != 2 || recs[0].Op != OpCreate || recs[1].Op != OpCreate {
+				t.Fatalf("journal = %+v, want the two creates", recs)
 			}
-			for _, r := range recs {
-				if !r.Op.Mutation() && !r.Op.Marker() {
-					t.Errorf("corrupt record survived: %+v", r)
+		})
+	}
+}
+
+// TestOpenDecodesWhatJournalScans: Open decodes each payload once,
+// while its backend is deciding whether to keep it, instead of parsing
+// the kept payloads afterwards; the records it ends up with are exactly
+// those a separate scan-then-parse pass reads, torn tail excluded.
+func TestOpenDecodesWhatJournalScans(t *testing.T) {
+	for _, backend := range storeBackends {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			forgeJournal(t, dir, backend, interleavedJournal(t))
+			tearJournalTail(t, dir, backend)
+
+			st, err := newBackendStore(dir, backend, vfs.OS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads, torn, err := st.ScanJournal(validRecord)
+			if err != nil || !torn {
+				t.Fatalf("ScanJournal: torn = %v, err %v; want a torn tail", torn, err)
+			}
+			scanned, err := parseRecords(payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, log, err := openRecords(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			st.Close()
+			if len(opened) != len(interleavedJournal(t)) || len(opened) != len(scanned) {
+				t.Fatalf("Open decoded %d records, the scan %d, the journal holds %d", len(opened), len(scanned), len(interleavedJournal(t)))
+			}
+			for i := range opened {
+				if opened[i] != scanned[i] {
+					t.Errorf("record %d: Open decoded %+v, the scan %+v", i, opened[i], scanned[i])
 				}
+			}
+
+			// And through the warehouse: what Open recovered is what Journal
+			// reads back.
+			w := openB(t, dir, backend)
+			defer w.Close()
+			recs, err := w.Journal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != len(opened) {
+				t.Errorf("Journal() = %d records, Open recovered %d", len(recs), len(opened))
 			}
 		})
 	}
 }
 
 // TestInspectJournal checks the read-only summary behind the
-// pxwarehouse verify-journal subcommand: counts, pending detection,
-// torn tails, and structural problems.
+// pxwarehouse verify-journal subcommand: counts, aborts, legacy commit
+// markers, torn tails, and structural problems.
 func TestInspectJournal(t *testing.T) {
 	// InspectJournal auto-detects the backend from the directory layout,
 	// so both backends go through the same entry point.
@@ -742,11 +873,10 @@ func TestInspectJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sum.Records != 13 || sum.Mutations != 7 || sum.Committed != 5 || sum.Aborted != 1 {
-				t.Errorf("summary = %+v, want 13 records, 7 mutations, 5 committed, 1 aborted", sum)
-			}
-			if len(sum.Pending) != 1 || sum.Pending[0].Seq != 12 || sum.Pending[0].Doc != "C" {
-				t.Errorf("pending = %+v, want seq 12 on C", sum.Pending)
+			want := JournalSummary{Records: 13, Mutations: 9, ViewOps: 1, Aborted: 2, LegacyCommits: 1, LastSeq: 13}
+			if sum.Records != want.Records || sum.Mutations != want.Mutations || sum.ViewOps != want.ViewOps ||
+				sum.Aborted != want.Aborted || sum.LegacyCommits != want.LegacyCommits || sum.LastSeq != want.LastSeq {
+				t.Errorf("summary = %+v, want %+v", sum, want)
 			}
 			if sum.TornTail || len(sum.Problems) != 0 {
 				t.Errorf("clean journal reported torn=%v problems=%v", sum.TornTail, sum.Problems)
@@ -764,17 +894,16 @@ func TestInspectJournal(t *testing.T) {
 		})
 	}
 
-	// Structural problems (filestore raw file): out-of-order seq, dangling marker ref,
-	// duplicate marker, unknown op, marker without a ref.
+	// Structural problems (filestore raw file).
 	bad := t.TempDir()
 	lines := []string{
 		`{"seq":1,"op":"create","doc":"X","content":"<pxml><A/></pxml>"}`,
-		`{"seq":1,"op":"commit","ref":1}`,  // seq not increasing
-		`{"seq":3,"op":"commit","ref":99}`, // names no mutation
-		`{"seq":4,"op":"abort","ref":1}`,   // duplicate marker for 1
-		`{"seq":5,"op":"frobnicate"}`,      // unknown op
-		`{"seq":6,"op":"create","doc":"Y","content":"<pxml><A/></pxml>"}`,
-		`{"seq":7,"op":"commit"}`, // no ref: resolves nothing, Y stays pending
+		`{"seq":1,"op":"abort","ref":1}`,   // problem: seq not increasing (the abort itself counts)
+		`{"seq":3,"op":"abort","ref":99}`,  // problem: names no mutation
+		`{"seq":4,"op":"abort","ref":1}`,   // problem: second abort for 1
+		`{"seq":5,"op":"frobnicate"}`,      // problem: unknown op
+		`{"seq":6,"op":"commit","ref":77}`, // legacy marker: counted, whatever it names
+		`{"seq":7,"op":"abort"}`,           // problem: no ref names no mutation
 	}
 	if err := os.MkdirAll(filepath.Join(bad, docsDir), 0o755); err != nil {
 		t.Fatal(err)
@@ -789,8 +918,8 @@ func TestInspectJournal(t *testing.T) {
 	if len(sum.Problems) != 5 {
 		t.Errorf("problems = %v, want 5", sum.Problems)
 	}
-	if len(sum.Pending) != 1 || sum.Pending[0].Seq != 6 {
-		t.Errorf("pending = %+v, want the create of Y (seq 6)", sum.Pending)
+	if sum.Aborted != 1 || sum.LegacyCommits != 1 {
+		t.Errorf("aborted = %d, legacy commits = %d, want 1 and 1", sum.Aborted, sum.LegacyCommits)
 	}
 
 	// A missing journal is an empty summary, not an error.
@@ -839,7 +968,7 @@ func testGroupCommitBatching(t *testing.T, backend string) {
 	wg.Wait()
 
 	s := w.JournalStats()
-	want := int64(2*docs + 2*docs*rounds) // (record+marker) per create and update
+	want := int64(docs + docs*rounds) // one record per create and update
 	if s.Appends != want {
 		t.Errorf("appends = %d, want %d", s.Appends, want)
 	}

@@ -259,10 +259,10 @@ func (w *Warehouse) ViewStats() ViewStats {
 
 // RegisterView registers (and eagerly materializes) a named view of a
 // TPWJ or XPath query over the document. The registration is journaled
-// with the same two-record protocol as document mutations, so it
-// survives crash recovery; the answer set is derived state and is
-// re-materialized on demand after recovery. The initial answers are
-// returned.
+// like a document mutation — one record, fsynced before the view
+// becomes visible — so it survives crash recovery; the answer set is
+// derived state and is re-materialized on demand after recovery. The
+// initial answers are returned.
 func (w *Warehouse) RegisterView(doc, name, query, syntax string) (*ViewResult, error) {
 	return w.RegisterViewCtx(context.Background(), doc, name, query, syntax)
 }
@@ -312,7 +312,7 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	h := &viewHandle{def: def, q: q, v: v, version: snap.version}
 	err = w.install(ctx, dl,
 		Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax},
-		func(bool) error {
+		func() error {
 			w.views.set(doc, h)
 			return nil
 		})
@@ -346,7 +346,7 @@ func (w *Warehouse) DropView(doc, name string) error {
 	}
 	return w.install(context.Background(), dl,
 		Record{Op: OpViewDrop, Doc: doc, View: name},
-		func(bool) error {
+		func() error {
 			w.views.del(doc, name)
 			return nil
 		})
@@ -536,9 +536,8 @@ func (w *Warehouse) writeViewSnapshot() error {
 }
 
 // loadViewSnapshot seeds the registry from the store's view snapshot,
-// if present. Called by Open before journal recovery, whose committed
-// view records (and document drops) are replayed on top in journal
-// order.
+// if present. Called by Open before journal recovery, whose view
+// records (and document drops) are replayed on top in journal order.
 func (w *Warehouse) loadViewSnapshot() error {
 	data, ok, err := w.st.ReadViews()
 	if err != nil {

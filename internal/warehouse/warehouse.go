@@ -2,9 +2,9 @@
 // paper (slides 3 and 16): named fuzzy documents stored on the file
 // system, updated by probabilistic transactions and queried with TPWJ
 // queries. The implementation adds the durability a production system
-// needs: atomic document replacement (write-temp-then-rename), a
-// write-ahead journal carrying the full post-state, and roll-forward
-// recovery on open.
+// needs: a journal in which one record — the full post-state — is one
+// mutation, stored documents that are checkpoints of that journal, and
+// replay-only recovery on open.
 //
 // Concurrency is per document: each document has its own lock pair
 // (see docLock), handed out by a striped lock table, so reads on
@@ -13,35 +13,32 @@
 // update, which computes its result before briefly taking the
 // document's state lock to install it. Cached snapshots are immutable,
 // so the hot read path is lock-free. Mutations on different documents
-// overlap through their durable phase too: every journaled mutation
-// carries its own Seq and its commit/abort marker echoes it (RefSeq),
-// so recovery pairs records by sequence number instead of adjacency
-// and the only global section left is the journal's in-memory append,
-// with concurrent fsyncs group-committed (see journal).
+// overlap through their durable phase too: the only global section is
+// the journal's in-memory append, with concurrent fsyncs
+// group-committed (see journal).
 //
 // # Durability and recovery
 //
-// A mutation (Create, Update, Simplify, Drop) is durable when the call
-// returns nil: the journal then holds both the mutation record — the
-// full post-state, fsynced before the document file is touched — and
-// its fsynced commit marker. A mutation whose call returned an error,
-// or that was in flight at a crash (journal record present but no
-// marker), never happened: recovery at Open rolls it back by restoring
-// the document's last committed state from the journal and appending
-// an abort marker. An abort marker therefore always means "the caller
-// was told this mutation failed, and the document is unchanged". One
-// narrow exception: when the error was in journaling the outcome
-// marker itself (the disk failing mid-commit), the applied result may
-// remain visible to the live process, and the next Open resolves it —
-// rolled back if the marker never reached the disk, kept if it did.
+// A mutation (Create, Update, Simplify, Drop) is its single journal
+// record. Acknowledged ⇔ the record was fsynced before the reply; a
+// reader never observes a state a crash can take back, because the
+// result is published only after that fsync. An error means the
+// mutation never happened, except for the one mutation whose own
+// journal write, flush or fsync failed: the journal latches dead, the
+// warehouse degrades, and the next Open keeps that mutation if its
+// record is whole and drops it if it is torn. Either is legal for a
+// call nobody acknowledged, and it is the only indeterminate outcome.
 //
-// Two deliberate asymmetries of the contract: a concurrent reader on
-// the same document may observe a mutation's result between its
-// install and the commit fsync — visibility is immediate, durability
-// is what the returned nil acknowledges; and after Compact truncates
-// the journal, a mutation interrupted before its first fsync leaves no
-// trace, so recovery resolves such orphans by on-disk evidence instead
-// (see Warehouse.recover).
+// Stored documents (docs/*.pxml, kv document pages) are checkpoints of
+// the journal, not part of a commit: an update does not touch them. A
+// create writes its page right after its record and a drop removes it
+// (existence is read from the store), both unsynced; if that store
+// step fails the record is withdrawn with an abort marker, the one
+// marker there is. Compact and Close checkpoint — write every document
+// mutated since the last checkpoint — and Compact then makes the pages
+// durable and truncates the journal. Recovery at Open replays: per
+// document, the last record no abort names is the state, and a page
+// that differs from it is rewritten (see Warehouse.recover).
 //
 // # Fault tolerance
 //
@@ -51,7 +48,7 @@
 // fail-once fault at every named I/O point — including torn writes —
 // and asserts that acknowledged operations survive recovery and
 // failed ones vanish. Failures the warehouse can cleanly abort
-// (staging-file writes, view-snapshot writes) just return errors;
+// (document-page writes, view-snapshot writes) just return errors;
 // failures that break the durability promise itself (the journal
 // cannot be appended to or fsynced, compaction failed past its point
 // of no return) switch the warehouse into degraded read-only mode:
@@ -172,11 +169,10 @@ type Warehouse struct {
 	// replacement Compact performs, so the counters stay monotonic.
 	jc journalCounters
 
-	// Recovery outcome counters, written during Open (before the
-	// warehouse is shared) and read by JournalStats.
-	recoveryReplays      *obs.Counter
-	recoveryRollbacks    *obs.Counter
-	recoveryRollforwards *obs.Counter
+	// recoveryReplays counts the documents recovery caught up, written
+	// during Open (before the warehouse is shared) and read by
+	// JournalStats.
+	recoveryReplays *obs.Counter
 
 	// cacheMu guards the cache map and the version counter. The
 	// snapshots inside are immutable: mutations publish a successor
@@ -192,36 +188,57 @@ type Warehouse struct {
 	// maintenance counters (see views.go).
 	views viewRegistry
 
-	// journaledMu guards journaled: the set of documents with a
-	// committed mutation record in the current journal. For those, the
-	// journal is the durable copy of the latest content — recovery
-	// replays it over whatever the file holds — so their file swaps
-	// skip the per-file fsync and the group-committed journal fsyncs
-	// are the only ones on the mutation path. A document absent from
-	// the set (first mutation after Open of a compacted warehouse) has
-	// its pre-state only in its file, which must therefore never be
-	// torn: its next swap syncs the file data before the rename.
-	// Compact clears the set after making every document file durable.
-	journaledMu sync.Mutex
-	journaled   map[string]bool
+	// dirtyMu guards dirty: the documents whose stored page is behind
+	// their cached snapshot, because an update journaled a post-state
+	// the store has not been given (see mutateDoc). The journal holds
+	// every such state durably and recovery replays it, so the set only
+	// says what checkpoint must write. It is empty after Open, Reopen
+	// and Compact. A dirty document's snapshot stays resident: cache
+	// entries leave only through Drop, which clears the entry, and
+	// Reopen, which clears the set.
+	dirtyMu sync.Mutex
+	dirty   map[string]bool
 }
 
-func (w *Warehouse) isJournaled(name string) bool {
-	w.journaledMu.Lock()
-	defer w.journaledMu.Unlock()
-	return w.journaled[name]
+func (w *Warehouse) setDirty(name string, dirty bool) {
+	w.dirtyMu.Lock()
+	defer w.dirtyMu.Unlock()
+	if dirty {
+		w.dirty[name] = true
+	} else {
+		delete(w.dirty, name)
+	}
 }
 
-func (w *Warehouse) markJournaled(name string) {
-	w.journaledMu.Lock()
-	defer w.journaledMu.Unlock()
-	w.journaled[name] = true
+// checkpoint writes the current snapshot of every dirty document to
+// the store, unsynced: Compact follows it with SyncDocs before it
+// truncates the journal, and Close needs no durability from it — the
+// journal keeps every record, and a checkpoint only saves the next
+// Open the replay. The caller holds the warehouse exclusively. A
+// failure leaves the remaining documents dirty and loses nothing.
+func (w *Warehouse) checkpoint() error {
+	w.dirtyMu.Lock()
+	defer w.dirtyMu.Unlock()
+	for name := range w.dirty {
+		s, ok := w.cacheGet(name)
+		if !ok {
+			panic(fmt.Sprintf("warehouse: dirty document %q has no resident snapshot", name))
+		}
+		data, err := xmlio.DocXML(s.tree)
+		if err != nil {
+			return err
+		}
+		if err := w.writeDoc(name, data); err != nil {
+			return fmt.Errorf("warehouse: checkpoint of %q: %w", name, err)
+		}
+		delete(w.dirty, name)
+	}
+	return nil
 }
 
 // Open opens (creating if necessary) a warehouse rooted at dir and
-// performs scan-based crash recovery: each document is restored to its
-// last committed journaled state and every in-flight (unmarked)
-// mutation is rolled back. See recover in recovery.go. Open uses the
+// recovers it: every document the journal mentions is brought to its
+// last journaled state. See recover in recovery.go. Open uses the
 // filestore backend; OpenBackend selects another.
 func Open(dir string) (*Warehouse, error) {
 	return OpenFS(dir, vfs.OS)
@@ -275,11 +292,11 @@ func DetectBackend(dir string) string {
 func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 	reg := obs.NewRegistry()
 	w := &Warehouse{
-		dir:       dir,
-		st:        st,
-		reg:       reg,
-		cache:     make(map[string]*Snapshot),
-		journaled: make(map[string]bool),
+		dir:   dir,
+		st:    st,
+		reg:   reg,
+		cache: make(map[string]*Snapshot),
+		dirty: make(map[string]bool),
 	}
 	w.jc = journalCounters{
 		appends: reg.Counter("px_journal_appends_total", "journal records durably appended"),
@@ -287,8 +304,6 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 		bytes:   reg.Counter("px_journal_bytes_total", "journal record payload bytes durably appended (backend framing excluded)"),
 	}
 	w.recoveryReplays = reg.Counter("px_recovery_replays_total", "documents replayed from the journal at the last Open")
-	w.recoveryRollbacks = reg.Counter("px_recovery_rollbacks_total", "in-flight mutations rolled back at the last Open")
-	w.recoveryRollforwards = reg.Counter("px_recovery_rollforwards_total", "unmarked mutations kept by on-disk evidence at the last Open")
 	w.search.initMetrics(reg)
 	w.views.initMetrics(reg)
 	reg.GaugeFunc("px_views_registered", "currently registered materialized views",
@@ -306,6 +321,31 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 	return w, nil
 }
 
+// openRecords opens the backend and returns its journal decoded, each
+// payload exactly once: the backend asks valid about every journal
+// payload once, in append order, and keeps it iff the answer is true,
+// so the records decoded while answering are the records it kept.
+func openRecords(st store.Store) ([]Record, store.Log, error) {
+	var records []Record
+	payloads, log, err := st.Open(func(payload []byte) bool {
+		var r Record
+		if !decodeRecord(payload, &r) {
+			return false
+		}
+		records = append(records, r)
+		return true
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("warehouse: %w", err)
+	}
+	if len(records) != len(payloads) {
+		log.Close() //nolint:errcheck // already failing; the contract error wins
+		return nil, nil, fmt.Errorf("warehouse: %s backend kept %d journal payloads of the %d it validated",
+			st.Backend(), len(payloads), len(records))
+	}
+	return records, log, nil
+}
+
 // loadFromDisk runs the open sequence against the storage backend:
 // initialize the layout and scan the journal (truncating any torn
 // tail), load the view snapshot, replay recovery, prune orphaned
@@ -313,13 +353,8 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 // warehouse exclusively (Reopen) or privately (OpenStore, before the
 // value is shared).
 func (w *Warehouse) loadFromDisk() error {
-	payloads, log, err := w.st.Open(validRecord)
+	records, log, err := openRecords(w.st)
 	if err != nil {
-		return fmt.Errorf("warehouse: %w", err)
-	}
-	records, err := parseRecords(payloads)
-	if err != nil {
-		log.Close() //nolint:errcheck // already failing; the parse error wins
 		return err
 	}
 	j := newJournal(log, maxSeq(records), &w.jc, w.setDegraded)
@@ -343,8 +378,10 @@ func (w *Warehouse) loadFromDisk() error {
 	return nil
 }
 
-// Close releases the journal and the storage backend. The warehouse
-// must not be used afterwards.
+// Close checkpoints the stored documents (unless degraded: the store
+// may be the very thing that failed, and the journal has every record
+// anyway), then releases the journal and the storage backend. The
+// warehouse must not be used afterwards.
 func (w *Warehouse) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -352,7 +389,13 @@ func (w *Warehouse) Close() error {
 		return nil
 	}
 	w.closed = true
-	err := w.journal.close()
+	var err error
+	if !w.degraded.Load() {
+		err = w.checkpoint()
+	}
+	if cerr := w.journal.close(); err == nil {
+		err = cerr
+	}
 	if cerr := w.st.Close(); err == nil {
 		err = cerr
 	}
@@ -413,11 +456,12 @@ func (w *Warehouse) startMutation() (release func(), err error) {
 // Reopen recovers a degraded warehouse in place: it waits out in-flight
 // operations, discards all in-memory state (snapshots, view
 // materializations, the failed journal instance), re-runs the full
-// open sequence — torn-tail truncation, journal replay, rollback of the
-// aborted mutation — and clears degraded mode. The acknowledged history
-// is exactly what recovery reconstructs from disk; callers resume as
-// after a fresh Open. It is also safe on a healthy warehouse (an
-// expensive no-op that drops caches).
+// open sequence — torn-tail truncation, journal replay — and clears
+// degraded mode. What recovery reconstructs from disk is the
+// acknowledged history, plus the mutation that failed in the journal if
+// its record turns out whole; callers resume as after a fresh Open. It
+// is also safe on a healthy warehouse (an expensive no-op that drops
+// caches).
 func (w *Warehouse) Reopen() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -431,9 +475,9 @@ func (w *Warehouse) Reopen() error {
 	w.cacheMu.Lock()
 	w.cache = make(map[string]*Snapshot)
 	w.cacheMu.Unlock()
-	w.journaledMu.Lock()
-	w.journaled = make(map[string]bool)
-	w.journaledMu.Unlock()
+	w.dirtyMu.Lock()
+	w.dirty = make(map[string]bool)
+	w.dirtyMu.Unlock()
 	w.views.reset()
 	if err := w.loadFromDisk(); err != nil {
 		return err
@@ -512,15 +556,13 @@ func (w *Warehouse) cacheDel(name string) {
 	delete(w.cache, name)
 }
 
-// writeDoc atomically replaces the document's stored content. With
-// sync, the content is durable on return. Without sync the backend may
-// expose a torn state after a crash — callers may omit the (expensive,
-// unbatchable) fsync only while the journal holds a committed copy of
-// the latest content, because recovery replays that copy over the
-// stored state regardless of what the crash left in it (see install
-// and Compact).
-func (w *Warehouse) writeDoc(name string, data []byte, sync bool) error {
-	return w.st.WriteDoc(name, data, sync)
+// writeDoc atomically replaces the document's stored page, without an
+// fsync of its own: a page is a checkpoint of the journal, which holds
+// the content durably and is replayed over whatever a crash leaves of
+// the page. Compact's SyncDocs is the one barrier, before the journal
+// is truncated.
+func (w *Warehouse) writeDoc(name string, data []byte) error {
+	return w.st.WriteDoc(name, data, false)
 }
 
 // statGuard rejects names that exist neither in the cache nor in the
@@ -643,54 +685,33 @@ func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
 // lock. The caller holds the document's writers lock and has done all
 // expensive computation already, so the state lock — the one a
 // cold-loading reader contends on — is held only for the journal
-// appends and the file swap. Installs on different documents
-// interleave freely; their journal appends share group-committed
-// fsyncs.
+// append and apply. Installs on different documents interleave freely;
+// their journal appends share group-committed fsyncs.
 //
-// The write-ahead ordering is the durability contract: the mutation
-// record (full post-state, own Seq) is durable before apply touches
-// the document file, and the caller sees nil only after the commit
-// marker echoing that Seq is durable too. A crash anywhere in between
-// leaves the mutation unmarked, and recovery rolls it back.
-// apply receives syncFile: whether a file swap must fsync its data
-// first, true only for a document whose pre-state exists nowhere but
-// in its file (no committed record in the journal yet).
-func (w *Warehouse) install(ctx context.Context, dl *docLock, rec Record, apply func(syncFile bool) error) error {
+// The record is the commit: once append returns, the mutation is
+// durable and acknowledged-to-be, and only then does apply make it
+// visible (publish, a registry change) or adjust the store (the page
+// write of a create, the removal of a drop). A journal failure returns
+// before apply, so readers keep the pre-state. A store failure in
+// apply withdraws the durable record with an abort marker.
+func (w *Warehouse) install(ctx context.Context, dl *docLock, rec Record, apply func() error) error {
 	ctx, span := obs.StartSpan(ctx, "warehouse.install")
 	defer span.End()
 	cost := obs.CostFromContext(ctx)
 	dl.state.Lock()
 	defer dl.state.Unlock()
 	_, jspan := obs.StartSpan(ctx, "journal.append")
-	seq, err := w.journal.appendCost(cost, rec)
+	seq, err := w.journal.append(cost, rec)
 	jspan.End()
 	if err != nil {
 		return err
 	}
-	if err := apply(!w.isJournaled(rec.Doc)); err != nil {
-		// Best-effort abort marker: it only saves recovery work. If
-		// this append also fails (the disk is going away), recovery
-		// finds the mutation unmarked and rolls it back — the same
-		// outcome the caller is being told here.
-		w.journal.appendCost(cost, Record{Op: OpAbort, RefSeq: seq}) //nolint:errcheck
+	if err := apply(); err != nil {
+		// If the marker cannot be made durable either (the disk is going
+		// away) the journal latches dead and the warehouse degrades: this
+		// mutation is then the indeterminate one, kept by the next Open.
+		w.journal.append(cost, Record{Op: OpAbort, RefSeq: seq}) //nolint:errcheck
 		return err
-	}
-	_, cspan := obs.StartSpan(ctx, "journal.commit")
-	defer cspan.End()
-	if _, err := w.journal.appendCost(cost, Record{Op: OpCommit, RefSeq: seq}); err != nil {
-		// The apply succeeded but the marker's durability is unknown
-		// (a failing disk). The installed state stays visible to the
-		// live process — the pre-state needed to undo it is only in
-		// the journal of that same disk — and the caller's error means
-		// "outcome resolved at next Open": rolled back if the marker
-		// never landed, kept if it did. See the package comment.
-		return err
-	}
-	if rec.Op.Mutation() {
-		// Only content-carrying mutations make the journal the durable
-		// copy of the document; a committed view record must not let
-		// later file swaps skip their fsync.
-		w.markJournaled(rec.Doc)
 	}
 	return nil
 }
@@ -733,8 +754,10 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 	clone := ft.Clone()
 	err = w.install(ctx, dl,
 		Record{Op: OpCreate, Doc: name, Content: string(data)},
-		func(syncFile bool) error {
-			if err := w.writeDoc(name, data, syncFile); err != nil {
+		func() error {
+			// The page is what makes the document exist for DocExists,
+			// ListDocs and statGuard, so a create writes it at once.
+			if err := w.writeDoc(name, data); err != nil {
 				return err
 			}
 			w.publish(name, clone)
@@ -812,9 +835,16 @@ func (w *Warehouse) Drop(name string) error {
 	}
 	err = w.install(context.Background(), dl,
 		Record{Op: OpDrop, Doc: name},
-		func(bool) error {
+		func() error {
+			// Remove first: were the removal to fail after the snapshot
+			// left the cache, the next reader would load a page that may
+			// be many updates stale.
+			if err := w.st.RemoveDoc(name); err != nil {
+				return err
+			}
 			w.cacheDel(name)
-			return w.st.RemoveDoc(name)
+			w.setDirty(name, false)
+			return nil
 		})
 	if err != nil {
 		return err
@@ -823,8 +853,8 @@ func (w *Warehouse) Drop(name string) error {
 	// churn of unique names cannot grow the table. Writers blocked on
 	// this entry re-check and retry (see lockWriter).
 	w.locks.del(name)
-	// Views follow their document: the committed drop record implies
-	// their removal at recovery too (see recover).
+	// Views follow their document: the drop record implies their
+	// removal at recovery too (see recover).
 	w.views.delDoc(name)
 	return nil
 }
@@ -917,10 +947,10 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	var next *Snapshot
 	err = w.install(ctx, dl,
 		Record{Op: OpUpdate, Doc: name, Tx: txNote, Content: string(data)},
-		func(syncFile bool) error {
-			if err := w.writeDoc(name, data, syncFile); err != nil {
-				return err
-			}
+		func() error {
+			// No page write on the request path: the record is the
+			// durable copy, and the next checkpoint brings the page up.
+			w.setDirty(name, true)
 			next = w.publish(name, nextTree)
 			return nil
 		})
@@ -934,7 +964,7 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 }
 
 // Update applies a probabilistic transaction to the named document,
-// journaling and persisting the result durably.
+// journaling the result durably.
 func (w *Warehouse) Update(name string, tx *update.Transaction) (*update.FuzzyStats, error) {
 	return w.UpdateCtx(context.Background(), name, tx)
 }
@@ -1031,13 +1061,14 @@ func (w *Warehouse) Journal() ([]Record, error) {
 	return parseRecords(payloads)
 }
 
-// Compact drops the journal records, reclaiming their space. Safe
-// whenever the warehouse is in a committed state, which holds under
-// the exclusive warehouse lock: it waits out all in-flight operations,
-// so every stored document already holds its latest post-state and the
-// journal's only value beyond the audit trail is as the durable copy
-// of that post-state — so Compact first makes every document durable
-// itself (SyncDocs), then trades the journal for space (ResetJournal,
+// Compact checkpoints the stored documents and drops the journal
+// records, reclaiming their space. It runs under the exclusive
+// warehouse lock, so it waits out all in-flight operations and every
+// mutation is either wholly journaled or not started. The journal is
+// the durable copy of everything mutated since the last checkpoint, so
+// the hand-off goes in order: write every dirty document's page
+// (checkpoint), make all pages durable (SyncDocs), snapshot the view
+// registry, and only then trade the journal for space (ResetJournal,
 // which for the kv backend also rewrites the page file down to its
 // live pages). After it returns, the stored documents are the
 // authority until the next mutation journals a new post-state.
@@ -1053,6 +1084,9 @@ func (w *Warehouse) Compact() error {
 	// Failures up to and including the journal close leave the journal
 	// records intact on disk — the warehouse stays fully consistent and
 	// writable, so these paths return a plain error.
+	if err := w.checkpoint(); err != nil {
+		return err
+	}
 	if err := w.st.SyncDocs(); err != nil {
 		return err
 	}
@@ -1081,8 +1115,5 @@ func (w *Warehouse) Compact() error {
 		return err
 	}
 	w.journal = newJournal(log, 0, &w.jc, w.setDegraded)
-	w.journaledMu.Lock()
-	w.journaled = make(map[string]bool)
-	w.journaledMu.Unlock()
 	return nil
 }

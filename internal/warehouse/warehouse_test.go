@@ -14,7 +14,6 @@ import (
 	"repro/internal/tree"
 	"repro/internal/update"
 	"repro/internal/vfs"
-	"repro/internal/xmlio"
 )
 
 func openTemp(t *testing.T) *Warehouse {
@@ -213,77 +212,28 @@ func TestJournalAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// create, commit, update, commit.
-	if len(recs) != 4 {
+	// One record per mutation: create, update.
+	if len(recs) != 2 {
 		t.Fatalf("journal records = %d: %+v", len(recs), recs)
 	}
-	if recs[0].Op != OpCreate || recs[1].Op != OpCommit ||
-		recs[2].Op != OpUpdate || recs[3].Op != OpCommit {
-		t.Errorf("ops = %s %s %s %s", recs[0].Op, recs[1].Op, recs[2].Op, recs[3].Op)
+	if recs[0].Op != OpCreate || recs[1].Op != OpUpdate {
+		t.Errorf("ops = %s %s", recs[0].Op, recs[1].Op)
 	}
-	if !strings.Contains(recs[2].Tx, "insert") {
-		t.Errorf("update record lacks transaction: %q", recs[2].Tx)
+	if !strings.Contains(recs[1].Tx, "insert") {
+		t.Errorf("update record lacks transaction: %q", recs[1].Tx)
 	}
-	for _, r := range recs {
-		if r.Seq == 0 {
-			t.Error("record without sequence number")
+	for i, r := range recs {
+		if r.Seq != int64(i+1) || r.RefSeq != 0 {
+			t.Errorf("record %d: seq %d ref %d, want seq %d and no ref", i, r.Seq, r.RefSeq, i+1)
 		}
 	}
-	// Each marker names its mutation by RefSeq.
-	if recs[1].RefSeq != recs[0].Seq || recs[3].RefSeq != recs[2].Seq {
-		t.Errorf("marker refs = %d %d, want %d %d",
-			recs[1].RefSeq, recs[3].RefSeq, recs[0].Seq, recs[2].Seq)
+	// The record carries the post-state itself.
+	want, err := w.GetXML("doc")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestRecoveryRollsBackUnmarkedUpdate simulates a crash during the
-// durable phase of an update: the journal holds the mutation record
-// but no commit marker. The caller was never acknowledged, so on
-// reopen the mutation must be rolled back to the last committed state
-// and resolved with an abort marker.
-func TestRecoveryRollsBackUnmarkedUpdate(t *testing.T) {
-	for _, backend := range storeBackends {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			w := openB(t, dir, backend)
-			if err := w.Create("doc", slide12()); err != nil {
-				t.Fatal(err)
-			}
-			w.Close()
-
-			// Forge the crash: an unmarked update record, with the document
-			// file already swapped to the new content (the worst case — the
-			// apply ran, only the commit marker is missing).
-			newDoc := fuzzy.MustParseTree("A(UNCOMMITTED)", nil)
-			content, err := docBytes(newDoc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqs := forgeJournal(t, dir, backend, []Record{
-				{Op: OpUpdate, Doc: "doc", Tx: "<forged/>", Content: string(content)},
-			})
-			seq := seqs[0]
-			seedDocs(t, dir, backend, map[string]string{"doc": string(content)})
-
-			w2 := openB(t, dir, backend)
-			defer w2.Close()
-			got, err := w2.Get("doc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fuzzy.Equal(got.Root, slide12().Root) {
-				t.Errorf("recovery did not roll back: %s", fuzzy.Format(got.Root))
-			}
-			// The journal must now resolve the forged mutation with an abort.
-			recs, _ := w2.Journal()
-			last := recs[len(recs)-1]
-			if last.Op != OpAbort || last.RefSeq != seq {
-				t.Errorf("journal ends with %s ref %d, want abort ref %d", last.Op, last.RefSeq, seq)
-			}
-			if s := w2.JournalStats(); s.RecoveryRollbacks != 1 || s.RecoveryReplays != 1 {
-				t.Errorf("recovery counters = %+v, want 1 rollback, 1 replay", s)
-			}
-		})
+	if recs[1].Content != string(want) {
+		t.Errorf("update record content = %q, want the document %q", recs[1].Content, want)
 	}
 }
 
@@ -313,36 +263,6 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 	}
 }
 
-// TestRecoveryDropRollsBack: an unmarked drop never happened — the
-// document is restored from its committed create even when the drop's
-// file removal had already run.
-func TestRecoveryDropRollsBack(t *testing.T) {
-	for _, backend := range storeBackends {
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			w := openB(t, dir, backend)
-			if err := w.Create("doc", slide12()); err != nil {
-				t.Fatal(err)
-			}
-			w.Close()
-
-			forgeJournal(t, dir, backend, []Record{{Op: OpDrop, Doc: "doc"}})
-			// Simulate the crash after the drop removed the file.
-			seedDocs(t, dir, backend, nil)
-
-			w2 := openB(t, dir, backend)
-			defer w2.Close()
-			got, err := w2.Get("doc")
-			if err != nil {
-				t.Fatalf("unmarked drop lost the document: %v", err)
-			}
-			if !fuzzy.Equal(got.Root, slide12().Root) {
-				t.Errorf("restored document = %s", fuzzy.Format(got.Root))
-			}
-		})
-	}
-}
-
 func TestCorruptDocumentReported(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)
@@ -354,7 +274,7 @@ func TestCorruptDocumentReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compact first: with the create still journaled, recovery would
-	// repair the corruption from the committed post-state (see
+	// repair the corruption from the journaled post-state (see
 	// TestRecoveryRepairsCorruptFile); after compaction the file is
 	// authoritative and the damage must surface.
 	if err := w.Compact(); err != nil {
@@ -375,8 +295,8 @@ func TestCorruptDocumentReported(t *testing.T) {
 }
 
 // TestRecoveryRepairsCorruptFile: while the journal still holds a
-// document's committed post-state, recovery rewrites a damaged file
-// from it on open — the journal, not the file, is the source of truth.
+// document's post-state, recovery rewrites a damaged file from it on
+// open — the journal, not the file, is the source of truth.
 func TestRecoveryRepairsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)
@@ -500,10 +420,4 @@ func TestClosedWarehouseRejectsMutations(t *testing.T) {
 	if err := w.Create("doc2", slide12()); err == nil {
 		t.Error("create after close accepted")
 	}
-}
-
-// docBytes serializes a fuzzy tree the way the warehouse does (helper for
-// the recovery test).
-func docBytes(ft *fuzzy.Tree) ([]byte, error) {
-	return xmlio.DocXML(ft)
 }

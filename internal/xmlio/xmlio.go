@@ -33,6 +33,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
@@ -78,24 +79,24 @@ func ReadSubtree(dec *xml.Decoder) (*tree.Node, error) {
 
 // WriteTree serializes a plain data tree as indented XML.
 func WriteTree(w io.Writer, n *tree.Node) error {
-	if err := n.Validate(); err != nil {
+	data, err := TreeXML(n)
+	if err != nil {
 		return err
 	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := encodeData(enc, n); err != nil {
-		return err
-	}
-	return enc.Flush()
+	_, err = w.Write(data)
+	return err
 }
 
 // TreeXML returns the XML serialization of a plain data tree.
 func TreeXML(n *tree.Node) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteTree(&buf, n); err != nil {
+	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	var w writer
+	if err := w.data(n); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
 }
 
 // ReadDoc parses a fuzzy document (<pxml> wrapper) and validates it.
@@ -163,61 +164,25 @@ func ParseDoc(data []byte) (*fuzzy.Tree, error) {
 // WriteDoc serializes a fuzzy document as indented XML, with events
 // sorted by name for determinism.
 func WriteDoc(w io.Writer, ft *fuzzy.Tree) error {
-	if err := ft.Validate(); err != nil {
+	data, err := DocXML(ft)
+	if err != nil {
 		return err
 	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	pxml := xml.StartElement{Name: xml.Name{Local: "pxml"}}
-	if err := enc.EncodeToken(pxml); err != nil {
-		return err
-	}
-	events := xml.StartElement{Name: xml.Name{Local: "events"}}
-	if err := enc.EncodeToken(events); err != nil {
-		return err
-	}
-	for _, id := range ft.Table.Events() {
-		p, _ := ft.Table.Prob(id)
-		ev := xml.StartElement{
-			Name: xml.Name{Local: "event"},
-			Attr: []xml.Attr{
-				{Name: xml.Name{Local: "name"}, Value: string(id)},
-				{Name: xml.Name{Local: "prob"}, Value: strconv.FormatFloat(p, 'g', -1, 64)},
-			},
-		}
-		if err := enc.EncodeToken(ev); err != nil {
-			return err
-		}
-		if err := enc.EncodeToken(ev.End()); err != nil {
-			return err
-		}
-	}
-	if err := enc.EncodeToken(events.End()); err != nil {
-		return err
-	}
-	rootEl := xml.StartElement{Name: xml.Name{Local: "root"}}
-	if err := enc.EncodeToken(rootEl); err != nil {
-		return err
-	}
-	if err := encodeFuzzy(enc, ft.Root); err != nil {
-		return err
-	}
-	if err := enc.EncodeToken(rootEl.End()); err != nil {
-		return err
-	}
-	if err := enc.EncodeToken(pxml.End()); err != nil {
-		return err
-	}
-	return enc.Flush()
+	_, err = w.Write(data)
+	return err
 }
 
 // DocXML returns the XML serialization of a fuzzy document.
 func DocXML(ft *fuzzy.Tree) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteDoc(&buf, ft); err != nil {
+	if err := ft.Validate(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	events := ft.Table.Events()
+	w := writer{buf: make([]byte, 0, 64+48*len(events)+sizeHint(ft.Root, 2))}
+	if err := w.doc(ft, events); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
 }
 
 // --- internal: generic element reading -----------------------------------
@@ -410,50 +375,228 @@ func checkName(label string) error {
 	return nil
 }
 
-func encodeData(enc *xml.Encoder, n *tree.Node) error {
-	if err := checkName(n.Label); err != nil {
-		return err
-	}
-	start := xml.StartElement{Name: xml.Name{Local: n.Label}}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	if n.Value != "" {
-		if err := enc.EncodeToken(xml.CharData(n.Value)); err != nil {
-			return err
-		}
-	}
-	for _, c := range n.Children {
-		if err := encodeData(enc, c); err != nil {
-			return err
-		}
-	}
-	return enc.EncodeToken(start.End())
+// writer produces, directly into one buffer, the bytes encoding/xml's
+// token encoder writes under Indent("", "  ") for the same sequence of
+// start, text and end tokens (the encoder itself is the oracle the
+// tests compare against). depth, indentedIn and putNewline are the
+// encoder's indent state: text follows its start tag directly, and a
+// closing tag goes on a line of its own only after child elements.
+type writer struct {
+	buf        []byte
+	depth      int
+	indentedIn bool // a start tag was the last tag written
+	putNewline bool // something precedes the next tag
 }
 
-func encodeFuzzy(enc *xml.Encoder, n *fuzzy.Node) error {
+// indent breaks the line before a start tag (delta 1) or, after child
+// elements, before an end tag (delta -1).
+func (w *writer) indent(delta int) {
+	if delta < 0 {
+		w.depth--
+		if w.indentedIn {
+			w.indentedIn = false
+			return
+		}
+	}
+	if w.putNewline {
+		w.buf = append(w.buf, '\n')
+	}
+	w.putNewline = true
+	for i := 0; i < w.depth; i++ {
+		w.buf = append(w.buf, "  "...)
+	}
+	if delta > 0 {
+		w.depth++
+		w.indentedIn = true
+	}
+}
+
+// open writes a start tag up to its name; attributes and the closing
+// '>' follow from the caller.
+func (w *writer) open(name string) {
+	w.indent(1)
+	w.buf = append(append(w.buf, '<'), name...)
+}
+
+func (w *writer) attr(name string) {
+	w.buf = append(append(append(w.buf, ' '), name...), `="`...)
+}
+
+func (w *writer) close(name string) {
+	w.indent(-1)
+	w.buf = append(append(append(w.buf, "</"...), name...), '>')
+}
+
+func (w *writer) doc(ft *fuzzy.Tree, events []event.ID) error {
+	w.open("pxml")
+	w.buf = append(w.buf, '>')
+	w.open("events")
+	w.buf = append(w.buf, '>')
+	for _, id := range events {
+		p, _ := ft.Table.Prob(id)
+		w.open("event")
+		w.attr("name")
+		w.buf = appendEscaped(w.buf, string(id), true)
+		w.buf = append(w.buf, '"')
+		w.attr("prob")
+		w.buf = strconv.AppendFloat(w.buf, p, 'g', -1, 64)
+		w.buf = append(w.buf, `">`...)
+		w.close("event")
+	}
+	w.close("events")
+	w.open("root")
+	w.buf = append(w.buf, '>')
+	if err := w.fuzzy(ft.Root); err != nil {
+		return err
+	}
+	w.close("root")
+	w.close("pxml")
+	return nil
+}
+
+func (w *writer) data(n *tree.Node) error {
 	if err := checkName(n.Label); err != nil {
 		return err
 	}
-	start := xml.StartElement{Name: xml.Name{Local: n.Label}}
-	if c := n.Cond.Normalize(); len(c) > 0 {
-		start.Attr = append(start.Attr, xml.Attr{
-			Name:  xml.Name{Local: CondAttr},
-			Value: c.String(),
-		})
+	w.open(n.Label)
+	w.buf = append(w.buf, '>')
+	w.buf = appendEscaped(w.buf, n.Value, false)
+	for _, c := range n.Children {
+		if err := w.data(c); err != nil {
+			return err
+		}
 	}
-	if err := enc.EncodeToken(start); err != nil {
+	w.close(n.Label)
+	return nil
+}
+
+func (w *writer) fuzzy(n *fuzzy.Node) error {
+	if err := checkName(n.Label); err != nil {
 		return err
 	}
-	if n.Value != "" {
-		if err := enc.EncodeToken(xml.CharData(n.Value)); err != nil {
+	w.open(n.Label)
+	c := n.Cond
+	if !canonical(c) {
+		c = c.Normalize()
+	}
+	if len(c) > 0 {
+		// The condition in its textual literal syntax, c.String().
+		w.attr(CondAttr)
+		for i, l := range c {
+			if i > 0 {
+				w.buf = append(w.buf, ' ')
+			}
+			if l.Neg {
+				w.buf = append(w.buf, '!')
+			}
+			w.buf = appendEscaped(w.buf, string(l.Event), true)
+		}
+		w.buf = append(w.buf, '"')
+	}
+	w.buf = append(w.buf, '>')
+	w.buf = appendEscaped(w.buf, n.Value, false)
+	for _, c := range n.Children {
+		if err := w.fuzzy(c); err != nil {
 			return err
 		}
+	}
+	w.close(n.Label)
+	return nil
+}
+
+// canonical reports whether c is already what c.Normalize() returns —
+// sorted by event then sign, no literal twice — as the conditions of
+// stored documents are, so that writing them copies and sorts nothing.
+func canonical(c event.Condition) bool {
+	for i := 1; i < len(c); i++ {
+		a, b := c[i-1], c[i]
+		if a.Event > b.Event || a.Event == b.Event && (a.Neg || !b.Neg) {
+			return false
+		}
+	}
+	return true
+}
+
+// sizeHint estimates the serialized size of the subtree at the given
+// depth, escapes not counted: DocXML presizes its buffer with it.
+func sizeHint(n *fuzzy.Node, depth int) int {
+	size := 2*(1+2*depth+len(n.Label)) + 4 + len(n.Value)
+	for _, l := range n.Cond {
+		size += len(l.Event) + 2
+	}
+	if len(n.Cond) > 0 {
+		size += len(CondAttr) + 4
 	}
 	for _, c := range n.Children {
-		if err := encodeFuzzy(enc, c); err != nil {
-			return err
-		}
+		size += sizeHint(c, depth+1)
 	}
-	return enc.EncodeToken(start.End())
+	return size
+}
+
+// appendEscaped appends s escaped as the encoder escapes attribute
+// values (escapeNewline) and character data (newlines kept): the five
+// markup characters, tab and carriage return become references, and
+// what XML cannot carry at all — invalid UTF-8 and characters outside
+// its character range — becomes U+FFFD.
+func appendEscaped(buf []byte, s string, escapeNewline bool) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s[i:])
+		} else if plainASCII[r] {
+			i++
+			continue
+		}
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			if !escapeNewline {
+				continue
+			}
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if inCharacterRange(r) && (r != utf8.RuneError || width > 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		buf = append(append(buf, s[last:i-width]...), esc...)
+		last = i
+	}
+	return append(buf, s[last:]...)
+}
+
+// plainASCII marks the ASCII characters appendEscaped copies through
+// whatever escapeNewline says: all but the controls and the five
+// markup characters.
+var plainASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"'&<>`, c)
+	}
+	return t
+}()
+
+// inCharacterRange reports whether r is in the XML character range
+// (section 2.2 of the specification).
+func inCharacterRange(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
