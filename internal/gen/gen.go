@@ -159,6 +159,35 @@ func Fuzzy(r *rand.Rand, cfg FuzzyConfig) *fuzzy.Tree {
 	return &fuzzy.Tree{Root: root, Table: tab}
 }
 
+// Sections generates a document shaped like the repository benchmark's
+// query_cold documents (benchmark/workloads.go): a root A of n keyed
+// sections S(K:s<i>, T:<two of 64 words>, C:c<i·7 mod n/8>), half of
+// the sections and three titles in ten conditioned on one of 16 events
+// (a title literal negated one time in three). It has 4n+1 nodes.
+func Sections(r *rand.Rand, n int) *fuzzy.Tree {
+	tab := event.NewTable()
+	ids := make([]event.ID, 16)
+	for i := range ids {
+		ids[i] = event.ID(fmt.Sprintf("e%d", i+1))
+		tab.MustSet(ids[i], 0.1+0.8*r.Float64())
+	}
+	root := fuzzy.NewNode("A")
+	cats := max(1, n/8)
+	for i := 0; i < n; i++ {
+		s := fuzzy.NewNode("S")
+		if r.Intn(2) == 0 {
+			s.WithCond(event.Cond(event.Pos(ids[r.Intn(len(ids))])))
+		}
+		t := fuzzy.NewLeaf("T", fmt.Sprintf("kw%02d kw%02d", r.Intn(64), r.Intn(64)))
+		if r.Intn(10) < 3 {
+			t.WithCond(event.Cond(event.Literal{Event: ids[r.Intn(len(ids))], Neg: r.Intn(3) == 0}))
+		}
+		s.Add(fuzzy.NewLeaf("K", fmt.Sprintf("s%d", i)), t, fuzzy.NewLeaf("C", fmt.Sprintf("c%d", i*7%cats)))
+		root.Add(s)
+	}
+	return &fuzzy.Tree{Root: root, Table: tab}
+}
+
 // MatchingQuery builds a query guaranteed to have at least one valuation
 // in doc: it samples a random node and returns the label path from the
 // root to it as a chain pattern, binding the final node to variable

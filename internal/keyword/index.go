@@ -27,6 +27,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/fuzzy"
 	"repro/internal/obs"
+	"repro/internal/tpwj"
 )
 
 // package counters (lock-free: indexes are built and searched
@@ -73,78 +74,76 @@ func ResetCounters() {
 	ctrThresholdPrunes.Reset()
 }
 
-// nodeInfo is one document node in the index, identified by its
-// preorder position.
-type nodeInfo struct {
-	pre    int32 // preorder position (== index in Index.nodes)
-	end    int32 // end of the subtree interval: [pre, end) covers the subtree
-	parent int32 // parent preorder position, -1 for the root
-	label  string
-	value  string
-	// path is the node's effective path condition: the normalized
-	// conjunction of its own condition and all its ancestors'. A node
-	// exists in a world iff its path condition holds.
-	path event.Condition
-	// sat is false when path contains a contradictory literal pair: the
-	// node exists in no world, so it is never a witness or an answer.
-	sat bool
-}
-
 // Index is a per-document inverted index for keyword search: every
 // token of every node label and value maps to the posting list of nodes
-// carrying it, in document (preorder) order, each posting carrying the
-// node's path condition. The index belongs to one immutable snapshot of
-// one document; it is safe for concurrent searches and must be rebuilt
-// when the document changes (Tree identifies the snapshot it was built
-// from, so a cache can detect staleness by pointer comparison).
+// carrying it, in document (preorder) order. It is built over the flat
+// form of one document version (tpwj.Doc) and reads the document's
+// structure — parent, subtree end, label, value — from it; what the
+// index adds is only what keyword search needs beyond the structure:
+// the postings and, per node, its path condition and whether that is
+// satisfiable. The index is safe for concurrent searches and belongs to
+// its version: a changed document is a new version with a new index.
 type Index struct {
-	tree     *fuzzy.Tree
-	nodes    []nodeInfo
+	doc *tpwj.Doc
+	// path is, per node, the effective path condition: the normalized
+	// conjunction of the node's own condition and all its ancestors'.
+	// A node exists in a world iff its path condition holds. Nodes
+	// without a condition of their own share their parent's slice.
+	path []event.Condition
+	// sat is false where path contains a contradictory literal pair:
+	// the node exists in no world, so it is never a witness or an
+	// answer.
+	sat      []bool
 	postings map[string][]int32 // token → preorder positions, ascending
 }
 
-// NewIndex builds the inverted index of one document snapshot.
+// NewIndex flattens a document snapshot and builds its inverted index
+// (IndexDoc).
 func NewIndex(ft *fuzzy.Tree) *Index {
-	ix := &Index{tree: ft, postings: make(map[string][]int32)}
-	var walk func(n *fuzzy.Node, parent int32, acc event.Condition) int32
-	walk = func(n *fuzzy.Node, parent int32, acc event.Condition) int32 {
-		pre := int32(len(ix.nodes))
-		path := acc.And(n.Cond)
-		ix.nodes = append(ix.nodes, nodeInfo{
-			pre:    pre,
-			parent: parent,
-			label:  n.Label,
-			value:  n.Value,
-			path:   path,
-			sat:    path.Satisfiable(),
-		})
-		for _, tok := range Tokenize(n.Label + " " + n.Value) {
+	return IndexDoc(tpwj.FlattenFuzzy(ft))
+}
+
+// IndexDoc builds the inverted index of one document version from its
+// flat form, which must have been built by tpwj.FlattenFuzzy.
+func IndexDoc(d *tpwj.Doc) *Index {
+	n := d.Len()
+	ix := &Index{
+		doc:      d,
+		path:     make([]event.Condition, n),
+		sat:      make([]bool, n),
+		postings: make(map[string][]int32),
+	}
+	for v := int32(0); v < int32(n); v++ {
+		path := d.Fuzzy(v).Cond
+		if p := d.Parent(v); p >= 0 {
+			if len(path) == 0 {
+				path = ix.path[p]
+			} else {
+				path = ix.path[p].And(path)
+			}
+		} else {
+			path = path.Normalize()
+		}
+		ix.path[v] = path
+		ix.sat[v] = path.Satisfiable()
+		for _, tok := range Tokenize(d.Label(v) + " " + d.Value(v)) {
 			// A label and value sharing a token still yield one posting:
 			// postings are per (token, node).
-			if l := ix.postings[tok]; len(l) == 0 || l[len(l)-1] != pre {
-				ix.postings[tok] = append(ix.postings[tok], pre)
+			if l := ix.postings[tok]; len(l) == 0 || l[len(l)-1] != v {
+				ix.postings[tok] = append(ix.postings[tok], v)
 				ctrPostings.Add(1)
 			}
 		}
-		end := pre + 1
-		for _, c := range n.Children {
-			end = walk(c, pre, path)
-		}
-		ix.nodes[pre].end = end
-		return end
 	}
-	walk(ft.Root, -1, nil)
 	ctrIndexBuilds.Add(1)
 	return ix
 }
 
-// Tree returns the document snapshot the index was built from. Caches
-// compare it by pointer against the current snapshot to detect
-// staleness (snapshots are immutable; mutations install fresh trees).
-func (ix *Index) Tree() *fuzzy.Tree { return ix.tree }
+// Tree returns the document snapshot the index was built from.
+func (ix *Index) Tree() *fuzzy.Tree { return ix.doc.Tree() }
 
 // Len returns the number of indexed nodes.
-func (ix *Index) Len() int { return len(ix.nodes) }
+func (ix *Index) Len() int { return ix.doc.Len() }
 
 // Postings returns the total number of (token, node) postings.
 func (ix *Index) Postings() int {
@@ -196,15 +195,15 @@ func Tokenize(text string) []string {
 // Unsatisfiable nodes (existing in no world) are excluded.
 func (ix *Index) witnesses(tok string, v int32) []int32 {
 	list := ix.postings[tok]
-	n := ix.nodes[v]
-	lo := sort.Search(len(list), func(i int) bool { return list[i] >= n.pre })
-	hi := sort.Search(len(list), func(i int) bool { return list[i] >= n.end })
+	end := ix.doc.End(v)
+	lo := sort.Search(len(list), func(i int) bool { return list[i] >= v })
+	hi := sort.Search(len(list), func(i int) bool { return list[i] >= end })
 	if lo == hi {
 		return nil
 	}
 	out := make([]int32, 0, hi-lo)
 	for _, u := range list[lo:hi] {
-		if ix.nodes[u].sat {
+		if ix.sat[u] {
 			out = append(out, u)
 		}
 	}
@@ -221,8 +220,8 @@ func (ix *Index) hasToken(tok string, v int32) bool {
 // childToward returns the child of v whose subtree contains u (v must
 // be a proper ancestor of u).
 func (ix *Index) childToward(v, u int32) int32 {
-	for c := u; ; c = ix.nodes[c].parent {
-		if ix.nodes[c].parent == v {
+	for c := u; ; c = ix.doc.Parent(c) {
+		if ix.doc.Parent(c) == v {
 			return c
 		}
 	}
@@ -234,7 +233,7 @@ func (ix *Index) childToward(v, u int32) int32 {
 // label.
 func (ix *Index) Path(pre int32) string {
 	var steps []string
-	for v := pre; v >= 0; v = ix.nodes[v].parent {
+	for v := pre; v >= 0; v = ix.doc.Parent(v) {
 		steps = append(steps, ix.step(v))
 	}
 	var b strings.Builder
@@ -248,14 +247,14 @@ func (ix *Index) Path(pre int32) string {
 // step renders one path step of node v, counting same-label siblings by
 // walking the parent's child intervals.
 func (ix *Index) step(v int32) string {
-	n := ix.nodes[v]
-	if n.parent < 0 {
-		return n.label
+	d := ix.doc
+	label, p := d.Label(v), d.Parent(v)
+	if p < 0 {
+		return label
 	}
-	p := ix.nodes[n.parent]
 	idx, total := 0, 0
-	for c := n.parent + 1; c < p.end; c = ix.nodes[c].end {
-		if ix.nodes[c].label == n.label {
+	for c := p + 1; c < d.End(p); c = d.End(c) {
+		if d.Label(c) == label {
 			total++
 			if c <= v {
 				idx++
@@ -263,7 +262,7 @@ func (ix *Index) step(v int32) string {
 		}
 	}
 	if total <= 1 {
-		return n.label
+		return label
 	}
-	return n.label + "[" + strconv.Itoa(idx) + "]"
+	return label + "[" + strconv.Itoa(idx) + "]"
 }

@@ -220,7 +220,7 @@ func SearchContext(ctx context.Context, ix *Index, req Request) (*Result, error)
 			if err != nil {
 				return nil, err
 			}
-			p, err := ix.tree.Table.ProbFormulaCtx(ctx, f)
+			p, err := ix.Tree().Table.ProbFormulaCtx(ctx, f)
 			if err != nil {
 				return nil, fmt.Errorf("keyword: %w", err)
 			}
@@ -233,7 +233,6 @@ func SearchContext(ctx context.Context, ix *Index, req Request) (*Result, error)
 		if p == 0 || p < req.MinProb {
 			continue
 		}
-		n := ix.nodes[v]
 		w := 0
 		for k := range tokens {
 			w += len(ev.witnessDNF(k, v))
@@ -241,8 +240,8 @@ func SearchContext(ctx context.Context, ix *Index, req Request) (*Result, error)
 		res.Answers = append(res.Answers, Answer{
 			Pre:       int(v),
 			Path:      ix.Path(v),
-			Label:     n.label,
-			Value:     n.value,
+			Label:     ix.doc.Label(v),
+			Value:     ix.doc.Value(v),
 			P:         p,
 			Witnesses: w,
 		})
@@ -304,7 +303,7 @@ func (ix *Index) candidates(tokens []string) []int32 {
 	var merged []posting
 	for bit, tok := range tokens {
 		for _, pre := range ix.postings[tok] {
-			if ix.nodes[pre].sat {
+			if ix.sat[pre] {
 				merged = append(merged, posting{pre, uint64(1) << uint(bit)})
 			}
 		}
@@ -348,15 +347,15 @@ func (ix *Index) candidates(tokens []string) []int32 {
 		// Open the ancestors of p below the current top (they carry no
 		// postings of their own so far, or they'd be on the stack).
 		var chain []int32
-		for v := p.pre; v >= 0; v = ix.nodes[v].parent {
+		for v := p.pre; v >= 0; v = ix.doc.Parent(v) {
 			if len(stack) > 0 && stack[len(stack)-1].pre == v {
 				break
 			}
 			chain = append(chain, v)
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
-			n := ix.nodes[chain[i]]
-			stack = append(stack, frame{pre: n.pre, end: n.end})
+			v := chain[i]
+			stack = append(stack, frame{pre: v, end: ix.doc.End(v)})
 		}
 		stack[len(stack)-1].mask |= p.mask
 	}
@@ -389,7 +388,7 @@ func (e *evaluator) witnessDNF(k int, v int32) event.DNF {
 	}
 	var d event.DNF
 	for _, u := range e.ix.witnesses(e.tokens[k], v) {
-		d = append(d, e.ix.nodes[u].path)
+		d = append(d, e.ix.path[u])
 	}
 	e.wit[key] = d
 	return d
@@ -421,7 +420,7 @@ func (e *evaluator) containF(v int32) event.Formula {
 func (e *evaluator) upperBound(ctx context.Context, v int32) (float64, error) {
 	bound := 1.0
 	for k := range e.tokens {
-		p, err := e.ix.tree.Table.ProbDNFCtx(ctx, e.witnessDNF(k, v))
+		p, err := e.ix.Tree().Table.ProbDNFCtx(ctx, e.witnessDNF(k, v))
 		if err != nil {
 			return 0, fmt.Errorf("keyword: %w", err)
 		}
@@ -454,7 +453,7 @@ func (e *evaluator) upperBound(ctx context.Context, v int32) (float64, error) {
 func (e *evaluator) answerFormula(v int32, mode Mode) (event.Formula, error) {
 	if mode == SLCA {
 		parts := []event.Formula{e.containF(v)}
-		for c := v + 1; c < e.ix.nodes[v].end; c = e.ix.nodes[c].end {
+		for c := v + 1; c < e.ix.doc.End(v); c = e.ix.doc.End(c) {
 			if f := e.containF(c); f != event.FFalse {
 				parts = append(parts, event.FNot(f))
 			}
@@ -464,8 +463,8 @@ func (e *evaluator) answerFormula(v int32, mode Mode) (event.Formula, error) {
 	var conj []event.Formula
 	for _, tok := range e.tokens {
 		var alts []event.Formula
-		if e.ix.hasToken(tok, v) && e.ix.nodes[v].sat {
-			alts = append(alts, event.FCond(e.ix.nodes[v].path))
+		if e.ix.hasToken(tok, v) && e.ix.sat[v] {
+			alts = append(alts, event.FCond(e.ix.path[v]))
 		}
 		// Group the remaining witnesses by the child subtree holding
 		// them; witnesses under a child that contains every keyword are
@@ -480,7 +479,7 @@ func (e *evaluator) answerFormula(v int32, mode Mode) (event.Formula, error) {
 			if _, ok := byChild[c]; !ok {
 				order = append(order, c)
 			}
-			byChild[c] = append(byChild[c], e.ix.nodes[u].path)
+			byChild[c] = append(byChild[c], e.ix.path[u])
 		}
 		for _, c := range order {
 			alts = append(alts, event.FAnd(
@@ -512,15 +511,17 @@ func estimateWorlds(ctx context.Context, cost *obs.Cost, ix *Index, tokens []str
 		seed = 1
 	}
 	r := rand.New(rand.NewSource(seed))
-	events := ix.tree.Events()
+	ft := ix.Tree()
+	events := ft.Events()
 	for _, ev := range events {
-		if !ix.tree.Table.Has(ev) {
+		if !ft.Table.Has(ev) {
 			return fmt.Errorf("keyword: unknown event %q in document", ev)
 		}
 	}
 
 	full := uint64(1)<<uint(len(tokens)) - 1
-	own := make([]uint64, len(ix.nodes))
+	n := ix.Len()
+	own := make([]uint64, n)
 	for bit, tok := range tokens {
 		for _, pre := range ix.postings[tok] {
 			own[pre] |= uint64(1) << uint(bit)
@@ -531,9 +532,9 @@ func estimateWorlds(ctx context.Context, cost *obs.Cost, ix *Index, tokens []str
 		keptSet[v] = true
 	}
 
-	exists := make([]bool, len(ix.nodes))
-	mask := make([]uint64, len(ix.nodes))
-	excl := make([]uint64, len(ix.nodes)) // ELCA: union of non-full child masks
+	exists := make([]bool, n)
+	mask := make([]uint64, n)
+	excl := make([]uint64, n) // ELCA: union of non-full child masks
 	hits := make(map[int32]int, len(kept))
 	done := 0
 	defer func() { event.ChargeMCSamples(cost, int64(done)) }()
@@ -545,11 +546,11 @@ func estimateWorlds(ctx context.Context, cost *obs.Cost, ix *Index, tokens []str
 			}
 		}
 		done++
-		a := ix.tree.Table.SampleAssignment(events, r)
-		for i := range ix.nodes {
-			n := &ix.nodes[i]
-			up := n.parent < 0 || exists[n.parent]
-			exists[i] = up && (i == 0 || n.path.Eval(a))
+		a := ft.Table.SampleAssignment(events, r)
+		for i := range n {
+			p := ix.doc.Parent(int32(i))
+			up := p < 0 || exists[p]
+			exists[i] = up && (i == 0 || ix.path[i].Eval(a))
 			if exists[i] {
 				mask[i] = own[i]
 			} else {
@@ -559,11 +560,11 @@ func estimateWorlds(ctx context.Context, cost *obs.Cost, ix *Index, tokens []str
 		}
 		// Children precede nothing: reverse preorder folds each subtree
 		// into its parent before the parent is read.
-		for i := len(ix.nodes) - 1; i > 0; i-- {
+		for i := n - 1; i > 0; i-- {
 			if !exists[i] {
 				continue
 			}
-			p := ix.nodes[i].parent
+			p := ix.doc.Parent(int32(i))
 			if mask[i] != full {
 				excl[p] |= mask[i]
 			}
@@ -578,7 +579,7 @@ func estimateWorlds(ctx context.Context, cost *obs.Cost, ix *Index, tokens []str
 			case SLCA:
 				if mask[v] == full {
 					ok = true
-					for c := v + 1; c < ix.nodes[v].end; c = ix.nodes[c].end {
+					for c := v + 1; c < ix.doc.End(v); c = ix.doc.End(c) {
 						if exists[c] && mask[c] == full {
 							ok = false
 							break

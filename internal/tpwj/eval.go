@@ -100,14 +100,8 @@ func (a *ProbAnswer) Prob(ctx context.Context, t *event.Table) (float64, error) 
 }
 
 // EvalFuzzy evaluates the query directly on a fuzzy tree (slide 13):
-// valuations are found on the underlying data tree, and each answer's
-// probability is the probability of the disjunction of the condition
-// conjunctions of its valuations, computed exactly. Answers are returned
-// in deterministic order (descending probability, then canonical form).
-//
-// Only MinimalSubtree answers are supported: the answer for a valuation
-// must be fully determined by the matched nodes and their ancestors, so
-// that its existence is equivalent to a conjunction of conditions.
+// it validates the tree, flattens it and runs Doc.Exact. See Exact for
+// the semantics and the order of the answers.
 //
 // By the commutation theorem, EvalFuzzy(q, ft) agrees with
 // EvalWorlds(q, ft.Expand()) — tested property, experiment E3.
@@ -120,8 +114,61 @@ func EvalFuzzy(q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
 // probability evaluation stages record spans into it. On a plain
 // context it is EvalFuzzy (the span calls are no-ops).
 func EvalFuzzyContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	return evalFuzzyProb(ctx, q, ft, func(a *ProbAnswer) (float64, error) {
-		p, err := a.Prob(ctx, ft.Table)
+	d, err := FlattenValid(ft)
+	if err != nil {
+		return nil, err
+	}
+	return d.Exact(ctx, q)
+}
+
+// EvalFuzzyMonteCarlo is EvalFuzzy with Monte-Carlo probability
+// estimation: it validates and flattens the tree and runs
+// Doc.MonteCarlo.
+func EvalFuzzyMonteCarlo(q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([]ProbAnswer, error) {
+	return EvalFuzzyMonteCarloContext(context.Background(), q, ft, samples, r)
+}
+
+// EvalFuzzyMonteCarloContext is EvalFuzzyMonteCarlo with a context,
+// traced like EvalFuzzyContext.
+func EvalFuzzyMonteCarloContext(ctx context.Context, q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([]ProbAnswer, error) {
+	d, err := FlattenValid(ft)
+	if err != nil {
+		return nil, err
+	}
+	return d.MonteCarlo(ctx, q, samples, r)
+}
+
+// EvalFuzzySymbolic computes the answers of the query and their
+// conditions without any probability: it validates and flattens the
+// tree and runs Doc.Symbolic.
+func EvalFuzzySymbolic(q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
+	return EvalFuzzySymbolicContext(context.Background(), q, ft)
+}
+
+// EvalFuzzySymbolicContext is EvalFuzzySymbolic honoring context
+// cancellation (polled every few hundred matches) and recording spans
+// when ctx carries an obs trace.
+func EvalFuzzySymbolicContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
+	d, err := FlattenValid(ft)
+	if err != nil {
+		return nil, err
+	}
+	return d.Symbolic(ctx, q)
+}
+
+// Exact evaluates the query on a document built by FlattenFuzzy from a
+// valid tree: valuations are found on the flat form, and each answer's
+// probability is the probability of the disjunction of the condition
+// conjunctions of its valuations, computed exactly under the tree's
+// event table. Answers are returned in deterministic order (descending
+// probability, then canonical form).
+//
+// Only MinimalSubtree answers are supported: the answer for a valuation
+// must be fully determined by the matched nodes and their ancestors, so
+// that its existence is equivalent to a conjunction of conditions.
+func (d *Doc) Exact(ctx context.Context, q *Query) ([]ProbAnswer, error) {
+	return d.evalProb(ctx, q, func(a *ProbAnswer) (float64, error) {
+		p, err := a.Prob(ctx, d.tree.Table)
 		if err != nil {
 			return 0, fmt.Errorf("tpwj: %w", err)
 		}
@@ -129,34 +176,28 @@ func EvalFuzzyContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnsw
 	})
 }
 
-// EvalFuzzyMonteCarlo estimates answer probabilities by sampling: it
-// finds the answers symbolically like EvalFuzzy but replaces the exact
-// DNF probability computation with Monte-Carlo estimation over the
-// events. It is the scalable fallback when condition DNFs grow large
-// (experiment E9).
-func EvalFuzzyMonteCarlo(q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([]ProbAnswer, error) {
-	return EvalFuzzyMonteCarloContext(context.Background(), q, ft, samples, r)
-}
-
-// EvalFuzzyMonteCarloContext is EvalFuzzyMonteCarlo with a context,
-// traced like EvalFuzzyContext (the probability stage records its span
-// under the same "event.prob" name: it is the same pipeline position,
-// estimated instead of computed exactly).
-func EvalFuzzyMonteCarloContext(ctx context.Context, q *Query, ft *fuzzy.Tree, samples int, r *rand.Rand) ([]ProbAnswer, error) {
-	return evalFuzzyProb(ctx, q, ft, func(a *ProbAnswer) (float64, error) {
+// MonteCarlo estimates answer probabilities by sampling: it finds the
+// answers symbolically like Exact but replaces the exact DNF
+// probability computation with Monte-Carlo estimation over the events.
+// It is the scalable fallback when condition DNFs grow large
+// (experiment E9). The probability stage records its span under the
+// same "event.prob" name as Exact's: it is the same pipeline position,
+// estimated instead of computed exactly.
+func (d *Doc) MonteCarlo(ctx context.Context, q *Query, samples int, r *rand.Rand) ([]ProbAnswer, error) {
+	return d.evalProb(ctx, q, func(a *ProbAnswer) (float64, error) {
 		if a.Cond != nil {
-			return ft.Table.EstimateDNFCtx(ctx, a.Cond, samples, r)
+			return d.tree.Table.EstimateDNFCtx(ctx, a.Cond, samples, r)
 		}
-		return ft.Table.EstimateFormulaCtx(ctx, a.Formula, samples, r)
+		return d.tree.Table.EstimateFormulaCtx(ctx, a.Formula, samples, r)
 	})
 }
 
-// evalFuzzyProb is the body shared by exact and Monte-Carlo
-// evaluation: find the answers symbolically, give each the probability
-// prob computes for it, and order them (descending probability, then
+// evalProb is the body shared by exact and Monte-Carlo evaluation:
+// find the answers symbolically, give each the probability prob
+// computes for it, and order them (descending probability, then
 // canonical form).
-func evalFuzzyProb(ctx context.Context, q *Query, ft *fuzzy.Tree, prob func(*ProbAnswer) (float64, error)) ([]ProbAnswer, error) {
-	answers, err := evalFuzzySymbolic(ctx, q, ft)
+func (d *Doc) evalProb(ctx context.Context, q *Query, prob func(*ProbAnswer) (float64, error)) ([]ProbAnswer, error) {
+	answers, err := d.Symbolic(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -184,33 +225,21 @@ func evalFuzzyProb(ctx context.Context, q *Query, ft *fuzzy.Tree, prob func(*Pro
 	return out, nil
 }
 
-// EvalFuzzySymbolic computes the answers of the query and their
-// conditions (DNF for positive queries, general formulas when the
-// pattern uses negation) without computing any probability: every
-// returned ProbAnswer has P == 0. The symbolic pass is the cheap half
-// of EvalFuzzy — the expensive half is the per-answer probability
-// computation — which makes it the tool for incremental maintenance of
-// materialized views (internal/view): re-derive the answer set, then
-// pay for ProbDNF only on answers whose condition actually changed.
-// Answers are returned in deterministic order (ascending canonical
-// form).
-func EvalFuzzySymbolic(q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	return evalFuzzySymbolic(context.Background(), q, ft)
-}
-
-// EvalFuzzySymbolicContext is EvalFuzzySymbolic honoring context
-// cancellation (polled every few hundred matches) and recording spans
-// when ctx carries an obs trace.
-func EvalFuzzySymbolicContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
-	return evalFuzzySymbolic(ctx, q, ft)
-}
-
-// evalFuzzySymbolic computes answers and their conditions without
-// probabilities. Valuations are found on the flattened underlying tree;
-// each one's condition is the conjunction of the conditions of its
-// minimal subtree (the matched nodes and their ancestors), and
-// valuations with the same answer tree are folded into one answer.
+// Symbolic computes the answers of the query on a document built by
+// FlattenFuzzy and their conditions (DNF for positive queries, general
+// formulas when the pattern uses negation) without computing any
+// probability: every returned ProbAnswer has P == 0. The symbolic pass
+// is the cheap half of Exact — the expensive half is the per-answer
+// probability computation — which makes it the tool for incremental
+// maintenance of materialized views (internal/view): re-derive the
+// answer set, then pay for ProbDNF only on answers whose condition
+// actually changed. Answers are returned in deterministic order
+// (ascending canonical form). Cancellation of ctx is polled every few
+// hundred matches.
 //
+// Each valuation's condition is the conjunction of the conditions of
+// its minimal subtree (the matched nodes and their ancestors), and
+// valuations with the same answer tree are folded into one answer.
 // With forbidden sub-patterns (negation extension) a valuation's
 // condition becomes
 //
@@ -220,16 +249,10 @@ func EvalFuzzySymbolicContext(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]
 // worlds only. Valuations are then enumerated without the plain-tree
 // not-exists filter; the filter is expressed probabilistically instead.
 //
-// Flattening and enumeration record a "tpwj.match" span and the
-// per-answer condition normalization an "event.compile" span when ctx
-// carries an obs trace.
-func evalFuzzySymbolic(ctx context.Context, q *Query, ft *fuzzy.Tree) ([]ProbAnswer, error) {
+// Enumeration records a "tpwj.match" span and the per-answer condition
+// normalization an "event.compile" span when ctx carries an obs trace.
+func (d *Doc) Symbolic(ctx context.Context, q *Query) ([]ProbAnswer, error) {
 	_, mspan := obs.StartSpan(ctx, "tpwj.match")
-	if err := ft.Validate(); err != nil {
-		mspan.End()
-		return nil, err
-	}
-	d := FlattenFuzzy(ft)
 	neg := q.HasNegation()
 	type acc struct {
 		tree     *tree.Node

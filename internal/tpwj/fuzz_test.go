@@ -1,6 +1,7 @@
 package tpwj_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -215,7 +216,8 @@ func refCount(q *tpwj.Query, doc *tree.Node) int {
 // is all an ordered query can be held to). Both sides run the
 // package's one matcher (symbolically, and with forbidden sub-patterns
 // as filters), so the valuation count on the underlying tree is also
-// compared with refCount. The checked-in corpus under testdata/fuzz
+// compared with refCount, and each input is evaluated twice more on one
+// Doc, which must change nothing. The checked-in corpus under testdata/fuzz
 // runs as regular test cases; `go test -fuzz=FuzzEvalFuzzyDifferential`
 // explores further.
 func FuzzEvalFuzzyDifferential(f *testing.F) {
@@ -243,6 +245,19 @@ func FuzzEvalFuzzyDifferential(f *testing.F) {
 		direct, err := tpwj.EvalFuzzy(q, ft)
 		if err != nil {
 			t.Fatalf("%s: EvalFuzzy: %v", desc, err)
+		}
+		// A Doc is shared by every reader of a warehouse version:
+		// evaluating twice on one must give the fresh flatten's answers
+		// both times.
+		d := tpwj.FlattenFuzzy(ft)
+		for run := 1; run <= 2; run++ {
+			again, err := d.Exact(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: Exact on a reused Doc: %v", desc, err)
+			}
+			if diff := diffAnswers(again, direct); diff != "" {
+				t.Errorf("%s: evaluation %d on one Doc: %s", desc, run, diff)
+			}
 		}
 		if q.Ordered {
 			// The worlds model is unordered: Expand merges worlds that

@@ -236,7 +236,7 @@ func (m *matcher) try(r *run, i int, cur int32) bool {
 	if pn.label != anyLabel && pn.label != d.label[cur] {
 		return true
 	}
-	if pn.src.HasValue && pn.src.Value != d.value[cur] {
+	if pn.src.HasValue && pn.src.Value != d.Value(cur) {
 		return true
 	}
 	r.b[k] = cur
@@ -247,7 +247,7 @@ func (m *matcher) try(r *run, i int, cur int32) bool {
 // before it (the smaller numbers).
 func (m *matcher) joinsOK(r *run, pn *pnode, k int32) bool {
 	for _, j := range pn.joins {
-		if j < k && m.d.value[r.b[j]] != m.d.value[r.b[k]] {
+		if j < k && m.d.Value(r.b[j]) != m.d.Value(r.b[k]) {
 			return false
 		}
 	}

@@ -210,15 +210,20 @@ func newKeyed(a tpwj.ProbAnswer) keyed {
 // form of def (see Definition.Compile); passing it in lets callers
 // compile once at registration and reuse across maintenance passes.
 func Materialize(def Definition, q *tpwj.Query, ft *fuzzy.Tree) (*View, error) {
-	return MaterializeCtx(context.Background(), def, q, ft)
+	doc, err := tpwj.FlattenValid(ft)
+	if err != nil {
+		return nil, err
+	}
+	return MaterializeCtx(context.Background(), def, q, doc)
 }
 
-// MaterializeCtx is Materialize honoring context cancellation: the
-// tree-pattern match and the per-answer probability evaluations poll
-// ctx and abort with its error, so a request deadline stops a full
+// MaterializeCtx is Materialize on the document's flat form (built by
+// tpwj.FlattenFuzzy from a valid tree), honoring context cancellation:
+// the tree-pattern match and the per-answer probability evaluations
+// poll ctx and abort with its error, so a request deadline stops a full
 // recompute mid-flight.
-func MaterializeCtx(ctx context.Context, def Definition, q *tpwj.Query, ft *fuzzy.Tree) (*View, error) {
-	answers, err := tpwj.EvalFuzzyContext(ctx, q, ft)
+func MaterializeCtx(ctx context.Context, def Definition, q *tpwj.Query, doc *tpwj.Doc) (*View, error) {
+	answers, err := doc.Exact(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -232,27 +237,42 @@ func MaterializeCtx(ctx context.Context, def Definition, q *tpwj.Query, ft *fuzz
 // Maintain brings the view up to date with the post-update document
 // ft, using the update's footprint d to decide the tier. It returns
 // the successor state (possibly the receiver itself, on the Skip tier)
-// and what it did; the receiver is never mutated.
+// and what it did; the receiver is never mutated. The Skip tier does
+// not look at ft.
 func (v *View) Maintain(ft *fuzzy.Tree, d *Delta) (*View, Result, error) {
-	return v.MaintainCtx(context.Background(), ft, d)
+	if v.skips(d) {
+		return v, Result{Outcome: Skipped}, nil
+	}
+	doc, err := tpwj.FlattenValid(ft)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return v.MaintainCtx(context.Background(), doc, d)
 }
 
-// MaintainCtx is Maintain honoring context cancellation. The Skip tier
-// never consults the context (it does no evaluation); the other tiers
+// MaintainCtx is Maintain on the post-update document's flat form,
+// honoring context cancellation. The Skip tier never consults the
+// context or the document (it does no evaluation); the other tiers
 // abort with the context's error, leaving the receiver — still the
 // current state — untouched.
-func (v *View) MaintainCtx(ctx context.Context, ft *fuzzy.Tree, d *Delta) (*View, Result, error) {
-	if d != nil && v.conclusive && !v.affected(d) {
+func (v *View) MaintainCtx(ctx context.Context, doc *tpwj.Doc, d *Delta) (*View, Result, error) {
+	if v.skips(d) {
 		return v, Result{Outcome: Skipped}, nil
 	}
 	if d == nil || !v.conclusive {
-		nv, err := MaterializeCtx(ctx, v.def, v.q, ft)
+		nv, err := MaterializeCtx(ctx, v.def, v.q, doc)
 		if err != nil {
 			return nil, Result{}, err
 		}
 		return nv, Result{Outcome: Full, Recomputed: len(nv.answers)}, nil
 	}
-	return v.maintainIncremental(ctx, ft)
+	return v.maintainIncremental(ctx, doc)
+}
+
+// skips reports whether the overlap analysis proves the footprint
+// cannot affect the view.
+func (v *View) skips(d *Delta) bool {
+	return d != nil && v.conclusive && !v.affected(d)
 }
 
 // maintainIncremental re-runs the symbolic pass and pays for the
@@ -261,8 +281,8 @@ func (v *View) MaintainCtx(ctx context.Context, ft *fuzzy.Tree, d *Delta) (*View
 // event probabilities are immutable once minted: an identical
 // canonical DNF over the (possibly grown) event table denotes the same
 // probability.
-func (v *View) maintainIncremental(ctx context.Context, ft *fuzzy.Tree) (*View, Result, error) {
-	sym, err := tpwj.EvalFuzzySymbolicContext(ctx, v.q, ft)
+func (v *View) maintainIncremental(ctx context.Context, doc *tpwj.Doc) (*View, Result, error) {
+	sym, err := doc.Symbolic(ctx, v.q)
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -274,7 +294,7 @@ func (v *View) maintainIncremental(ctx context.Context, ft *fuzzy.Tree) (*View, 
 			k.a.P = v.answers[j].P
 			res.Reused++
 		} else {
-			p, err := k.a.Prob(ctx, ft.Table)
+			p, err := k.a.Prob(ctx, doc.Tree().Table)
 			if err != nil {
 				return nil, Result{}, err
 			}

@@ -15,10 +15,11 @@ import (
 // Snapshot is one immutable version of one document, together with
 // everything derived from it. A mutation never edits a snapshot: it
 // publishes a successor with a larger Version, so whatever was computed
-// from a snapshot — its keyword index here, a result-cache entry or a
-// view state tagged with its version elsewhere — stays correct for that
-// version forever and becomes garbage with it. "Is this stale?" is
-// therefore always the one comparison of two version numbers.
+// from a snapshot — its flat form and keyword index here, a
+// result-cache entry or a view state tagged with its version elsewhere
+// — stays correct for that version forever and becomes garbage with
+// it. "Is this stale?" is therefore always the one comparison of two
+// version numbers.
 //
 // A Snapshot stays valid after its document is updated or dropped and
 // after the warehouse is closed; all methods are safe for concurrent
@@ -28,7 +29,14 @@ type Snapshot struct {
 	version uint64
 	search  *searchCounters
 
-	// index is the keyword index over tree, built by the first Search.
+	// doc is the flat form of tree that every query, view evaluation
+	// and keyword index of this version runs on, validated and built by
+	// the first reader; docErr is the validation error, if any.
+	docOnce sync.Once
+	doc     *tpwj.Doc
+	docErr  error
+
+	// index is the keyword index over doc, built by the first Search.
 	indexOnce sync.Once
 	index     *keyword.Index
 }
@@ -62,6 +70,18 @@ func (w *Warehouse) publish(name string, ft *fuzzy.Tree) *Snapshot {
 	return s
 }
 
+// flat returns the version's flat form, building it on first use: the
+// tree is validated once and flattened once per version, however many
+// readers ask.
+func (s *Snapshot) flat(ctx context.Context) (*tpwj.Doc, error) {
+	s.docOnce.Do(func() {
+		_, span := obs.StartSpan(ctx, "tpwj.flatten")
+		defer span.End()
+		s.doc, s.docErr = tpwj.FlattenValid(s.tree)
+	})
+	return s.doc, s.docErr
+}
+
 // Version identifies the snapshot among all versions of all documents
 // this warehouse has published: a later version of the same document
 // has a larger number.
@@ -74,7 +94,11 @@ func (s *Snapshot) Version() uint64 { return s.version }
 func (s *Snapshot) Query(ctx context.Context, q *tpwj.Query) ([]tpwj.ProbAnswer, error) {
 	ctx, span := obs.StartSpan(ctx, "warehouse.query")
 	defer span.End()
-	return tpwj.EvalFuzzyContext(ctx, q, s.tree)
+	d, err := s.flat(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return d.Exact(ctx, q)
 }
 
 // QueryMC is Query with Monte-Carlo probability estimation, for
@@ -83,19 +107,28 @@ func (s *Snapshot) Query(ctx context.Context, q *tpwj.Query) ([]tpwj.ProbAnswer,
 func (s *Snapshot) QueryMC(ctx context.Context, q *tpwj.Query, samples int, r *rand.Rand) ([]tpwj.ProbAnswer, error) {
 	ctx, span := obs.StartSpan(ctx, "warehouse.query")
 	defer span.End()
-	return tpwj.EvalFuzzyMonteCarloContext(ctx, q, s.tree, samples, r)
+	d, err := s.flat(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return d.MonteCarlo(ctx, q, samples, r)
 }
 
 // Search runs a keyword search (SLCA or ELCA semantics, exact or
 // Monte-Carlo probabilities, optional MinProb threshold and TopK cut)
-// on the snapshot. The inverted index is built by the first search of
-// this version and shared by all later ones.
+// on the snapshot. The inverted index is built over the version's flat
+// form by the first search of this version and shared by all later
+// ones.
 func (s *Snapshot) Search(ctx context.Context, req keyword.Request) (*keyword.Result, error) {
 	s.search.searches.Add(1)
+	d, err := s.flat(ctx)
+	if err != nil {
+		return nil, err
+	}
 	built := false
 	s.indexOnce.Do(func() {
 		_, span := obs.StartSpan(ctx, "keyword.index")
-		s.index = keyword.NewIndex(s.tree)
+		s.index = keyword.IndexDoc(d)
 		span.End()
 		built = true
 	})

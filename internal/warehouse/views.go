@@ -303,8 +303,12 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	// Materialize outside the state lock: the writers lock already
 	// serializes this against mutations of the document, and readers
 	// must not wait on query evaluation.
+	flat, err := snap.flat(ctx)
+	if err != nil {
+		return nil, err
+	}
 	_, mspan := obs.StartSpan(ctx, "view.materialize")
-	v, err := view.MaterializeCtx(ctx, def, q, snap.tree)
+	v, err := view.MaterializeCtx(ctx, def, q, flat)
 	mspan.End()
 	if err != nil {
 		return nil, err
@@ -433,7 +437,11 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 		if err != nil {
 			return nil, err
 		}
-		v, err := view.MaterializeCtx(ctx, h.def, q, cur.tree)
+		flat, err := cur.flat(ctx)
+		if err != nil {
+			return nil, err
+		}
+		v, err := view.MaterializeCtx(ctx, h.def, q, flat)
 		if err != nil {
 			return nil, err
 		}
@@ -482,17 +490,21 @@ func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *Sn
 		h.mu.Unlock()
 
 		var nv *view.View
+		var flat *tpwj.Doc
+		if err == nil {
+			flat, err = next.flat(ctx)
+		}
 		if err == nil {
 			if old != nil && oldVersion == pre.version {
 				var res view.Result
-				nv, res, err = old.MaintainCtx(ctx, next.tree, delta)
+				nv, res, err = old.MaintainCtx(ctx, flat, delta)
 				if err == nil {
 					w.views.record(cost, res)
 				}
 			} else {
 				// The state does not correspond to the pre-update
 				// snapshot (first use after recovery): start over.
-				nv, err = view.MaterializeCtx(ctx, h.def, q, next.tree)
+				nv, err = view.MaterializeCtx(ctx, h.def, q, flat)
 				if err == nil {
 					obs.Charge(cost, obs.CostViewMaintRecomputed, w.views.full, 1)
 				}

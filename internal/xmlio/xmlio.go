@@ -195,18 +195,27 @@ type xnode struct {
 	children []*xnode
 }
 
+// toData and toFuzzy build the model's nodes with Children allocated
+// at exact size: a parsed document is retained for as long as its
+// version lives, so it must not carry append slack.
 func toData(n *xnode) *tree.Node {
 	d := &tree.Node{Label: n.label, Value: n.value}
-	for _, c := range n.children {
-		d.Children = append(d.Children, toData(c))
+	if len(n.children) > 0 {
+		d.Children = make([]*tree.Node, len(n.children))
+		for i, c := range n.children {
+			d.Children[i] = toData(c)
+		}
 	}
 	return d
 }
 
 func toFuzzy(n *xnode) *fuzzy.Node {
 	f := &fuzzy.Node{Label: n.label, Value: n.value, Cond: n.cond}
-	for _, c := range n.children {
-		f.Children = append(f.Children, toFuzzy(c))
+	if len(n.children) > 0 {
+		f.Children = make([]*fuzzy.Node, len(n.children))
+		for i, c := range n.children {
+			f.Children[i] = toFuzzy(c)
+		}
 	}
 	return f
 }
@@ -218,14 +227,13 @@ func readElement(dec *xml.Decoder, allowCond bool) (*xnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := readElementFrom(dec, start, allowCond)
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+	return readElementFrom(dec, start, allowCond, new([]byte))
 }
 
-func readElementFrom(dec *xml.Decoder, start xml.StartElement, allowCond bool) (*xnode, error) {
+// readElementFrom reads the element opened by start. text is scratch
+// for character data shared by the whole parse: an element collects its
+// text past the length it found, and truncates back on return.
+func readElementFrom(dec *xml.Decoder, start xml.StartElement, allowCond bool, text *[]byte) (*xnode, error) {
 	n := &xnode{label: start.Name.Local}
 	for _, a := range start.Attr {
 		if a.Name.Local == CondAttr {
@@ -243,7 +251,7 @@ func readElementFrom(dec *xml.Decoder, start xml.StartElement, allowCond bool) (
 		// attribute/element distinction).
 		n.children = append(n.children, &xnode{label: a.Name.Local, value: a.Value})
 	}
-	var text strings.Builder
+	mark := len(*text)
 	for {
 		tok, err := dec.Token()
 		if err != nil {
@@ -251,25 +259,29 @@ func readElementFrom(dec *xml.Decoder, start xml.StartElement, allowCond bool) (
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			child, err := readElementFrom(dec, t, allowCond)
+			child, err := readElementFrom(dec, t, allowCond, text)
 			if err != nil {
 				return nil, err
 			}
 			n.children = append(n.children, child)
 		case xml.EndElement:
-			n.value = strings.TrimSpace(text.String())
+			// The value is a copy of the trimmed text at exact size (and
+			// the empty string, no allocation, for whitespace only), so a
+			// retained node keeps no scratch alive.
+			n.value = string(bytes.TrimSpace((*text)[mark:]))
+			*text = (*text)[:mark]
 			if n.value != "" && len(n.children) > 0 {
 				return nil, fmt.Errorf("xmlio: mixed content in <%s>", n.label)
 			}
 			return n, nil
 		case xml.CharData:
-			text.Write(t)
+			*text = append(*text, t...)
 		}
 	}
 }
 
 func readFuzzyElement(dec *xml.Decoder, start xml.StartElement) (*fuzzy.Node, error) {
-	n, err := readElementFrom(dec, start, true)
+	n, err := readElementFrom(dec, start, true, new([]byte))
 	if err != nil {
 		return nil, err
 	}

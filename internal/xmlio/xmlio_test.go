@@ -2,12 +2,14 @@ package xmlio
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
+	"repro/internal/gen"
 	"repro/internal/tree"
 )
 
@@ -251,4 +253,49 @@ func randomXMLSafeFuzzyTree(r *rand.Rand) *fuzzy.Tree {
 	root := build(3)
 	root.Cond = nil
 	return &fuzzy.Tree{Root: root, Table: tab}
+}
+
+// TestParsedDocRetainsNoSlack pins what a parsed document keeps alive:
+// a snapshot's tree is resident for as long as its version lives, so
+// values must not pin the parser's text scratch and Children must carry
+// no append slack. It measures the live heap, so it must not run in
+// parallel with other tests.
+func TestParsedDocRetainsNoSlack(t *testing.T) {
+	data, err := DocXML(gen.Sections(rand.New(rand.NewSource(1)), 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := ParseDoc(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := ft.Size()
+	ft.Root.Walk(func(n *fuzzy.Node) bool {
+		if cap(n.Children) != len(n.Children) {
+			t.Errorf("<%s> Children: len %d, cap %d", n.Label, len(n.Children), cap(n.Children))
+			return false
+		}
+		return true
+	})
+	perNode := float64(retainedBy(func() { ft = nil })) / float64(nodes)
+	t.Logf("%d nodes, %.1f retained bytes per node", nodes, perNode)
+	if perNode > 112 {
+		t.Errorf("a parsed document retains %.1f bytes per node, want at most 112 (124 before values were copied out of the text scratch)", perNode)
+	}
+}
+
+// retainedBy returns how many bytes of live heap die with drop: the
+// live heap after full collections, minus the live heap after drop and
+// another. The first collection is doubled because sync.Pool contents
+// survive one as victims. What drop releases must be unreachable
+// otherwise.
+func retainedBy(drop func()) int64 {
+	var live, freed runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	drop()
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	return int64(live.HeapAlloc) - int64(freed.HeapAlloc)
 }
