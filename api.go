@@ -60,8 +60,6 @@ type (
 	Query = tpwj.Query
 	// PatternNode is one node of a query pattern.
 	PatternNode = tpwj.PNode
-	// Match is a valuation of a query in a document.
-	Match = tpwj.Match
 	// ProbAnswer is a query answer over a fuzzy tree: answer tree,
 	// condition DNF and exact probability.
 	ProbAnswer = tpwj.ProbAnswer
@@ -120,14 +118,14 @@ type (
 	// footprint (Warehouse.StorageStats, the /stats storage section).
 	StorageStats = store.Stats
 	// Server is an http.Handler exposing a warehouse over an HTTP/JSON
-	// API with per-document concurrency and a query-result cache.
+	// API with per-document concurrency.
 	Server = server.Server
-	// ServerOptions configures NewServer (cache size, request logging,
-	// slow-query threshold, trace-ring size).
+	// ServerOptions configures NewServer (body limit, request logging,
+	// slow-query threshold, trace-ring size, timeout, in-flight cap).
 	ServerOptions = server.Options
 	// ServerStats is the GET /stats response: request counters with
-	// latency quantiles, per-stage latencies, cache hit rate, engine
-	// and journal counters, uptime and build version.
+	// latency quantiles, per-stage latencies, engine, journal, search,
+	// view and storage counters, uptime and build version.
 	ServerStats = server.StatsSnapshot
 )
 

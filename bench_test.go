@@ -407,28 +407,23 @@ func BenchmarkAblationCanonicalNormalize(b *testing.B) {
 // --- Server: HTTP query throughput ----------------------------------------
 
 // BenchmarkServerQuery measures end-to-end HTTP query latency against
-// pxserve's handler stack: sequential and parallel clients, with the
-// result cache cold (disabled, every request evaluates) and warm (the
-// repeated identical query is served from the LRU).
+// pxserve's handler stack, with sequential and parallel clients. Every
+// request evaluates the query on the document's current snapshot.
 func BenchmarkServerQuery(b *testing.B) {
-	newServer := func(b *testing.B, cacheSize int) *httptest.Server {
-		b.Helper()
-		wh, err := fuzzyxml.OpenWarehouse(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := wh.Create("doc", exp.SectionDoc(8)); err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(fuzzyxml.NewServer(wh, fuzzyxml.ServerOptions{CacheSize: cacheSize}))
-		b.Cleanup(func() {
-			ts.Close()
-			wh.Close()
-		})
-		return ts
+	wh, err := fuzzyxml.OpenWarehouse(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
 	}
+	if err := wh.Create("doc", exp.SectionDoc(8)); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(fuzzyxml.NewServer(wh, fuzzyxml.ServerOptions{}))
+	b.Cleanup(func() {
+		ts.Close()
+		wh.Close()
+	})
 	body := []byte(`{"query":"A(//L $x)"}`)
-	post := func(ts *httptest.Server) error {
+	post := func() error {
 		resp, err := http.Post(ts.URL+"/docs/doc/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -440,46 +435,23 @@ func BenchmarkServerQuery(b *testing.B) {
 		}
 		return nil
 	}
-	for _, bc := range []struct {
-		name  string
-		cache int
-	}{
-		{"cold", -1},
-		{"warm", 1024},
-	} {
-		b.Run("sequential/"+bc.name, func(b *testing.B) {
-			ts := newServer(b, bc.cache)
-			if bc.cache > 0 {
-				// Prime the cache so every timed iteration is a hit.
-				if err := post(ts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := post(); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := post(ts); err != nil {
-					b.Fatal(err)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := post(); err != nil {
+					b.Error(err)
+					return
 				}
 			}
 		})
-		b.Run("parallel/"+bc.name, func(b *testing.B) {
-			ts := newServer(b, bc.cache)
-			if bc.cache > 0 {
-				if err := post(ts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := post(ts); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	})
 }

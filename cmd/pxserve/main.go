@@ -1,14 +1,15 @@
 // Command pxserve serves a probabilistic XML warehouse over HTTP: the
 // multi-client front end of the paper's warehouse architecture. Many
 // clients can create, query and update documents concurrently;
-// operations on different documents never contend, and repeated
-// identical queries are answered from an LRU result cache.
+// operations on different documents never contend. Every query is
+// evaluated on the document's current version; a query asked
+// repeatedly belongs in a materialized view (PUT /docs/{name}/views/{view}).
 //
 // Usage:
 //
 //	pxserve -dir ./wh
 //	pxserve -dir ./wh -store kv
-//	pxserve -dir ./wh -addr :9090 -cache 1024 -v
+//	pxserve -dir ./wh -addr :9090 -v
 //	pxserve -dir ./wh -slow-query 250ms -pprof localhost:6060
 //	pxserve -dir ./wh -pprof localhost:6060 -mutexprofile 5 -blockprofile 1000000
 //	pxserve -dir ./wh -request-timeout 30s -max-inflight 64
@@ -47,7 +48,6 @@ func main() {
 		dir         = flag.String("dir", "", "warehouse directory (required)")
 		storeName   = flag.String("store", "auto", "storage backend: filestore, kv, or auto (detect from the directory)")
 		addr        = flag.String("addr", ":8080", "listen address")
-		cacheSize   = flag.Int("cache", 0, "query cache entries (0 = default, negative = disabled)")
 		verbose     = flag.Bool("v", false, "log every request")
 		slowQuery   = flag.Duration("slow-query", 0, "log requests at least this slow, with span breakdown (0 = disabled)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and /debug/traces on this debug address (empty = disabled)")
@@ -70,7 +70,6 @@ func main() {
 	log.Printf("pxserve: %s storage backend at %s", wh.Backend(), wh.Dir())
 
 	opts := fuzzyxml.ServerOptions{
-		CacheSize:          *cacheSize,
 		SlowQueryThreshold: *slowQuery,
 		RequestTimeout:     *reqTimeout,
 		MaxInFlight:        *maxInFlight,

@@ -76,8 +76,8 @@
 // each is an SLCA (smallest lowest common ancestor of the keywords) or
 // ELCA (exclusive LCA) answer in a random possible world. Evaluation
 // runs on a per-document inverted index (token → postings in document
-// order with path conditions; NewKeywordIndex, cached by the warehouse
-// until the document is mutated): candidates come from a stack-based
+// order with path conditions; NewKeywordIndex, built once per document
+// version and held by the warehouse's snapshot of it): candidates come from a stack-based
 // document-order merge of the posting lists, and each candidate's
 // probability is computed from the witness path conditions — the DNF of
 // match-witness conjunctions, sharpened with negation for SLCA/ELCA
@@ -186,8 +186,9 @@
 // admin routes. The warehouse locks per document — a striped table of
 // reader/writer lock pairs — so requests on different documents never
 // contend and queries run in parallel with the computation phase of
-// updates; repeated identical queries on an unchanged document are
-// answered from an LRU result cache.
+// updates. Every query and search is evaluated on the document's
+// current snapshot; a query a client repeats belongs in a materialized
+// view, which the warehouse maintains incrementally per version.
 //
 // # Observability
 //

@@ -6,7 +6,10 @@
 //   - README links a docs/*.md file that does not exist,
 //   - a docs/*.md file is not linked from README (orphaned docs rot),
 //   - a fenced sh/go code block in README or docs invokes a px*
-//     binary with no directory under cmd/, or
+//     binary with no directory under cmd/,
+//   - a fenced sh block passes such a binary a -flag its
+//     cmd/<bin>/main.go does not declare with flag.<Type>("flag", ...),
+//     or
 //   - such a block exercises a server URL whose path matches no route
 //     registered in internal/server.
 //
@@ -44,7 +47,16 @@ var (
 	// muxRouteRE extracts the plain-path registrations of pxserve's
 	// auxiliary pprof mux, so docs may reference /debug/pprof URLs.
 	muxRouteRE = regexp.MustCompile(`mux\.HandleFunc\("(/[^"]+)"`)
+	// flagDeclRE extracts the flags a command declares on the default
+	// flag set: flag.String("dir", ...), flag.Bool("v", ...).
+	flagDeclRE = regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("([^"]+)"`)
+	// flagArgRE matches a command-line flag token (-name, --name,
+	// -name=value) and captures the name.
+	flagArgRE = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_.-]*)(=|$)`)
 )
+
+// builtinFlags are accepted by every command the flag package parses.
+var builtinFlags = []string{"h", "help"}
 
 // Check cross-checks the documentation of the repository rooted at
 // root and returns one message per problem found (empty means clean).
@@ -103,17 +115,30 @@ func Check(root string) ([]string, error) {
 	return problems, nil
 }
 
-// cmdBinaries returns the set of tool names under cmd/.
-func cmdBinaries(root string) (map[string]bool, error) {
+// cmdBinaries returns the tool names under cmd/, each with the set of
+// flags its main.go declares.
+func cmdBinaries(root string) (map[string]map[string]bool, error) {
 	entries, err := os.ReadDir(filepath.Join(root, "cmd"))
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]bool, len(entries))
+	out := make(map[string]map[string]bool, len(entries))
 	for _, e := range entries {
-		if e.IsDir() {
-			out[e.Name()] = true
+		if !e.IsDir() {
+			continue
 		}
+		flags := make(map[string]bool)
+		for _, f := range builtinFlags {
+			flags[f] = true
+		}
+		data, err := os.ReadFile(filepath.Join(root, "cmd", e.Name(), "main.go"))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		for _, m := range flagDeclRE.FindAllStringSubmatch(string(data), -1) {
+			flags[m[1]] = true
+		}
+		out[e.Name()] = flags
 	}
 	return out, nil
 }
@@ -142,10 +167,11 @@ func serverRoutes(root string) ([]string, error) {
 }
 
 // checkBlocks scans the fenced sh/go blocks of one markdown document.
-func checkBlocks(file, content string, binaries map[string]bool, routes []string) []string {
+func checkBlocks(file, content string, binaries map[string]map[string]bool, routes []string) []string {
 	var problems []string
 	inBlock := false
 	lang := ""
+	cont := "" // the binary whose command a trailing backslash continues
 	for i, line := range strings.Split(content, "\n") {
 		if m := fenceRE.FindStringSubmatch(line); m != nil {
 			if inBlock {
@@ -153,15 +179,38 @@ func checkBlocks(file, content string, binaries map[string]bool, routes []string
 			} else {
 				inBlock, lang = true, m[1]
 			}
+			cont = ""
 			continue
 		}
 		if !inBlock || (lang != "sh" && lang != "bash" && lang != "go") {
 			continue
 		}
-		for _, m := range binaryRE.FindAllStringSubmatch(line, -1) {
-			if name := m[2]; name != "pxml" && !binaries[name] {
+		commands := lang != "go" // whether px* names on the line start commands
+		if cont != "" {
+			// The line continues cont's command: all of it is arguments.
+			found, more := flagProblems(file, i+1, cont, line, binaries[cont])
+			problems = append(problems, found...)
+			if !more {
+				cont = ""
+			}
+			commands = false
+		}
+		for _, m := range binaryRE.FindAllStringSubmatchIndex(line, -1) {
+			name := line[m[4]:m[5]]
+			if name == "pxml" {
+				continue
+			}
+			flags, ok := binaries[name]
+			switch {
+			case !ok:
 				problems = append(problems,
 					fmt.Sprintf("%s:%d: references binary %q with no cmd/%s", file, i+1, name, name))
+			case commands:
+				found, more := flagProblems(file, i+1, name, line[m[1]:], flags)
+				problems = append(problems, found...)
+				if more {
+					cont = name
+				}
 			}
 		}
 		for _, m := range urlRE.FindAllStringSubmatch(line, -1) {
@@ -176,6 +225,59 @@ func checkBlocks(file, content string, binaries map[string]bool, routes []string
 		}
 	}
 	return problems
+}
+
+// flagProblems reports the flags among a command's arguments that bin
+// does not declare, and whether the command continues on the next line.
+func flagProblems(file string, line int, bin, args string, declared map[string]bool) ([]string, bool) {
+	names, more := commandFlags(args)
+	var problems []string
+	for _, f := range names {
+		if !declared[f] {
+			problems = append(problems,
+				fmt.Sprintf("%s:%d: passes %s flag -%s, not declared in cmd/%s/main.go", file, line, bin, f, bin))
+		}
+	}
+	return problems, more
+}
+
+// commandFlags returns the names of the flag tokens in args, the text
+// after a binary's name on a shell line, up to the end of its command:
+// an unquoted |, ;, &, <, >, ) or a token starting with #. Quoted text
+// never splits a token or starts a flag. more reports a trailing
+// backslash, which continues the command on the next line.
+func commandFlags(args string) (names []string, more bool) {
+	start, quote := -1, rune(0)
+	token := func(end int) {
+		if start >= 0 {
+			if m := flagArgRE.FindStringSubmatch(args[start:end]); m != nil {
+				names = append(names, m[1])
+			}
+			start = -1
+		}
+	}
+	for i, c := range args {
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == ' ' || c == '\t':
+			token(i)
+		case strings.ContainsRune("|;&<>)", c) || (c == '#' && start < 0):
+			token(i)
+			return names, false
+		default:
+			if c == '\'' || c == '"' {
+				quote = c
+			}
+			if start < 0 {
+				start = i
+			}
+		}
+	}
+	token(len(args))
+	return names, quote == 0 && strings.HasSuffix(strings.TrimRight(args, " \t"), "\\")
 }
 
 // matchesRoute reports whether the concrete path matches any

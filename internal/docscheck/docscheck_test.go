@@ -3,6 +3,7 @@ package docscheck
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -111,5 +112,36 @@ func TestScansIndentedFences(t *testing.T) {
 	problems, _ := Check(dir)
 	if len(problems) != 1 || problems[0] != `docs/GOOD.md:4: references binary "pxgone" with no cmd/pxgone` {
 		t.Fatalf("problems = %v", problems)
+	}
+}
+
+// TestDetectsStaleFlag covers the flag check: a flag the binary's
+// main.go does not declare fails in every spelling (-name, --name,
+// -name=v) and on a backslash-continued line, while declared and
+// built-in flags, quoted text, other commands' flags and go blocks
+// pass.
+func TestDetectsStaleFlag(t *testing.T) {
+	dir := scaffold(t)
+	write(t, dir, "cmd/pxgood/main.go",
+		"package main\nvar dir = flag.String(\"dir\", \"\", \"\")\nvar v = flag.Bool(\"v\", false, \"\")\n")
+	write(t, dir, "docs/GOOD.md", "```sh\n"+
+		"pxgood -dir ./wh -v -h 'A(B -x)' | grep -c x\n"+ // line 2: clean
+		"pxgood -cache 1024\n"+ // line 3
+		"pxgood --cache=1024 -dir=./wh\n"+ // line 4
+		"pxgood -dir ./wh \\\n"+ // line 5: continues
+		"  -gone\n"+ // line 6
+		"curl -X POST localhost:8080/docs/mydoc/query -d '{}'\n"+
+		"```\n\n```go\n// pxgood -gone in Go code is not a command line\n```\n")
+	problems, err := Check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`docs/GOOD.md:3: passes pxgood flag -cache, not declared in cmd/pxgood/main.go`,
+		`docs/GOOD.md:4: passes pxgood flag -cache, not declared in cmd/pxgood/main.go`,
+		`docs/GOOD.md:6: passes pxgood flag -gone, not declared in cmd/pxgood/main.go`,
+	}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("problems = %q\nwant %q", problems, want)
 	}
 }

@@ -50,10 +50,6 @@ const (
 	// versus re-derived by incremental maintenance.
 	CostViewAnswersReused
 	CostViewAnswersRecomputed
-	// CostCacheHits / CostCacheMisses count server result-cache lookups
-	// (query and search caches combined).
-	CostCacheHits
-	CostCacheMisses
 	// CostJournalBytes counts bytes appended to the write-ahead journal.
 	CostJournalBytes
 
@@ -122,8 +118,6 @@ type CostSnapshot struct {
 	ViewMaintRecomputed     int64 `json:"view_maint_recomputed"`
 	ViewAnswersReused       int64 `json:"view_answers_reused"`
 	ViewAnswersRecomputed   int64 `json:"view_answers_recomputed"`
-	CacheHits               int64 `json:"cache_hits"`
-	CacheMisses             int64 `json:"cache_misses"`
 	JournalBytes            int64 `json:"journal_bytes"`
 }
 
@@ -149,8 +143,6 @@ func (c *Cost) Snapshot() CostSnapshot {
 		ViewMaintRecomputed:     c.Value(CostViewMaintRecomputed),
 		ViewAnswersReused:       c.Value(CostViewAnswersReused),
 		ViewAnswersRecomputed:   c.Value(CostViewAnswersRecomputed),
-		CacheHits:               c.Value(CostCacheHits),
-		CacheMisses:             c.Value(CostCacheMisses),
 		JournalBytes:            c.Value(CostJournalBytes),
 	}
 }

@@ -30,7 +30,7 @@ type QueryRequest struct {
 	// defaults to 1000.
 	Samples int `json:"samples,omitempty"`
 	// Seed makes Monte-Carlo estimation reproducible (mode "mc" only);
-	// defaults to 1 so identical requests are cacheable.
+	// defaults to 1 so identical requests get identical estimates.
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -46,7 +46,9 @@ type Answer struct {
 type QueryResponse struct {
 	Answers []Answer `json:"answers"`
 	Count   int      `json:"count"`
-	// Cached reports whether the answers came from the result cache.
+	// Cached is never set: answers are evaluated on every request. The
+	// key stays on the wire only because benchmark/trace.go still reads
+	// it; it goes when that harness is re-anchored (ROADMAP item 1).
 	Cached bool `json:"cached"`
 	// Trace is the request's span tree, present only when the request
 	// asked for it with ?trace=1.
@@ -58,9 +60,8 @@ type QueryResponse struct {
 
 // ExplainInfo is the ?explain=1 payload: the request's cost-accounting
 // breakdown (the same categories /metrics accumulates process-wide —
-// see docs/OBSERVABILITY.md for the catalog) and a plan summary. On a
-// cache hit the plan is omitted: no evaluation ran, and the cost shows
-// cache_hits=1 and nothing else.
+// see docs/OBSERVABILITY.md for the catalog) and a plan summary of the
+// evaluation that produced the answers.
 type ExplainInfo struct {
 	Cost obs.CostSnapshot `json:"cost"`
 	Plan *ExplainPlan     `json:"plan,omitempty"`
@@ -131,7 +132,7 @@ type SearchRequest struct {
 	// defaults to 1000.
 	Samples int `json:"samples,omitempty"`
 	// Seed makes Monte-Carlo estimation reproducible (prob "mc" only);
-	// defaults to 1 so identical requests are cacheable.
+	// defaults to 1 so identical requests get identical estimates.
 	Seed int64 `json:"seed,omitempty"`
 	// MinProb drops answers below the threshold and lets the evaluator
 	// prune candidates early using its monotone upper bound.
@@ -156,7 +157,9 @@ type SearchResponse struct {
 	Count      int            `json:"count"`
 	Candidates int            `json:"candidates"`
 	Pruned     int            `json:"pruned"`
-	// Cached reports whether the answers came from the result cache.
+	// Cached is never set: answers are evaluated on every request. The
+	// key stays on the wire only because benchmark/trace.go still reads
+	// it; it goes when that harness is re-anchored (ROADMAP item 1).
 	Cached bool `json:"cached"`
 	// Trace is the request's span tree, present only when the request
 	// asked for it with ?trace=1.

@@ -12,9 +12,7 @@ import (
 
 // costFamilies is the category ↔ metric-family catalog the conservation
 // test asserts over: every CostSnapshot field against the process-wide
-// family (or single label series) it mirrors. Families with extra
-// labels (the caches) sum across them, matching the cost category's
-// definition.
+// family (or single label series) it mirrors.
 var costFamilies = []struct {
 	name   string
 	labels map[string]string
@@ -36,14 +34,11 @@ var costFamilies = []struct {
 	{"px_view_maintenance_total", map[string]string{"tier": "recompute"}, func(c obs.CostSnapshot) int64 { return c.ViewMaintRecomputed }},
 	{"px_view_answers_total", map[string]string{"outcome": "reused"}, func(c obs.CostSnapshot) int64 { return c.ViewAnswersReused }},
 	{"px_view_answers_total", map[string]string{"outcome": "recomputed"}, func(c obs.CostSnapshot) int64 { return c.ViewAnswersRecomputed }},
-	{"px_cache_hits_total", nil, func(c obs.CostSnapshot) int64 { return c.CacheHits }},
-	{"px_cache_misses_total", nil, func(c obs.CostSnapshot) int64 { return c.CacheMisses }},
 	{"px_journal_bytes_total", nil, func(c obs.CostSnapshot) int64 { return c.JournalBytes }},
 }
 
 // scrapeFamilies reads /metrics and sums every conservation family over
-// its matching samples (summing across labels the category folds, e.g.
-// the query/search cache split).
+// its samples matching the listed labels.
 func scrapeFamilies(t *testing.T, ts *httptest.Server) []int64 {
 	t.Helper()
 	status, body := do(t, "GET", ts.URL+"/metrics", nil)
@@ -105,7 +100,7 @@ func TestCostConservation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	createSampleDoc(t, ts)
 
-	// Query (cache miss: full match + compile + prob pipeline).
+	// Query (full match + compile + prob pipeline).
 	before := scrapeFamilies(t, ts)
 	var qresp QueryResponse
 	if status := doJSON(t, "POST", ts.URL+"/docs/ex/query?explain=1",
@@ -116,28 +111,6 @@ func TestCostConservation(t *testing.T) {
 		t.Fatal("?explain=1 query response has no explain")
 	}
 	checkConservation(t, "query", true, before, scrapeFamilies(t, ts), qresp.Explain.Cost)
-
-	// The cache-hit repeat still conserves: one cache hit, nothing
-	// else, and no plan (the cached copy must stay clean).
-	before = scrapeFamilies(t, ts)
-	var cresp QueryResponse
-	if status := doJSON(t, "POST", ts.URL+"/docs/ex/query?explain=1",
-		QueryRequest{Query: "A(B $x)"}, &cresp); status != 200 {
-		t.Fatalf("cached query = %d", status)
-	}
-	if cresp.Explain == nil {
-		t.Fatal("cached ?explain=1 response has no explain")
-	}
-	if !cresp.Cached {
-		t.Fatal("repeat query was not served from cache")
-	}
-	if cresp.Explain.Plan != nil {
-		t.Errorf("cached response has a plan: %+v", cresp.Explain.Plan)
-	}
-	if cresp.Explain.Cost.CacheHits != 1 {
-		t.Errorf("cached query cost = %+v, want exactly one cache hit", cresp.Explain.Cost)
-	}
-	checkConservation(t, "cached-query", true, before, scrapeFamilies(t, ts), cresp.Explain.Cost)
 
 	// Search (postings scan + per-candidate probability).
 	before = scrapeFamilies(t, ts)
@@ -227,8 +200,7 @@ func TestExplainEcho(t *testing.T) {
 		t.Error("search charged no postings")
 	}
 
-	// Without the parameter, no explain — and the cached copy a prior
-	// ?explain=1 request populated must not leak one either.
+	// Without the parameter, no explain.
 	if _, r := query(t, ts, "ex", QueryRequest{Query: "A(B $x)"}); r.Explain != nil {
 		t.Error("response without ?explain=1 carries explain")
 	}

@@ -180,7 +180,7 @@ func TestMetricsExposition(t *testing.T) {
 		"px_http_requests_total",
 		"px_http_request_seconds_count",
 		"px_stage_seconds_count",
-		"px_cache_misses_total",
+		"px_tpwj_nodes_visited_total",
 		"px_engine_compiles_total",
 		"px_journal_appends_total",
 		"px_searches_total",
@@ -286,8 +286,8 @@ func TestQueryTraceEcho(t *testing.T) {
 	}
 	// The evaluation stages are children of the warehouse.query span —
 	// presence anywhere is not enough, the nesting must hold. The
-	// snapshot fetch precedes it: the handler needs the version before
-	// it can consult the result cache.
+	// snapshot fetch precedes it as a sibling: the handler fetches the
+	// version, then evaluates on it.
 	for _, stage := range []string{"tpwj.match", "event.compile", "event.prob"} {
 		if wq.Find(stage) == nil {
 			t.Errorf("warehouse.query span has no nested %q span", stage)

@@ -19,19 +19,19 @@
 //	DELETE /docs/{name}/views/{view}      drop a view
 //	POST   /admin/compact         truncate the journal
 //	POST   /admin/reopen          re-run recovery, clearing degraded mode
-//	GET    /stats                 request, cache, engine, journal, search and view counters
+//	GET    /stats                 request, engine, journal, search and view counters
 //	GET    /metrics               Prometheus text exposition of the same counters
 //	GET    /debug/traces          ring buffer of recent request traces (opt-in, see Options.ExposeDebugTraces)
 //	GET    /healthz               liveness probe
 //	GET    /readyz                readiness probe (503 while degraded)
 //
-// Query and search results are served from an LRU cache keyed by
-// (document, canonical query or keyword set, mode) and tagged with the
-// document version they were computed from; a mutation publishes a new
-// version, which the old entries no longer match. Materialized views
-// are not cached here: the warehouse keeps them incrementally
-// maintained, and view reads never block on an in-flight update — they
-// return the previous answer set with "stale": true instead.
+// Queries and searches are evaluated on every request, against the
+// document's current warehouse.Snapshot; the server keeps no state of
+// its own per document or version. A client that repeats a query should
+// register it as a materialized view: the warehouse keeps its answers
+// incrementally maintained, and view reads never block on an in-flight
+// update — they return the previous answer set with "stale": true
+// instead.
 // Errors are reported as {"error": "..."} with conventional status
 // codes (400 bad input, 404 missing document, 409 name conflict).
 //
@@ -53,7 +53,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/keyword"
@@ -63,10 +62,6 @@ import (
 	"repro/internal/xmlio"
 	"repro/internal/xpath"
 )
-
-// DefaultCacheSize is the query-result cache capacity used when
-// Options.CacheSize is zero.
-const DefaultCacheSize = 256
 
 // DefaultMaxBodyBytes bounds request bodies (documents, queries,
 // updates) when Options.MaxBodyBytes is zero.
@@ -83,9 +78,6 @@ const DefaultTraceRingSize = 64
 
 // Options configures a Server.
 type Options struct {
-	// CacheSize is the query-result cache capacity in entries. Zero
-	// selects DefaultCacheSize; a negative value disables the cache.
-	CacheSize int
 	// MaxBodyBytes bounds request bodies. Zero selects
 	// DefaultMaxBodyBytes. Oversized requests get 413.
 	MaxBodyBytes int64
@@ -167,7 +159,6 @@ var exemptRoutes = map[string]bool{
 // Server is an http.Handler serving a warehouse. Create one with New.
 type Server struct {
 	wh      *warehouse.Warehouse
-	cache   *lruCache
 	stats   *stats
 	reg     *obs.Registry
 	runtime *obs.RuntimeCollector
@@ -191,10 +182,6 @@ type Server struct {
 // New builds a Server over an open warehouse. The caller remains
 // responsible for closing the warehouse.
 func New(wh *warehouse.Warehouse, opts Options) *Server {
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
 	maxBody := opts.MaxBodyBytes
 	if maxBody == 0 {
 		maxBody = DefaultMaxBodyBytes
@@ -210,7 +197,6 @@ func New(wh *warehouse.Warehouse, opts Options) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
 		wh:      wh,
-		cache:   newLRU(size),
 		stats:   newStats(reg),
 		reg:     reg,
 		mux:     http.NewServeMux(),
@@ -244,9 +230,6 @@ func New(wh *warehouse.Warehouse, opts Options) *Server {
 	reg.GaugeFunc("px_uptime_seconds",
 		"seconds since the server was constructed",
 		func() float64 { return time.Since(s.stats.start).Seconds() })
-	reg.GaugeFunc("px_cache_entries",
-		"entries currently in the query/search result cache",
-		func() float64 { return float64(s.cache.len()) })
 	s.route(RouteList, s.handleList)
 	s.route(RouteCreate, s.handleCreate)
 	s.route(RouteGet, s.handleGet)
@@ -552,17 +535,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = 1
 	}
-	var mode string
+	var mc bool
 	switch req.Mode {
 	case "", "exact":
-		mode = "exact"
 	case "mc":
 		if samples > MaxSamples {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("samples %d exceeds the limit %d", samples, MaxSamples))
 			return
 		}
-		mode = fmt.Sprintf("mc:%d:%d", samples, seed)
+		mc = true
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown mode %q (want exact or mc)", req.Mode))
@@ -574,37 +556,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
-	// The canonical form makes syntactic variants ("A( B )", XPath
-	// compilations) share cache entries.
-	key := queryKey{doc: name, query: tpwj.FormatQuery(q), mode: mode}
-	cost := obs.CostFromContext(r.Context())
-	if cached, ok := s.cache.get(key, snap.Version()); ok {
-		answers := cached.([]Answer)
-		s.stats.hit(cost)
-		resp := QueryResponse{Answers: answers, Count: len(answers), Cached: true}
-		attachTrace(r, &resp.Trace)
-		attachExplain(r, &resp.Explain, nil)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.stats.miss(cost)
-
 	var raw []tpwj.ProbAnswer
-	if mode == "exact" {
-		raw, err = snap.Query(r.Context(), q)
-	} else {
+	if mc {
 		raw, err = snap.QueryMC(r.Context(), q, samples, rand.New(rand.NewSource(seed)))
+	} else {
+		raw, err = snap.Query(r.Context(), q)
 	}
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
 	answers := encodeAnswers(raw)
-	s.cache.put(key, snap.Version(), answers)
-	resp := QueryResponse{Answers: answers, Count: len(answers), Cached: false}
+	resp := QueryResponse{Answers: answers, Count: len(answers)}
 	attachTrace(r, &resp.Trace)
 	plan := &ExplainPlan{Mode: "exact", Reason: "exact Shannon expansion (request default)", Answers: answerPlans(raw)}
-	if mode != "exact" {
+	if mc {
 		plan.Mode, plan.Samples = "mc", samples
 		plan.Reason = "Monte-Carlo estimation selected by the request's mode"
 	}
@@ -612,12 +578,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// attachExplain fills *dst with the request's cost breakdown (and the
-// caller's plan summary, nil on cache hits) when the client asked for
-// it with ?explain=1. Like attachTrace, it runs just before the
-// response is written so the breakdown covers the handler's work; the
-// final charges (the response encoding is not instrumented) match what
-// lands in the trace ring because both read the same accumulator.
+// attachExplain fills *dst with the request's cost breakdown and the
+// caller's plan summary when the client asked for it with ?explain=1.
+// Like attachTrace, it runs just before the response is written so the
+// breakdown covers the handler's work; the final charges (the response
+// encoding is not instrumented) match what lands in the trace ring
+// because both read the same accumulator.
 func attachExplain(r *http.Request, dst **ExplainInfo, plan *ExplainPlan) {
 	if r.URL.Query().Get("explain") != "1" {
 		return
@@ -640,9 +606,9 @@ func attachTrace(r *http.Request, dst **obs.SpanSnapshot) {
 	}
 }
 
-// handleSearch evaluates a probabilistic keyword search. Results are
-// cached like query results, keyed by the canonical token set and the
-// full evaluation mode (semantics, exact/mc, threshold, cut).
+// handleSearch evaluates a probabilistic keyword search on the
+// document's current snapshot, whose keyword index is built once per
+// version and shared by every search of it.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := warehouse.ValidateName(name); err != nil {
@@ -659,8 +625,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tokens, err := keyword.RequiredTokens(req.Keywords)
-	if err != nil {
+	// Checked here rather than left to the search, whose error would map
+	// to 500: a keyword list without tokens is the client's mistake.
+	if _, err := keyword.RequiredTokens(req.Keywords); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -679,7 +646,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		MinProb:  req.MinProb,
 		TopK:     req.TopK,
 	}
-	probMode := "exact"
 	switch req.Prob {
 	case "", "exact":
 	case "mc":
@@ -697,35 +663,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			seed = 1
 		}
 		kreq.MC, kreq.Samples, kreq.Seed = true, samples, seed
-		probMode = fmt.Sprintf("mc:%d:%d", samples, seed)
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown prob %q (want exact or mc)", req.Prob))
 		return
 	}
 
-	key := queryKey{
-		doc:   name,
-		query: "kw:" + strings.Join(tokens, " "),
-		mode:  fmt.Sprintf("search:%s:%s:minp=%g:k=%d", mode, probMode, req.MinProb, req.TopK),
-	}
 	snap, err := s.wh.Snapshot(r.Context(), name)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
 	}
-	cost := obs.CostFromContext(r.Context())
-	if cached, ok := s.cache.get(key, snap.Version()); ok {
-		s.stats.searchHit(cost)
-		resp := cached.(SearchResponse)
-		resp.Cached = true
-		attachTrace(r, &resp.Trace)
-		attachExplain(r, &resp.Explain, nil)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.stats.searchMiss(cost)
-
 	res, err := snap.Search(r.Context(), kreq)
 	if err != nil {
 		s.writeErr(w, r, err)
@@ -737,7 +685,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Candidates: res.Candidates,
 		Pruned:     res.Pruned,
 	}
-	s.cache.put(key, snap.Version(), resp)
 	attachTrace(r, &resp.Trace)
 	plan := &ExplainPlan{
 		Mode:       "exact",
@@ -893,11 +840,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // warehouse and engine registries hold, in JSON form. pxserve logs it
 // as the final summary on graceful shutdown.
 func (s *Server) Snapshot() StatsSnapshot {
-	capacity := s.cache.cap
-	if capacity < 0 {
-		capacity = 0
-	}
-	snap := s.stats.snapshot(s.cache.len(), capacity, s.wh.JournalStats(), s.wh.SearchStats(), s.wh.ViewStats())
+	snap := s.stats.snapshot(s.wh.JournalStats(), s.wh.SearchStats(), s.wh.ViewStats())
 	snap.Degraded, snap.DegradedReason = s.wh.Degraded()
 	if st, err := s.wh.StorageStats(); err == nil {
 		snap.Storage = st
@@ -907,9 +850,9 @@ func (s *Server) Snapshot() StatsSnapshot {
 }
 
 // handleMetrics serves the Prometheus text exposition, merging the
-// server's registry (routes, caches, stages), the warehouse's (journal,
-// recovery, search, views) and the process-global one (probability and
-// keyword engines) — the same handles /stats reads.
+// server's registry (routes, stages, admission), the warehouse's
+// (journal, recovery, search, views) and the process-global one
+// (probability and keyword engines) — the same handles /stats reads.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteText(w, s.reg, s.wh.Registry(), obs.Default()) //nolint:errcheck

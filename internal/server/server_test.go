@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -103,9 +104,8 @@ func serverStats(t *testing.T, ts *httptest.Server) StatsSnapshot {
 }
 
 // TestLifecycle drives the full document lifecycle over HTTP — create,
-// query, cached re-query, update (which must invalidate the cache),
-// re-query, simplify, drop — checking the cache hit counter via /stats
-// along the way. This is the acceptance scenario of the server PR.
+// query, update, re-query, simplify, drop — checking that every read
+// sees the document's current version.
 func TestLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 
@@ -140,29 +140,16 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("returned document does not parse: %v", err)
 	}
 
-	// Query: first evaluation is a cache miss.
+	// Query.
 	status, qr := query(t, ts, "ex", QueryRequest{Query: "A(B)"})
 	if status != 200 {
 		t.Fatalf("query = %d", status)
 	}
-	if qr.Cached || qr.Count != 1 || qr.Answers[0].P != 0.8 {
-		t.Errorf("first query = %+v, want uncached single answer P=0.8", qr)
+	if qr.Count != 1 || qr.Answers[0].P != 0.8 {
+		t.Errorf("first query = %+v, want a single answer P=0.8", qr)
 	}
 
-	// Identical query (even with different whitespace) hits the cache.
-	status, qr = query(t, ts, "ex", QueryRequest{Query: "A( B )"})
-	if status != 200 || !qr.Cached {
-		t.Fatalf("repeat query = %d cached=%v, want 200 cached", status, qr.Cached)
-	}
-	if qr.Answers[0].P != 0.8 {
-		t.Errorf("cached answer P = %v, want 0.8", qr.Answers[0].P)
-	}
-	snap := serverStats(t, ts)
-	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
-		t.Errorf("cache counters = %d hits/%d misses, want 1/1", snap.Cache.Hits, snap.Cache.Misses)
-	}
-
-	// Update through the textual form; it must invalidate the cache.
+	// Update through the textual form.
 	var ur UpdateResponse
 	status = doJSON(t, "POST", ts.URL+"/docs/ex/update", UpdateRequest{
 		Query:      "A $a",
@@ -177,24 +164,19 @@ func TestLifecycle(t *testing.T) {
 	}
 
 	status, qr = query(t, ts, "ex", QueryRequest{Query: "A(B)"})
-	if status != 200 || qr.Cached {
-		t.Fatalf("post-update query = %d cached=%v, want 200 uncached", status, qr.Cached)
+	if status != 200 {
+		t.Fatalf("post-update query = %d", status)
 	}
 	if qr.Count != 2 {
 		t.Errorf("post-update answers = %d, want 2 (old B and inserted B)", qr.Count)
 	}
 
-	// Simplify also invalidates.
-	status, qr = query(t, ts, "ex", QueryRequest{Query: "A(B)"})
-	if !qr.Cached {
-		t.Fatalf("expected cached before simplify, got %+v (status %d)", qr, status)
-	}
 	var sr SimplifyResponse
 	if status := doJSON(t, "POST", ts.URL+"/docs/ex/simplify", nil, &sr); status != 200 {
 		t.Fatalf("simplify = %d", status)
 	}
-	if _, qr = query(t, ts, "ex", QueryRequest{Query: "A(B)"}); qr.Cached {
-		t.Error("query cached after simplify, want invalidated")
+	if status, qr = query(t, ts, "ex", QueryRequest{Query: "A(B)"}); status != 200 || qr.Count == 0 {
+		t.Errorf("post-simplify query = %d %+v, want the B answers", status, qr)
 	}
 
 	// Stat reflects the mutations.
@@ -224,8 +206,7 @@ func TestQueryModesAndSyntaxes(t *testing.T) {
 		t.Fatalf("PUT = %d, %s", status, body)
 	}
 
-	// XPath compiles to the same canonical query, sharing cache entries
-	// across syntaxes is not required — but it must return the same
+	// XPath compiles to the same pattern and must return the same
 	// probability.
 	status, qr := query(t, ts, "ex", QueryRequest{Query: "/A/B", Syntax: "xpath"})
 	if status != 200 || qr.Count != 1 {
@@ -235,22 +216,18 @@ func TestQueryModesAndSyntaxes(t *testing.T) {
 		t.Errorf("xpath answer P = %v, want 0.8", qr.Answers[0].P)
 	}
 
-	// Monte-Carlo mode estimates the same probability and is cached
-	// under its own key.
+	// Monte-Carlo mode estimates the same probability, reproducibly for
+	// a given seed.
 	status, qr = query(t, ts, "ex", QueryRequest{Query: "A(B)", Mode: "mc", Samples: 4000, Seed: 7})
-	if status != 200 || qr.Count != 1 || qr.Cached {
+	if status != 200 || qr.Count != 1 {
 		t.Fatalf("mc query = %d %+v", status, qr)
 	}
 	if p := qr.Answers[0].P; p < 0.7 || p > 0.9 {
 		t.Errorf("mc estimate P = %v, want ~0.8", p)
 	}
 	_, qr2 := query(t, ts, "ex", QueryRequest{Query: "A(B)", Mode: "mc", Samples: 4000, Seed: 7})
-	if !qr2.Cached || qr2.Answers[0].P != qr.Answers[0].P {
-		t.Errorf("repeated mc query: cached=%v P=%v, want cached identical", qr2.Cached, qr2.Answers[0].P)
-	}
-	// Different sample count = different key.
-	if _, qr3 := query(t, ts, "ex", QueryRequest{Query: "A(B)", Mode: "mc", Samples: 2000, Seed: 7}); qr3.Cached {
-		t.Error("mc query with different samples hit the cache")
+	if qr2.Answers[0].P != qr.Answers[0].P {
+		t.Errorf("repeated mc query: P=%v, want the identical estimate %v", qr2.Answers[0].P, qr.Answers[0].P)
 	}
 
 	// The samples limit only applies to mc mode: exact mode ignores
@@ -365,9 +342,6 @@ func TestStatsTracksRoutes(t *testing.T) {
 	if rs := snap.Requests["GET /docs/{name}"]; rs.Count != 1 || rs.Errors != 1 {
 		t.Errorf("GET route stats = %+v, want count 1, errors 1", rs)
 	}
-	if snap.Cache.Capacity != DefaultCacheSize {
-		t.Errorf("cache capacity = %d, want %d", snap.Cache.Capacity, DefaultCacheSize)
-	}
 }
 
 // TestStatsSurfacesEngineCounters checks that /stats reports the
@@ -430,21 +404,6 @@ func TestStatsSurfacesStorageSection(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	ts, _ := newTestServer(t, Options{CacheSize: -1})
-	if status, _ := do(t, "PUT", ts.URL+"/docs/ex", sampleDocXML(t)); status != 201 {
-		t.Fatal("setup create failed")
-	}
-	for i := 0; i < 2; i++ {
-		if _, qr := query(t, ts, "ex", QueryRequest{Query: "A(B)"}); qr.Cached {
-			t.Fatal("cache-disabled server returned a cached result")
-		}
-	}
-	if snap := serverStats(t, ts); snap.Cache.Hits != 0 || snap.Cache.Entries != 0 {
-		t.Errorf("disabled cache counters = %+v", snap.Cache)
-	}
-}
-
 // TestOversizedBodyGets413 pins the body-limit status: too large is
 // 413, not 400, so clients can tell "back off" from "fix the payload".
 func TestOversizedBodyGets413(t *testing.T) {
@@ -502,26 +461,22 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(e)
 	}
 	snap := serverStats(t, ts)
-	if snap.Cache.Misses == 0 {
-		t.Error("expected at least one cache miss in concurrent run")
-	}
 	if strings.Contains(fmt.Sprint(snap.Requests), "error") {
 		t.Errorf("unexpected route errors: %+v", snap.Requests)
 	}
 }
 
-// TestCacheFollowsWarehouseVersions pins the staleness contract of the
-// result cache: entries answer one snapshot version, so a mutation
-// supersedes them wherever it comes from — here the warehouse is
-// updated, reopened and dropped behind the server's back, none of which
-// passes through a route.
-func TestCacheFollowsWarehouseVersions(t *testing.T) {
+// TestReadsFollowWarehouseVersions pins the staleness contract of
+// queries and searches: every request reads the document's current
+// snapshot, so a mutation is visible wherever it comes from — here the
+// warehouse is updated, reopened and dropped behind the server's back,
+// none of which passes through a route.
+func TestReadsFollowWarehouseVersions(t *testing.T) {
 	ts, wh := newTestServer(t, Options{})
 	createSampleDoc(t, ts)
 	qreq := QueryRequest{Query: "A(B)"}
 	sreq := SearchRequest{Keywords: []string{"x"}}
-	// read asks the query and the search once and reports what was
-	// served from the cache.
+	// read asks the query and the search once.
 	read := func() (qr QueryResponse, sr SearchResponse) {
 		t.Helper()
 		status, qr := query(t, ts, "ex", qreq)
@@ -534,36 +489,24 @@ func TestCacheFollowsWarehouseVersions(t *testing.T) {
 		}
 		return qr, sr
 	}
-	warm := func() {
-		t.Helper()
-		read()
-		if qr, sr := read(); !qr.Cached || !sr.Cached {
-			t.Fatalf("unchanged document not served from the cache: query %v, search %v", qr.Cached, sr.Cached)
-		}
-	}
 
-	warm()
+	read()
 	tx := update.New(tpwj.MustParseQuery("A $a"), 1, update.Insert("a", tree.MustParse("B:x")))
 	if _, err := wh.UpdateCtx(context.Background(), "ex", tx); err != nil {
 		t.Fatal(err)
 	}
 	qr, sr := read()
-	if qr.Cached || sr.Cached {
-		t.Errorf("after a direct update: query cached=%v, search cached=%v, want both recomputed", qr.Cached, sr.Cached)
-	}
 	if len(qr.Answers) != 1 || qr.Answers[0].P != 1 || sr.Count != 2 {
 		t.Errorf("after a direct update: %+v / %+v, want the inserted certain B:x visible", qr, sr)
 	}
 
-	warm()
 	if err := wh.Reopen(); err != nil {
 		t.Fatal(err)
 	}
-	if qr, sr := read(); qr.Cached || sr.Cached {
-		t.Errorf("after a direct reopen: query cached=%v, search cached=%v, want both recomputed", qr.Cached, sr.Cached)
+	if qr2, sr2 := read(); !reflect.DeepEqual(qr2.Answers, qr.Answers) || sr2.Count != sr.Count {
+		t.Errorf("after a direct reopen: %+v / %+v, want the answers from before it", qr2, sr2)
 	}
 
-	warm()
 	if err := wh.Drop("ex"); err != nil {
 		t.Fatal(err)
 	}
@@ -573,12 +516,51 @@ func TestCacheFollowsWarehouseVersions(t *testing.T) {
 	if status, _ := search(t, ts, "ex", sreq); status != 404 {
 		t.Errorf("search after a direct drop = %d, want 404", status)
 	}
-	// The name comes back with different content; the dead entries must
-	// not answer for it.
+	// The name comes back with different content; the old version's
+	// answers must not answer for it.
 	if err := wh.Create("ex", fuzzy.MustParseTree("A(C)", nil)); err != nil {
 		t.Fatal(err)
 	}
-	if qr, sr := read(); qr.Cached || sr.Cached || qr.Count != 0 || sr.Count != 0 {
+	if qr, sr := read(); qr.Count != 0 || sr.Count != 0 {
 		t.Errorf("after drop and re-create: %+v / %+v, want fresh empty answers", qr, sr)
+	}
+}
+
+// TestRepeatedQueryReevaluates pins that the server keeps no result
+// memo of its own: the same query, and the same search, asked twice of
+// an unchanged document are both evaluated, with the matcher or the
+// keyword engine charged on the repeat too. A client that repeats a
+// query registers a view instead.
+func TestRepeatedQueryReevaluates(t *testing.T) {
+	ts, _ := newTestServer(t, Options{})
+	createSampleDoc(t, ts)
+	for i := 0; i < 2; i++ {
+		var qr QueryResponse
+		if status := doJSON(t, "POST", ts.URL+"/docs/ex/query?explain=1",
+			QueryRequest{Query: "A(B)"}, &qr); status != 200 {
+			t.Fatalf("query %d = %d", i, status)
+		}
+		if qr.Cached || qr.Explain == nil || qr.Explain.Plan == nil ||
+			qr.Explain.Cost.TpwjNodesVisited == 0 {
+			t.Errorf("query %d: cached=%v explain=%+v, want an evaluation with a plan that visited nodes",
+				i, qr.Cached, qr.Explain)
+		}
+		var sr SearchResponse
+		if status := doJSON(t, "POST", ts.URL+"/docs/ex/search?explain=1",
+			SearchRequest{Keywords: []string{"x"}}, &sr); status != 200 {
+			t.Fatalf("search %d = %d", i, status)
+		}
+		if sr.Cached || sr.Explain == nil || sr.Explain.Plan == nil ||
+			sr.Explain.Cost.KeywordPostingsScanned == 0 {
+			t.Errorf("search %d: cached=%v explain=%+v, want an evaluation with a plan that scanned postings",
+				i, sr.Cached, sr.Explain)
+		}
+	}
+	status, body := do(t, "GET", ts.URL+"/metrics", nil)
+	if status != 200 {
+		t.Fatalf("GET /metrics = %d", status)
+	}
+	if strings.Contains(string(body), "px_cache_") {
+		t.Error("/metrics still exposes a px_cache_ family")
 	}
 }

@@ -35,9 +35,6 @@ type stats struct {
 	// afterwards, so record reads it without a lock.
 	routes map[string]*routeMetrics
 
-	hits, misses             *obs.Counter // query-result cache
-	searchHits, searchMisses *obs.Counter // search-result cache
-
 	// stages maps span names to their px_stage_seconds histogram,
 	// populated lazily by the trace onEnd hook (stage names are only
 	// known when a span first finishes). sync.Map fits the workload:
@@ -60,14 +57,6 @@ func newStats(reg *obs.Registry) *stats {
 		reg:    reg,
 		start:  time.Now(),
 		routes: make(map[string]*routeMetrics),
-		hits: reg.Counter("px_cache_hits_total",
-			"result-cache hits by cache (query or search)", obs.L("cache", "query")),
-		misses: reg.Counter("px_cache_misses_total",
-			"result-cache misses by cache (query or search)", obs.L("cache", "query")),
-		searchHits: reg.Counter("px_cache_hits_total",
-			"result-cache hits by cache (query or search)", obs.L("cache", "search")),
-		searchMisses: reg.Counter("px_cache_misses_total",
-			"result-cache misses by cache (query or search)", obs.L("cache", "search")),
 	}
 }
 
@@ -97,15 +86,6 @@ func (s *stats) record(route string, status int, d time.Duration) {
 	rm.lat.Observe(d)
 }
 
-// The cache outcome recorders charge the request's cost accumulator
-// alongside the labeled global counters; the cost categories fold the
-// query and search caches together (the per-cache split stays visible
-// on /metrics via the cache label).
-func (s *stats) hit(cost *obs.Cost)        { obs.Charge(cost, obs.CostCacheHits, s.hits, 1) }
-func (s *stats) miss(cost *obs.Cost)       { obs.Charge(cost, obs.CostCacheMisses, s.misses, 1) }
-func (s *stats) searchHit(cost *obs.Cost)  { obs.Charge(cost, obs.CostCacheHits, s.searchHits, 1) }
-func (s *stats) searchMiss(cost *obs.Cost) { obs.Charge(cost, obs.CostCacheMisses, s.searchMisses, 1) }
-
 // observeStage feeds one finished span into the per-stage histogram
 // family — the Trace onEnd hook. Registry handles are stable per
 // (name, labels), so a racing first observation of a stage costs one
@@ -131,33 +111,15 @@ type RouteSnapshot struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// CacheSnapshot reports the query-result cache counters.
-type CacheSnapshot struct {
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRate  float64 `json:"hit_rate"`
-	Entries  int     `json:"entries"`
-	Capacity int     `json:"capacity"`
-}
-
-// SearchSnapshot reports the keyword-search counters: the warehouse's
-// index lifecycle (builds, cache hits, invalidations) and engine
-// totals (postings, threshold prunes), plus the server's search-result
-// cache hits and misses.
-type SearchSnapshot struct {
-	warehouse.SearchStats
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-}
-
 // StatsSnapshot is the GET /stats response body. Engine reports the
 // probability-engine counters (DNF compiles, bitset fast-path share,
 // Shannon memo hits/misses, component decompositions) accumulated over
 // the whole process; Journal reports the warehouse's journal counters
 // (durable appends — one per mutation — group-commit fsync batches, and
 // the documents the last Open replayed); Search reports the keyword
-// search subsystem (see SearchSnapshot). Every number is read from the
-// same obs registries that GET /metrics exposes.
+// search subsystem (index builds and reuses, searches, postings,
+// threshold prunes). Every number is read from the same obs registries
+// that GET /metrics exposes.
 type StatsSnapshot struct {
 	// Version is the build identifier (see Version).
 	Version string `json:"version"`
@@ -173,10 +135,9 @@ type StatsSnapshot struct {
 	// Stages reports per-stage latency distributions (span names like
 	// "warehouse.query" or "event.prob"), fed by request traces.
 	Stages  map[string]obs.HistogramSnapshot `json:"stages,omitempty"`
-	Cache   CacheSnapshot                    `json:"cache"`
 	Engine  event.EngineCounters             `json:"engine"`
 	Journal warehouse.JournalStats           `json:"journal"`
-	Search  SearchSnapshot                   `json:"search"`
+	Search  warehouse.SearchStats            `json:"search"`
 	// Views reports the materialized-view subsystem: registered views
 	// and the maintenance-tier counters (skipped / incremental / full
 	// recomputes, reused vs recomputed answer probabilities, stale
@@ -194,28 +155,15 @@ type StatsSnapshot struct {
 	Runtime obs.RuntimeStats `json:"runtime"`
 }
 
-func (s *stats) snapshot(entries, capacity int, journal warehouse.JournalStats, search warehouse.SearchStats, views warehouse.ViewStats) StatsSnapshot {
+func (s *stats) snapshot(journal warehouse.JournalStats, search warehouse.SearchStats, views warehouse.ViewStats) StatsSnapshot {
 	out := StatsSnapshot{
 		Version:       Version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      make(map[string]RouteSnapshot, len(s.routes)),
-		Cache: CacheSnapshot{
-			Hits:     s.hits.Value(),
-			Misses:   s.misses.Value(),
-			Entries:  entries,
-			Capacity: capacity,
-		},
-		Engine:  event.ReadEngineCounters(),
-		Journal: journal,
-		Search: SearchSnapshot{
-			SearchStats: search,
-			CacheHits:   s.searchHits.Value(),
-			CacheMisses: s.searchMisses.Value(),
-		},
-		Views: views,
-	}
-	if total := out.Cache.Hits + out.Cache.Misses; total > 0 {
-		out.Cache.HitRate = float64(out.Cache.Hits) / float64(total)
+		Engine:        event.ReadEngineCounters(),
+		Journal:       journal,
+		Search:        search,
+		Views:         views,
 	}
 	for route, rm := range s.routes {
 		count := rm.count.Value()

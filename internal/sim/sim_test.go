@@ -25,7 +25,7 @@ func boot(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wh.Close() }) //nolint:errcheck
-	ts := httptest.NewServer(server.New(wh, server.Options{CacheSize: 64}))
+	ts := httptest.NewServer(server.New(wh, server.Options{}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -39,7 +39,7 @@ func bootFaulty(t *testing.T) (*httptest.Server, *vfs.Injector) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wh.Close() }) //nolint:errcheck
-	ts := httptest.NewServer(server.New(wh, server.Options{CacheSize: 64}))
+	ts := httptest.NewServer(server.New(wh, server.Options{}))
 	t.Cleanup(ts.Close)
 	return ts, inj
 }

@@ -16,33 +16,6 @@ var (
 	tpwjMatchesTried = obs.Default().Counter("px_tpwj_matches_total", "complete valuations emitted by the tree-pattern matcher")
 )
 
-// Match is a valuation: a mapping from every positive pattern node to a
-// document node, preserving the pattern's edges, label tests, value
-// tests and joins. Valuations need not be injective (two pattern nodes
-// may map to the same document node). Forbidden pattern nodes never
-// appear in a Match.
-type Match map[*PNode]*tree.Node
-
-// Clone returns a copy of the match.
-func (m Match) Clone() Match {
-	c := make(Match, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// Binding returns the document node matched by the pattern node bound to
-// the given variable, or nil.
-func (m Match) Binding(q *Query, varName string) *tree.Node {
-	for p, n := range m {
-		if p.Var == varName {
-			return n
-		}
-	}
-	return nil
-}
-
 // Label tests resolved against a document's interned labels.
 const (
 	anyLabel = -1 // the wildcard
@@ -287,42 +260,19 @@ func (m *matcher) subMatches(f, at int32, fn func(bound []int32) bool) bool {
 
 // Valuations enumerates the valuations of q in the document, in a
 // deterministic order (document preorder at each pattern node,
-// depth-first over pattern nodes). bound[i] is the id of the document
-// node bound to the i-th pattern node in pattern preorder
-// (Query.VarPositions), -1 for the nodes of forbidden sub-patterns.
+// depth-first over pattern nodes). A valuation maps every positive
+// pattern node to a document node, preserving the pattern's edges,
+// label tests, value tests and joins; it need not be injective (two
+// pattern nodes may map to the same document node). bound[i] is the id
+// of the document node bound to the i-th pattern node in pattern
+// preorder (Query.VarPositions), -1 for the nodes of forbidden
+// sub-patterns.
 // Forbidden sub-patterns exclude assignments under which they match;
 // with q.Ordered, sibling pattern nodes must match in strict document
 // order. fn returning false stops the enumeration. bound is reused
 // between calls.
 func (d *Doc) Valuations(q *Query, fn func(bound []int32) bool) error {
 	return d.match(q, true, nil, func(m *matcher) bool { return fn(m.main.b) })
-}
-
-// ForEachMatch enumerates the valuations of q in the document rooted at
-// doc, in the order of Doc.Valuations, as Match maps. The match passed
-// to fn is reused between calls; clone it to retain it.
-func ForEachMatch(q *Query, doc *tree.Node, fn func(Match) bool) error {
-	d := Flatten(doc)
-	match := make(Match)
-	return d.match(q, true, nil, func(m *matcher) bool {
-		for _, k := range m.p.positive {
-			match[m.p.nodes[k].src] = d.plain[m.main.b[k]]
-		}
-		return fn(match)
-	})
-}
-
-// FindMatches collects all valuations of q in the document.
-func FindMatches(q *Query, doc *tree.Node) ([]Match, error) {
-	var out []Match
-	err := ForEachMatch(q, doc, func(m Match) bool {
-		out = append(out, m.Clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CountMatches returns the number of valuations of q in the document.

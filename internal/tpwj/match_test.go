@@ -1,6 +1,7 @@
 package tpwj
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/tree"
@@ -140,10 +141,10 @@ func TestMatchJoinPrunesEarly(t *testing.T) {
 	}
 }
 
-func TestForEachMatchEarlyStop(t *testing.T) {
+func TestValuationsEarlyStop(t *testing.T) {
 	q := MustParseQuery("A(B)")
 	count := 0
-	err := ForEachMatch(q, tree.MustParse("A(B, B, B)"), func(Match) bool {
+	err := Flatten(tree.MustParse("A(B, B, B)")).Valuations(q, func([]int32) bool {
 		count++
 		return false
 	})
@@ -151,24 +152,24 @@ func TestForEachMatchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if count != 1 {
-		t.Errorf("early stop visited %d matches", count)
+		t.Errorf("early stop visited %d valuations", count)
 	}
 }
 
 func TestFindMatchesBindings(t *testing.T) {
 	q := MustParseQuery("A(E(C $x))")
-	ms, err := FindMatches(q, doc())
+	ms, err := findMatches(q, doc())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != 1 {
 		t.Fatalf("matches = %d", len(ms))
 	}
-	n := ms[0].Binding(q, "x")
+	n := ms[0]["x"]
 	if n == nil || n.Label != "C" || n.Value != "bar" {
 		t.Errorf("binding of $x = %v", n)
 	}
-	if ms[0].Binding(q, "nope") != nil {
+	if ms[0]["nope"] != nil {
 		t.Error("unknown variable should bind nil")
 	}
 }
@@ -185,27 +186,53 @@ func TestSelects(t *testing.T) {
 
 func TestMatchInvalidQuery(t *testing.T) {
 	q := NewQuery(NewPNode("A", NewPNode("B").WithVar("x"), NewPNode("C").WithVar("x")))
-	if err := ForEachMatch(q, doc(), func(Match) bool { return true }); err == nil {
+	if err := Flatten(doc()).Valuations(q, func([]int32) bool { return true }); err == nil {
 		t.Error("duplicate variable accepted")
 	}
 }
 
+// TestMatchCloneIndependence pins Valuations' buffer contract: bound is
+// reused between calls, so a retained valuation must be copied, and the
+// copies are independent.
 func TestMatchCloneIndependence(t *testing.T) {
 	q := MustParseQuery("A(B $x)")
-	var saved []Match
-	err := ForEachMatch(q, tree.MustParse("A(B:1, B:2)"), func(m Match) bool {
-		saved = append(saved, m.Clone())
+	x := int32(q.VarPositions()["x"])
+	var saved, aliased [][]int32
+	err := Flatten(tree.MustParse("A(B:1, B:2)")).Valuations(q, func(bound []int32) bool {
+		saved = append(saved, slices.Clone(bound))
+		aliased = append(aliased, bound)
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(saved) != 2 {
-		t.Fatalf("matches = %d", len(saved))
+		t.Fatalf("valuations = %d", len(saved))
 	}
-	v1 := saved[0].Binding(q, "x").Value
-	v2 := saved[1].Binding(q, "x").Value
-	if v1 == v2 {
-		t.Error("cloned matches alias the shared map")
+	if saved[0][x] == saved[1][x] {
+		t.Error("copied valuations bind $x to the same node")
 	}
+	if &aliased[0][0] != &aliased[1][0] {
+		t.Error("bound is not reused between calls; the copy above is no longer needed")
+	}
+}
+
+// match is one valuation as tests inspect it: the source node bound to
+// each variable.
+type match map[string]*tree.Node
+
+// findMatches collects every valuation of q in the plain document doc.
+func findMatches(q *Query, doc *tree.Node) ([]match, error) {
+	d := Flatten(doc)
+	vars := q.VarPositions()
+	var out []match
+	err := d.Valuations(q, func(bound []int32) bool {
+		m := make(match, len(vars))
+		for v, i := range vars {
+			m[v] = d.Plain(bound[i])
+		}
+		out = append(out, m)
+		return true
+	})
+	return out, err
 }

@@ -15,11 +15,12 @@ import (
 // Snapshot is one immutable version of one document, together with
 // everything derived from it. A mutation never edits a snapshot: it
 // publishes a successor with a larger Version, so whatever was computed
-// from a snapshot — its flat form and keyword index here, a
-// result-cache entry or a view state tagged with its version elsewhere
-// — stays correct for that version forever and becomes garbage with
-// it. "Is this stale?" is therefore always the one comparison of two
-// version numbers.
+// from a snapshot — its flat form and keyword index, held here — stays
+// correct for that version forever and becomes garbage with it. This is
+// the one place a version's derived state lives: queries and searches
+// evaluate on the snapshot every time, and a view's maintained state is
+// tagged with the version it answers, so "is this stale?" is always
+// the one comparison of two version numbers.
 //
 // A Snapshot stays valid after its document is updated or dropped and
 // after the warehouse is closed; all methods are safe for concurrent

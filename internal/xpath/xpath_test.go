@@ -97,17 +97,21 @@ func TestCompiledQueriesEvaluate(t *testing.T) {
 
 func TestResultVariableBinding(t *testing.T) {
 	q := MustCompile("/library/book/title")
-	doc := tree.MustParse("library(book(title:Ulysses))")
-	ms, err := tpwj.FindMatches(q, doc)
+	d := tpwj.Flatten(tree.MustParse("library(book(title:Ulysses))"))
+	pos, ok := q.VarPositions()[ResultVar]
+	if !ok {
+		t.Fatalf("compiled query binds no %s", ResultVar)
+	}
+	var values []string
+	err := d.Valuations(q, func(bound []int32) bool {
+		values = append(values, d.Value(bound[pos]))
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 {
-		t.Fatalf("matches = %d", len(ms))
-	}
-	n := ms[0].Binding(q, ResultVar)
-	if n == nil || n.Value != "Ulysses" {
-		t.Errorf("result binding = %v", n)
+	if len(values) != 1 || values[0] != "Ulysses" {
+		t.Errorf("result bindings = %q, want [Ulysses]", values)
 	}
 }
 
