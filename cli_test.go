@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	fuzzyxml "repro"
 )
 
 // buildTools compiles the cmd/ binaries once per test run.
@@ -178,6 +180,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run(t, bins["pxwarehouse"], "-dir", wh, "verify-journal")
 	if !strings.Contains(out, "4 records (4 mutations, 0 view operations, 0 aborted)") || strings.Contains(out, "problem:") {
 		t.Errorf("pxwarehouse verify-journal:\n%s", out)
+	}
+	// Each invocation is a fresh open, and the first update after an
+	// open carries the document's full state: so do the load, update
+	// and simplify.
+	if !strings.Contains(out, "mutation records: 3 with full state, 0 transaction-only") {
+		t.Errorf("pxwarehouse verify-journal full-state counts:\n%s", out)
 	}
 	out = run(t, bins["pxwarehouse"], "-dir", wh, "recover")
 	if !strings.Contains(out, "recovered: 0 documents") {
@@ -519,5 +527,66 @@ func TestCLIPxsim(t *testing.T) {
 		t.Error("pxsim against dead endpoint succeeded")
 	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 		t.Errorf("pxsim against dead endpoint: %v, want exit 1", err)
+	}
+}
+
+// TestCLIVerifyJournalTail: verify-journal counts the mutation records
+// that carry a full state and those that carry their transaction only,
+// and rejects (exit 1) a transaction-only update with no full state of
+// its document before it, which no crash can leave behind.
+func TestCLIVerifyJournalTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildTools(t, "pxwarehouse")
+
+	// One open: the create is the document's full state, and the three
+	// updates after it journal their transactions only.
+	wh := filepath.Join(t.TempDir(), "wh")
+	w, err := fuzzyxml.OpenWarehouse(wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := fuzzyxml.ReadDocXML(strings.NewReader(slide12XML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Create("demo", doc); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		tx := fuzzyxml.NewTransaction(fuzzyxml.MustParseQuery("A $a"), 0.9, fuzzyxml.InsertOp("a", fuzzyxml.MustParseTree("N")))
+		if _, err := w.Update("demo", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := run(t, bins["pxwarehouse"], "-dir", wh, "verify-journal")
+	if !strings.Contains(out, "4 records (4 mutations, 0 view operations, 0 aborted)") ||
+		!strings.Contains(out, "mutation records: 1 with full state, 3 transaction-only") || strings.Contains(out, "problem:") {
+		t.Errorf("pxwarehouse verify-journal:\n%s", out)
+	}
+
+	// A transaction-only update of a document dropped before it.
+	bad := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(bad, "docs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	journal := `{"seq":1,"op":"create","doc":"X","content":"<pxml><events></events><root><A></A></root></pxml>"}
+{"seq":2,"op":"drop","doc":"X"}
+{"seq":3,"op":"update","doc":"X","tx":"<simplify/>","nodes":1}
+`
+	if err := os.WriteFile(filepath.Join(bad, "journal.log"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bins["pxwarehouse"], "-dir", bad, "verify-journal")
+	outBytes, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Errorf("verify-journal of an orphaned Tx-only update: %v, want exit 1\n%s", err, outBytes)
+	}
+	if !strings.Contains(string(outBytes), `problem: seq 3: Tx-only update of "X" with no full state of it before`) {
+		t.Errorf("verify-journal output:\n%s", outBytes)
 	}
 }

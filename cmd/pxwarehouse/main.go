@@ -173,6 +173,7 @@ func verifyJournal(dir string) {
 	}
 	fmt.Printf("journal: %d records (%d mutations, %d view operations, %d aborted), last seq %d\n",
 		sum.Records, sum.Mutations, sum.ViewOps, sum.Aborted, sum.LastSeq)
+	fmt.Printf("mutation records: %d with full state, %d transaction-only\n", sum.FullState, sum.TxOnly)
 	if sum.LegacyCommits > 0 {
 		fmt.Printf("legacy: %d commit markers written by an earlier version (ignored)\n", sum.LegacyCommits)
 	}

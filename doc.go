@@ -119,9 +119,10 @@
 //
 // OpenWarehouse provides the durable store of the paper's architecture:
 // named fuzzy documents on the file system, a journal in which one
-// record — the full post-state — is one mutation, document files that
-// are checkpoints of that journal, and replay-only crash recovery. Updates can also be expressed in an XUpdate-style XML syntax
-// (ParseTransactionXML).
+// record — a document's full state, or the transaction an update
+// applied to it — is one mutation, document files that are checkpoints
+// of that journal, and replay-only crash recovery. Updates can also be
+// expressed in an XUpdate-style XML syntax (ReadTransactionXML).
 //
 // # Durability and recovery
 //
@@ -131,8 +132,11 @@
 // crash preserves. Concretely:
 //
 //   - A mutation (Create, Update, Simplify, Drop) is its single
-//     journal record: its own sequence number and the full post-state.
-//     It is acknowledged — the call returns nil — exactly when that
+//     journal record: its own sequence number and, for a Create, the
+//     document; for an Update or Simplify, the transaction and the
+//     confidence event it minted, plus the full post-state on the
+//     first update of a document after open or compaction and then on
+//     every 32nd. It is acknowledged — the call returns nil — exactly when that
 //     record has been flushed and fsynced, and its result becomes
 //     visible to readers only after that, so a reader never observes
 //     a state a crash can take back. Mutations on different documents
@@ -150,8 +154,12 @@
 //     that was not acknowledged.
 //
 //   - Recovery at OpenWarehouse only replays: it scans the whole
-//     journal and brings every document to its last record, whatever
-//     a kill left in the document files. A record that was whole but
+//     journal and, per document, re-applies the transactions after its
+//     last full state (at most 31, each minting exactly the event its
+//     record names) to that state, whatever a kill left in the
+//     document files — those are never a replay base. A replay that
+//     lands on a different node count fails the open instead of
+//     serving a different document. A record that was whole but
 //     unacknowledged at a crash rolls forward; a torn one vanishes.
 //     The one marker is abort, written when the store step of a
 //     Create or Drop failed after its record was durable: it means

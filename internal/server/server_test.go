@@ -367,7 +367,8 @@ func TestStatsSurfacesEngineCounters(t *testing.T) {
 
 // TestStatsSurfacesJournalCounters checks that /stats reports the
 // warehouse journal counters and that a mutation advances the durable
-// append count.
+// append count, and the full-state count only when its record carries
+// the document.
 func TestStatsSurfacesJournalCounters(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	before := serverStats(t, ts).Journal
@@ -375,12 +376,27 @@ func TestStatsSurfacesJournalCounters(t *testing.T) {
 		t.Fatal("setup create failed")
 	}
 	after := serverStats(t, ts).Journal
-	// A create is one journal record and one fsync.
-	if after.Appends != before.Appends+1 {
-		t.Errorf("journal appends = %d -> %d, want +1", before.Appends, after.Appends)
+	// A create is one journal record and one fsync, and carries the
+	// document.
+	if after.Appends != before.Appends+1 || after.FullStateRecords != before.FullStateRecords+1 {
+		t.Errorf("journal appends = %d -> %d, full-state records %d -> %d, want +1 and +1",
+			before.Appends, after.Appends, before.FullStateRecords, after.FullStateRecords)
 	}
 	if after.SyncBatches != before.SyncBatches+1 {
 		t.Errorf("sync batches = %d -> %d, want +1", before.SyncBatches, after.SyncBatches)
+	}
+	// The update after it journals its transaction only.
+	if status := doJSON(t, "POST", ts.URL+"/docs/jc/update", UpdateRequest{
+		Query: "A $a", Confidence: 0.5, Ops: []UpdateOp{{Op: "insert", Var: "$a", Tree: "N"}},
+	}, nil); status != 200 {
+		t.Fatalf("update = %d", status)
+	}
+	updated := serverStats(t, ts).Journal
+	if updated.Appends != after.Appends+1 || updated.FullStateRecords != after.FullStateRecords {
+		t.Errorf("after an update: %+v, want one more append and no full-state record", updated)
+	}
+	if updated.RecoveryTxReplayed != 0 {
+		t.Errorf("recovery_tx_replayed = %d on a fresh warehouse", updated.RecoveryTxReplayed)
 	}
 }
 

@@ -18,8 +18,11 @@ type Op string
 const (
 	// OpCreate stores a new document; Content is the full post-state.
 	OpCreate Op = "create"
-	// OpUpdate replaces a document; Content is the full post-state and
-	// Tx the XUpdate serialization of the applied transaction.
+	// OpUpdate applies a transaction (or a simplification) to a
+	// document: Tx says which, Event pins the confidence event it
+	// minted, and either Content is the full post-state (a full-state
+	// record) or Nodes is the post-state's node count (a Tx-only
+	// record, replayed over the document's last full state).
 	OpUpdate Op = "update"
 	// OpDrop removes a document.
 	OpDrop Op = "drop"
@@ -49,13 +52,16 @@ func (op Op) Mutation() bool { return op == OpCreate || op == OpUpdate || op == 
 func (op Op) ViewOp() bool { return op == OpViewRegister || op == OpViewDrop }
 
 // Record is one entry of the journal, and one record is one mutation:
-// a create or update carries its own Seq and the document's full
-// post-state, and the mutation is committed the moment the record is
-// durable — the caller is acknowledged after that one fsync, readers
-// see the result only after it, and recovery takes every whole record
-// as a mutation that happened. Records of concurrent mutations on
-// different documents interleave freely. The only record that refers
-// to another is the abort marker (see OpAbort).
+// it carries its own Seq, and the mutation is committed the moment the
+// record is durable — the caller is acknowledged after that one fsync,
+// readers see the result only after it, and recovery takes every whole
+// record as a mutation that happened. A create carries the document's
+// full state; an update carries its transaction, and the full
+// post-state only on every fullStateEvery-th record of its document
+// (see mutateDoc), so a document's journal is a base plus a bounded
+// tail of transactions. Records of concurrent mutations on different
+// documents interleave freely. The only record that refers to another
+// is the abort marker (see OpAbort).
 type Record struct {
 	Seq int64 `json:"seq"`
 	Op  Op    `json:"op"`
@@ -63,11 +69,19 @@ type Record struct {
 	// the record the marker is about. Zero on every other record.
 	RefSeq int64  `json:"ref,omitempty"`
 	Doc    string `json:"doc,omitempty"` // document name (mutations only)
-	// Tx is the XUpdate serialization of the applied transaction
-	// (op "update" only), kept for auditability.
+	// Tx is the XUpdate serialization of the applied transaction, or
+	// simplifyTx for a simplification (op "update" only). Recovery
+	// re-applies it to the document's last full state.
 	Tx string `json:"tx,omitempty"`
-	// Content is the full post-state document serialization
-	// (ops "create" and "update").
+	// Event is the confidence event the update minted ("" when none):
+	// replay pins it, because event ids minted by a live table depend
+	// on a counter no document stores.
+	Event string `json:"event,omitempty"`
+	// Nodes is the post-state's node count on a Tx-only update record,
+	// checked after replay.
+	Nodes int `json:"nodes,omitempty"`
+	// Content is the full post-state document serialization: on every
+	// create, and on full-state update records.
 	Content string `json:"content,omitempty"`
 	// View names the materialized view a view-register/view-drop record
 	// concerns; Query and Syntax carry the registered definition
@@ -136,9 +150,10 @@ func parseRecords(payloads [][]byte) ([]Record, error) {
 // on the warehouse's obs registry (see Open), so /metrics reads the
 // same values.
 type journalCounters struct {
-	appends *obs.Counter // records durably appended
-	batches *obs.Counter // fsync calls (group commit: batches ≤ appends)
-	bytes   *obs.Counter // payload bytes durably appended (backend framing excluded)
+	appends   *obs.Counter // records durably appended
+	batches   *obs.Counter // fsync calls (group commit: batches ≤ appends)
+	bytes     *obs.Counter // payload bytes durably appended (backend framing excluded)
+	fullState *obs.Counter // mutation records durably appended with Content
 }
 
 // journal is the warehouse's group-commit layer over a backend's
@@ -261,6 +276,9 @@ func (j *journal) append(cost *obs.Cost, r Record) (int64, error) {
 		return 0, err
 	}
 	j.counters.appends.Add(1)
+	if r.Content != "" {
+		j.counters.fullState.Add(1)
+	}
 	obs.Charge(cost, obs.CostJournalBytes, j.counters.bytes, int64(len(data)))
 	return seq, nil
 }

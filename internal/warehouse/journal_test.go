@@ -15,13 +15,16 @@ import (
 // — no six-byte \u003c for every '<' of the XML — and still frame and
 // decode on both backends: no raw newline inside a payload (the
 // filestore frames by line), U+2028/U+2029 escaped, and every record
-// read back equal to what was appended. A payload in the form
+// read back equal to what was appended, Tx-only update records (event
+// and node count, no content) included. A payload in the form
 // json.Marshal used to write decodes to the same record.
 func TestRecordEncodingRoundTrip(t *testing.T) {
 	records := []Record{
 		{Op: OpCreate, Doc: "D", Content: "<pxml>\n  <a b=\"c\">x &amp; y</a>\n</pxml>"},
 		{Op: OpUpdate, Doc: "D", Tx: "<transaction confidence=\"0.5\">'&'</transaction>", Content: "line\u2028sep \u2029 para\r\n\ttab"},
 		{Op: OpUpdate, Doc: "D", Content: "replacement \uFFFD, astral \U0001F600, é, \\ and \\u003c spelled out"},
+		{Op: OpUpdate, Doc: "D", Tx: "<transaction confidence=\"0.9\">\n  <where>A $a</where>\n</transaction>\n", Event: "u<3>", Nodes: 12},
+		{Op: OpUpdate, Doc: "D", Tx: simplifyTx, Nodes: 7},
 		{Op: OpViewRegister, Doc: "D", View: "v", Query: "A(B $b) & <x>", Syntax: "tpwj"},
 		{Op: OpDrop, Doc: "D"},
 		{Op: OpAbort, RefSeq: -1},
@@ -54,7 +57,7 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 				if bytes.ContainsAny(p, "\n\r") || bytes.Contains(p, []byte("\u2028")) || bytes.Contains(p, []byte("\u2029")) {
 					t.Errorf("payload %d holds a raw line break: %q", i, p)
 				}
-				fields := want[i].Doc + want[i].Tx + want[i].Content + want[i].View + want[i].Query + want[i].Syntax
+				fields := want[i].Doc + want[i].Tx + want[i].Event + want[i].Content + want[i].View + want[i].Query + want[i].Syntax
 				for _, c := range []string{"<", ">", "&"} {
 					if bytes.Count(p, []byte(c)) != strings.Count(fields, c) {
 						t.Errorf("payload %d does not carry every %q as itself: %q", i, c, p)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/fuzzy"
 	"repro/internal/store/kv"
 	"repro/internal/tpwj"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/update"
 	"repro/internal/vfs"
 	"repro/internal/xmlio"
+	"repro/internal/xupdate"
 )
 
 // storeBackends are the storage backends every parameterized recovery
@@ -113,29 +115,42 @@ func forgeJournal(t *testing.T, dir, backend string, records []Record) []int64 {
 // interleaved the way concurrent installs interleave them, a view
 // registration, a create and a drop whose store step failed (each
 // withdrawn by its abort marker), one commit marker as earlier versions
-// wrote them, and at the tail a whole update nobody acknowledged. The
-// final state: A is at its update (its drop was aborted) and keeps its
-// view, B is dropped, C is at the tail update, D never came to exist.
+// wrote them, and at the tail a whole update nobody acknowledged. In
+// between, four at a time, run the records of E, whose journal crosses
+// fullStateEvery (tailJournal). The final state: A is at its update
+// (its drop was aborted) and keeps its view, B is dropped, C is at the
+// tail update, D never came to exist, E is at its last transaction
+// replayed over its second full state.
 func interleavedJournal(t *testing.T) []Record {
 	t.Helper()
 	a1, a2 := content(t, "A(one)"), content(t, "A(two)")
 	b1, b2 := content(t, "B(one)"), content(t, "B(two)")
 	c1, c2 := content(t, "C(one)"), content(t, "C(two)")
-	return []Record{
-		{Op: OpCreate, Doc: "A", Content: a1},                    // seq 1
-		{Op: OpCreate, Doc: "B", Content: b1},                    // seq 2
-		{Op: OpCommit, RefSeq: -1},                               // legacy marker: ignored
-		{Op: OpUpdate, Doc: "B", Tx: "<t/>", Content: b2},        // seq 4
-		{Op: OpCreate, Doc: "C", Content: c1},                    // seq 5
-		{Op: OpViewRegister, Doc: "A", View: "v", Query: "A $a"}, // seq 6
-		{Op: OpUpdate, Doc: "A", Tx: "<t/>", Content: a2},        // seq 7
-		{Op: OpCreate, Doc: "D", Content: content(t, "D(one)")},  // seq 8: page write failed
-		{Op: OpAbort, RefSeq: -1},                                //
-		{Op: OpDrop, Doc: "B"},                                   // seq 10
-		{Op: OpDrop, Doc: "A"},                                   // seq 11: removal failed
-		{Op: OpAbort, RefSeq: -1},                                //
-		{Op: OpUpdate, Doc: "C", Tx: "<t/>", Content: c2},        // seq 13: unacknowledged tail
+	e := tailJournal(t)
+	var out []Record
+	for _, r := range []Record{
+		{Op: OpCreate, Doc: "A", Content: a1},
+		{Op: OpCreate, Doc: "B", Content: b1},
+		{Op: OpCommit, RefSeq: -1}, // legacy marker: ignored
+		{Op: OpUpdate, Doc: "B", Tx: "<t/>", Content: b2},
+		{Op: OpCreate, Doc: "C", Content: c1},
+		{Op: OpViewRegister, Doc: "A", View: "v", Query: "A $a"},
+		{Op: OpUpdate, Doc: "A", Tx: "<t/>", Content: a2},
+		{Op: OpCreate, Doc: "D", Content: content(t, "D(one)")}, // page write failed
+		{Op: OpAbort, RefSeq: -1},
+		{Op: OpDrop, Doc: "B"},
+		{Op: OpDrop, Doc: "A"}, // removal failed
+		{Op: OpAbort, RefSeq: -1},
+		{Op: OpUpdate, Doc: "C", Tx: "<t/>", Content: c2}, // unacknowledged tail
+	} {
+		// A marker stays right behind the record it names.
+		if r.Op != OpAbort && r.Op != OpCommit {
+			n := min(4, len(e))
+			out, e = append(out, e[:n]...), e[n:]
+		}
+		out = append(out, r)
 	}
+	return out
 }
 
 // numbered returns the records as forgeJournal writes them into a
@@ -276,11 +291,56 @@ func kvParseJournalPrefix(data []byte) []Record {
 	return records
 }
 
+// modelApply is the tests' own replay of one create or update record
+// over a document's state: a record carrying content is the state; a
+// Tx-only update parses the state afresh and re-applies the record's
+// simplification, or its transaction through xupdate.ParseTransaction
+// and ApplyFuzzy with the record's event pinned. It shares no code with
+// recover's replay above those primitives. Results are memoized: the
+// sweeps apply the same records to the same states once per cut.
+func modelApply(t *testing.T, state string, r Record) string {
+	t.Helper()
+	if r.Content != "" {
+		return r.Content
+	}
+	key := [3]string{state, r.Tx, r.Event}
+	if next, ok := modelMemo.Load(key); ok {
+		return next.(string)
+	}
+	ft, err := xmlio.ParseDoc([]byte(state))
+	if err != nil {
+		t.Fatalf("model: state of %q before seq %d: %v", r.Doc, r.Seq, err)
+	}
+	if r.Tx == simplifyTx {
+		ft.Simplify()
+	} else {
+		tx, err := xupdate.ParseTransaction([]byte(r.Tx))
+		if err != nil {
+			t.Fatalf("model: seq %d: %v", r.Seq, err)
+		}
+		tx.ConfEvent = event.ID(r.Event)
+		if ft, _, err = tx.ApplyFuzzy(ft); err != nil {
+			t.Fatalf("model: seq %d: %v", r.Seq, err)
+		}
+	}
+	data, err := xmlio.DocXML(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelMemo.Store(key, string(data))
+	return string(data)
+}
+
+// modelMemo maps [state, Tx, Event] to modelApply's result.
+var modelMemo sync.Map
+
 // expectState is the tests' independent model of recovery over a
-// journal prefix, the whole one-record contract in a dozen lines: per
-// document, the last mutation record that no abort names is the state;
-// a document no such record mentions keeps its stored page.
-func expectState(records []Record, stored map[string]string) map[string]string {
+// journal prefix, the whole contract in a dozen lines: per document,
+// the mutation records that no abort names, applied in journal order
+// (modelApply), are the state; a document no such record mentions
+// keeps its stored page.
+func expectState(t *testing.T, records []Record, stored map[string]string) map[string]string {
+	t.Helper()
 	aborted := make(map[int64]bool)
 	for _, r := range records {
 		if r.Op == OpAbort {
@@ -297,7 +357,7 @@ func expectState(records []Record, stored map[string]string) map[string]string {
 		case r.Op == OpDrop:
 			delete(expect, r.Doc)
 		default:
-			expect[r.Doc] = r.Content
+			expect[r.Doc] = modelApply(t, expect[r.Doc], r)
 		}
 	}
 	return expect
@@ -338,9 +398,11 @@ func expectViews(records []Record) map[string][]string {
 // page at all (none of the unsynced writes reached the disk), each
 // document's page as its create wrote it (updates never touch pages,
 // drops not yet removed), and every record's effect in place (as a
-// checkpoint or an earlier recovery leaves it). A create or drop that
-// an abort names failed in the store, so it changed no page.
-func storedPages(records []Record) map[string]map[string]string {
+// checkpoint or an earlier recovery leaves it, Tx-only updates replayed
+// by modelApply). A create or drop that an abort names failed in the
+// store, so it changed no page.
+func storedPages(t *testing.T, records []Record) map[string]map[string]string {
+	t.Helper()
 	aborted := make(map[int64]bool)
 	for _, r := range records {
 		if r.Op == OpAbort {
@@ -356,7 +418,7 @@ func storedPages(records []Record) map[string]map[string]string {
 		case OpCreate:
 			created[r.Doc], advanced[r.Doc] = r.Content, r.Content
 		case OpUpdate:
-			advanced[r.Doc] = r.Content
+			advanced[r.Doc] = modelApply(t, advanced[r.Doc], r)
 		case OpDrop:
 			delete(advanced, r.Doc)
 		}
@@ -432,7 +494,7 @@ func TestRecoveryScanInterleaved(t *testing.T) {
 				"B": content(t, "B(two)"),
 				"C": content(t, "C(nonsense)"),
 			})
-			checkRecovered(t, dir, backend, records, expectState(records, nil), expectViews(records), "A", "B", "C", "D")
+			checkRecovered(t, dir, backend, records, expectState(t, records, nil), expectViews(records), "A", "B", "C", "D", "E")
 
 			w := openB(t, dir, backend)
 			defer w.Close()
@@ -456,12 +518,12 @@ func TestRecoveryRecordBoundaries(t *testing.T) {
 		for cut := 0; cut <= len(full); cut++ {
 			t.Run(fmt.Sprintf("%s/records=%d", backend, cut), func(t *testing.T) {
 				prefix := numbered(full)[:cut]
-				for name, pages := range storedPages(prefix) {
+				for name, pages := range storedPages(t, prefix) {
 					dir := t.TempDir()
 					forgeJournal(t, dir, backend, full[:cut])
 					seedDocs(t, dir, backend, pages)
 					t.Log("stored pages:", name)
-					checkRecovered(t, dir, backend, prefix, expectState(prefix, pages), expectViews(prefix), "A", "B", "C", "D")
+					checkRecovered(t, dir, backend, prefix, expectState(t, prefix, pages), expectViews(prefix), "A", "B", "C", "D", "E")
 				}
 			})
 		}
@@ -472,13 +534,19 @@ func TestRecoveryRecordBoundaries(t *testing.T) {
 // every byte boundary and asserts recovery never loses a whole record
 // nor resurrects an aborted one: whatever the cut, the document lands
 // exactly on the model's prediction for the records that survive it
-// whole. The journals are in the format earlier versions wrote — every
+// whole. Two journals are in the format earlier versions wrote — every
 // mutation followed by a commit marker, which must change nothing —
-// ending in a commit or in an abort of the last update. The stored
+// ending in a commit or in an abort of the last update; their stored
 // page is seeded both ways, as its create wrote it and as advanced as
-// the full journal. For the kv backend the page shares the truncated
-// file with the journal frames; it sits where a create puts it, right
-// behind the create's record, so early cuts take the page with them.
+// the full journal. The third, tail-crossing, is one this version
+// writes (crossingJournal): its cuts run over every byte of the
+// full-state record that ends the deepest tail of Tx-only records and
+// of the Tx-only record after it, so recovery replays fullStateEvery-1
+// transactions onto the create or none onto the new full state, over
+// the page a kill leaves — as the create wrote it. For the kv backend
+// the page shares the truncated file with the journal frames; it sits
+// where a create puts it, right behind the create's record, so early
+// cuts take the page with them.
 func TestRecoveryByteBoundaries(t *testing.T) {
 	v1, v2, v3 := content(t, "D(one)"), content(t, "D(two)"), content(t, "D(three)")
 	scenarios := []struct {
@@ -502,9 +570,53 @@ func TestRecoveryByteBoundaries(t *testing.T) {
 	// whole, D being the only document.
 	checkCut := func(t *testing.T, dir, backend string, cut int, records []Record, stored map[string]string) {
 		t.Helper()
-		checkRecovered(t, dir, backend, records, expectState(records, stored), nil, "D")
+		checkRecovered(t, dir, backend, records, expectState(t, records, stored), nil, "D")
 		if t.Failed() {
 			t.Fatalf("at cut=%d", cut)
+		}
+	}
+	// sweepFile cuts a filestore journal at every byte from the offset
+	// on, over each of the stored pages.
+	sweepFile := func(t *testing.T, full []byte, from int, pages ...string) {
+		for cut := from; cut <= len(full); cut++ {
+			records := parsePrefix(full[:cut])
+			for _, page := range pages {
+				if len(records) == 0 {
+					page = "" // no page can predate its create record
+				}
+				dir := t.TempDir()
+				if err := os.MkdirAll(filepath.Join(dir, docsDir), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, journalFile), full[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				stored := map[string]string{}
+				if page != "" {
+					stored["D"] = page
+					if err := os.WriteFile(filepath.Join(dir, docsDir, "D"+docExt), []byte(page), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkCut(t, dir, BackendFile, cut, records, stored)
+			}
+		}
+	}
+	// sweepKV cuts the kv page file in base at every byte from the
+	// offset on.
+	sweepKV := func(t *testing.T, base string, from int) {
+		full, err := os.ReadFile(filepath.Join(base, kv.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := from; cut <= len(full); cut++ {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, kv.FileName), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The page frame follows the create record, so whenever
+			// it survives the cut the journal decides D anyway.
+			checkCut(t, dir, BackendKV, cut, kvParseJournalPrefix(full[:cut]), nil)
 		}
 	}
 	for _, sc := range scenarios {
@@ -517,29 +629,7 @@ func TestRecoveryByteBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for cut := 0; cut <= len(full); cut++ {
-				records := parsePrefix(full[:cut])
-				for _, page := range []string{v1, v3} {
-					if len(records) == 0 {
-						page = "" // no page can predate its create record
-					}
-					dir := t.TempDir()
-					if err := os.MkdirAll(filepath.Join(dir, docsDir), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(filepath.Join(dir, journalFile), full[:cut], 0o644); err != nil {
-						t.Fatal(err)
-					}
-					stored := map[string]string{}
-					if page != "" {
-						stored["D"] = page
-						if err := os.WriteFile(filepath.Join(dir, docsDir, "D"+docExt), []byte(page), 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkCut(t, dir, BackendFile, cut, records, stored)
-				}
-			}
+			sweepFile(t, full, 0, v1, v3)
 		})
 		t.Run("kv/"+sc.name, func(t *testing.T) {
 			t.Parallel()
@@ -548,22 +638,87 @@ func TestRecoveryByteBoundaries(t *testing.T) {
 				forgeJournal(t, base, BackendKV, create)
 				seedDocs(t, base, BackendKV, map[string]string{"D": page})
 				forgeJournal(t, base, BackendKV, rest(sc.final))
-				full, err := os.ReadFile(filepath.Join(base, kv.FileName))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for cut := 0; cut <= len(full); cut++ {
-					dir := t.TempDir()
-					if err := os.WriteFile(filepath.Join(dir, kv.FileName), full[:cut], 0o644); err != nil {
-						t.Fatal(err)
-					}
-					// The page frame follows the create record, so whenever
-					// it survives the cut the journal decides D anyway.
-					checkCut(t, dir, BackendKV, cut, kvParseJournalPrefix(full[:cut]), nil)
-				}
+				sweepKV(t, base, 0)
 			}
 		})
 	}
+
+	crossing := crossingJournal(t)
+	head, last := crossing[:fullStateEvery], crossing[fullStateEvery:]
+	page := crossing[0].Content
+	fileSize := func(t *testing.T, path string) int {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(info.Size())
+	}
+	t.Run("filestore/tail-crossing", func(t *testing.T) {
+		t.Parallel()
+		base := t.TempDir()
+		forgeJournal(t, base, BackendFile, head)
+		from := fileSize(t, filepath.Join(base, journalFile))
+		forgeJournal(t, base, BackendFile, last)
+		full, err := os.ReadFile(filepath.Join(base, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweepFile(t, full, from, page)
+	})
+	t.Run("kv/tail-crossing", func(t *testing.T) {
+		t.Parallel()
+		base := t.TempDir()
+		forgeJournal(t, base, BackendKV, head[:1])
+		seedDocs(t, base, BackendKV, map[string]string{"D": page})
+		forgeJournal(t, base, BackendKV, head[1:])
+		from := fileSize(t, filepath.Join(base, kv.FileName))
+		forgeJournal(t, base, BackendKV, last)
+		sweepKV(t, base, from)
+	})
+}
+
+// crossingJournal returns the records a live warehouse journals for a
+// document D kept tiny, so that a byte sweep over its full state stays
+// short: its create A(B), fullStateEvery-1 transactions alternating an
+// insert of G(L:x) at confidence 0.9 (minting an event) with its
+// certain delete, a Simplify — the full-state record, dropping every
+// event but the last — and an insert at 0.8, whose event the live
+// counter mints past the dropped ones. Seqs are cleared.
+func crossingJournal(t *testing.T) []Record {
+	t.Helper()
+	w := openTemp(t)
+	if err := w.Create("D", fuzzy.MustParseTree("A(B)", nil)); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(conf float64) *update.Transaction {
+		return update.New(tpwj.MustParseQuery("A $a"), conf, update.Insert("a", tree.MustParse("G(L:x)")))
+	}
+	for i := 1; i < fullStateEvery; i++ {
+		tx := insert(0.9)
+		if i%2 == 0 {
+			tx = update.New(tpwj.MustParseQuery("A(G $g)"), 1, update.Delete("g"))
+		}
+		if _, err := w.Update("D", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Simplify("D"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Update("D", insert(0.8)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := w.Journal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if full := i%fullStateEvery == 0; (r.Content != "") != full {
+			t.Fatalf("record %d carries a full state: %v, want %v", i, !full, full)
+		}
+		recs[i].Seq = 0
+	}
+	return recs
 }
 
 // tailRow is one line of the table "a whole unacknowledged record
@@ -873,9 +1028,11 @@ func TestInspectJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := JournalSummary{Records: 13, Mutations: 9, ViewOps: 1, Aborted: 2, LegacyCommits: 1, LastSeq: 13}
-			if sum.Records != want.Records || sum.Mutations != want.Mutations || sum.ViewOps != want.ViewOps ||
-				sum.Aborted != want.Aborted || sum.LegacyCommits != want.LegacyCommits || sum.LastSeq != want.LastSeq {
+			// A to D: 13 records, 9 mutations, 7 with a full state. E: a
+			// create and 34 updates, the 32nd a full state (tailJournal).
+			want := JournalSummary{Records: 48, Mutations: 44, FullState: 9, TxOnly: 33, ViewOps: 1, Aborted: 2, LegacyCommits: 1, LastSeq: 48}
+			if sum.Records != want.Records || sum.Mutations != want.Mutations || sum.FullState != want.FullState || sum.TxOnly != want.TxOnly ||
+				sum.ViewOps != want.ViewOps || sum.Aborted != want.Aborted || sum.LegacyCommits != want.LegacyCommits || sum.LastSeq != want.LastSeq {
 				t.Errorf("summary = %+v, want %+v", sum, want)
 			}
 			if sum.TornTail || len(sum.Problems) != 0 {
@@ -888,7 +1045,7 @@ func TestInspectJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sum.TornTail || sum.Records != 13 {
+			if !sum.TornTail || sum.Records != 48 {
 				t.Errorf("torn tail not detected: %+v", sum)
 			}
 		})
@@ -898,12 +1055,18 @@ func TestInspectJournal(t *testing.T) {
 	bad := t.TempDir()
 	lines := []string{
 		`{"seq":1,"op":"create","doc":"X","content":"<pxml><A/></pxml>"}`,
-		`{"seq":1,"op":"abort","ref":1}`,   // problem: seq not increasing (the abort itself counts)
-		`{"seq":3,"op":"abort","ref":99}`,  // problem: names no mutation
-		`{"seq":4,"op":"abort","ref":1}`,   // problem: second abort for 1
-		`{"seq":5,"op":"frobnicate"}`,      // problem: unknown op
-		`{"seq":6,"op":"commit","ref":77}`, // legacy marker: counted, whatever it names
-		`{"seq":7,"op":"abort"}`,           // problem: no ref names no mutation
+		`{"seq":1,"op":"abort","ref":1}`,                          // problem: seq not increasing (the abort itself counts)
+		`{"seq":3,"op":"abort","ref":99}`,                         // problem: names no mutation
+		`{"seq":4,"op":"abort","ref":1}`,                          // problem: second abort for 1
+		`{"seq":5,"op":"frobnicate"}`,                             // problem: unknown op
+		`{"seq":6,"op":"commit","ref":77}`,                        // legacy marker: counted, whatever it names
+		`{"seq":7,"op":"abort"}`,                                  // problem: no ref names no mutation
+		`{"seq":8,"op":"update","doc":"X","tx":"<t/>","nodes":1}`, // problem: X's only full state was aborted
+		`{"seq":9,"op":"create","doc":"Y","content":"<pxml><A/></pxml>"}`,
+		`{"seq":10,"op":"drop","doc":"Y"}`,
+		`{"seq":11,"op":"update","doc":"Y","tx":"<t/>","nodes":1}`, // problem: no full state of Y since its drop
+		`{"seq":12,"op":"create","doc":"Z","content":"<pxml><A/></pxml>"}`,
+		`{"seq":13,"op":"update","doc":"Z","tx":"<t/>","nodes":1}`, // replays onto Z's create
 	}
 	if err := os.MkdirAll(filepath.Join(bad, docsDir), 0o755); err != nil {
 		t.Fatal(err)
@@ -915,11 +1078,12 @@ func TestInspectJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Problems) != 5 {
-		t.Errorf("problems = %v, want 5", sum.Problems)
+	if len(sum.Problems) != 7 {
+		t.Errorf("problems = %v, want 7", sum.Problems)
 	}
-	if sum.Aborted != 1 || sum.LegacyCommits != 1 {
-		t.Errorf("aborted = %d, legacy commits = %d, want 1 and 1", sum.Aborted, sum.LegacyCommits)
+	if sum.Aborted != 1 || sum.LegacyCommits != 1 || sum.FullState != 3 || sum.TxOnly != 3 {
+		t.Errorf("aborted = %d, legacy commits = %d, full state %d, Tx only %d; want 1, 1, 3 and 3",
+			sum.Aborted, sum.LegacyCommits, sum.FullState, sum.TxOnly)
 	}
 
 	// A missing journal is an empty summary, not an error.

@@ -278,7 +278,7 @@ func TestDocDropRemovesViews(t *testing.T) {
 
 // copyWarehouseDir snapshots a (possibly still open) warehouse
 // directory, simulating what a crash leaves on disk.
-func copyWarehouseDir(t *testing.T, src string) string {
+func copyWarehouseDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {

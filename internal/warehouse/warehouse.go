@@ -2,9 +2,10 @@
 // paper (slides 3 and 16): named fuzzy documents stored on the file
 // system, updated by probabilistic transactions and queried with TPWJ
 // queries. The implementation adds the durability a production system
-// needs: a journal in which one record — the full post-state — is one
-// mutation, stored documents that are checkpoints of that journal, and
-// replay-only recovery on open.
+// needs: a journal in which one record is one mutation — a create's
+// full state, or an update's transaction, with a full post-state on
+// every fullStateEvery-th update of a document — stored documents that
+// are checkpoints of that journal, and replay-only recovery on open.
 //
 // Concurrency is per document: each document has its own lock pair
 // (see docLock), handed out by a striped lock table, so reads on
@@ -36,9 +37,11 @@
 // step fails the record is withdrawn with an abort marker, the one
 // marker there is. Compact and Close checkpoint — write every document
 // mutated since the last checkpoint — and Compact then makes the pages
-// durable and truncates the journal. Recovery at Open replays: per
-// document, the last record no abort names is the state, and a page
-// that differs from it is rewritten (see Warehouse.recover).
+// durable and truncates the journal. Pages are never a replay base.
+// Recovery at Open replays: per document, the last full-state record
+// no abort names is the base, the transaction-only records after it
+// are re-applied to it (at most fullStateEvery-1 of them), and a page
+// that differs from the result is rewritten (see Warehouse.recover).
 //
 // # Fault tolerance
 //
@@ -169,10 +172,12 @@ type Warehouse struct {
 	// replacement Compact performs, so the counters stay monotonic.
 	jc journalCounters
 
-	// recoveryReplays counts the documents recovery caught up, written
-	// during Open (before the warehouse is shared) and read by
-	// JournalStats.
-	recoveryReplays *obs.Counter
+	// recoveryReplays counts the documents recovery caught up, and
+	// recoveryTxReplayed the Tx-only records it re-applied to do so;
+	// both are written during Open (before the warehouse is shared) and
+	// read by JournalStats.
+	recoveryReplays    *obs.Counter
+	recoveryTxReplayed *obs.Counter
 
 	// cacheMu guards the cache map and the version counter. The
 	// snapshots inside are immutable: mutations publish a successor
@@ -188,26 +193,67 @@ type Warehouse struct {
 	// maintenance counters (see views.go).
 	views viewRegistry
 
-	// dirtyMu guards dirty: the documents whose stored page is behind
-	// their cached snapshot, because an update journaled a post-state
-	// the store has not been given (see mutateDoc). The journal holds
-	// every such state durably and recovery replays it, so the set only
-	// says what checkpoint must write. It is empty after Open, Reopen
-	// and Compact. A dirty document's snapshot stays resident: cache
-	// entries leave only through Drop, which clears the entry, and
-	// Reopen, which clears the set.
+	// dirtyMu guards dirty and tail. dirty is the documents whose
+	// stored page is behind their cached snapshot, because an update
+	// journaled a state the store has not been given (see mutateDoc).
+	// The journal holds every such state durably and recovery replays
+	// it, so the set only says what checkpoint must write. tail counts,
+	// per document, the Tx-only records since its last full-state
+	// record in the current journal; a document with no entry has no
+	// full-state record there, so its next update writes one. Both are
+	// empty after Open, Reopen and Compact. A dirty document's snapshot
+	// stays resident: cache entries leave only through Drop, which
+	// clears the entry, and Reopen, which clears the set.
 	dirtyMu sync.Mutex
 	dirty   map[string]bool
+	tail    map[string]int
 }
 
-func (w *Warehouse) setDirty(name string, dirty bool) {
+// fullStateEvery bounds replay: every fullStateEvery-th record of a
+// document's journal carries its full state, so recovery re-applies at
+// most fullStateEvery-1 transactions per document.
+const fullStateEvery = 32
+
+// nextIsFullState reports whether the document's next update record
+// must carry its full post-state. The caller holds the document's
+// writers lock, which serializes the document's tail entry.
+func (w *Warehouse) nextIsFullState(name string) bool {
 	w.dirtyMu.Lock()
 	defer w.dirtyMu.Unlock()
+	n, ok := w.tail[name]
+	return !ok || n+1 >= fullStateEvery
+}
+
+// journaled notes a durable mutation record of the document: a
+// full-state record restarts its tail, a Tx-only one extends it, and
+// dirty says whether the stored page is now behind.
+func (w *Warehouse) journaled(name string, fullState, dirty bool) {
+	w.dirtyMu.Lock()
+	defer w.dirtyMu.Unlock()
+	if fullState {
+		w.tail[name] = 0
+	} else {
+		w.tail[name]++
+	}
 	if dirty {
 		w.dirty[name] = true
-	} else {
-		delete(w.dirty, name)
 	}
+}
+
+// forget drops the bookkeeping of a dropped document.
+func (w *Warehouse) forget(name string) {
+	w.dirtyMu.Lock()
+	defer w.dirtyMu.Unlock()
+	delete(w.dirty, name)
+	delete(w.tail, name)
+}
+
+// resetJournaled empties dirty and tail, for a fresh journal instance.
+func (w *Warehouse) resetJournaled() {
+	w.dirtyMu.Lock()
+	defer w.dirtyMu.Unlock()
+	w.dirty = make(map[string]bool)
+	w.tail = make(map[string]int)
 }
 
 // checkpoint writes the current snapshot of every dirty document to
@@ -297,13 +343,16 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 		reg:   reg,
 		cache: make(map[string]*Snapshot),
 		dirty: make(map[string]bool),
+		tail:  make(map[string]int),
 	}
 	w.jc = journalCounters{
-		appends: reg.Counter("px_journal_appends_total", "journal records durably appended"),
-		batches: reg.Counter("px_journal_sync_batches_total", "journal fsync calls (group commit: batches <= appends)"),
-		bytes:   reg.Counter("px_journal_bytes_total", "journal record payload bytes durably appended (backend framing excluded)"),
+		appends:   reg.Counter("px_journal_appends_total", "journal records durably appended"),
+		batches:   reg.Counter("px_journal_sync_batches_total", "journal fsync calls (group commit: batches <= appends)"),
+		bytes:     reg.Counter("px_journal_bytes_total", "journal record payload bytes durably appended (backend framing excluded)"),
+		fullState: reg.Counter("px_journal_full_state_total", "mutation records durably appended with a full document state"),
 	}
 	w.recoveryReplays = reg.Counter("px_recovery_replays_total", "documents replayed from the journal at the last Open")
+	w.recoveryTxReplayed = reg.Counter("px_recovery_tx_replayed_total", "transaction-only journal records re-applied at the last Open")
 	w.search.initMetrics(reg)
 	w.views.initMetrics(reg)
 	reg.GaugeFunc("px_views_registered", "currently registered materialized views",
@@ -475,9 +524,7 @@ func (w *Warehouse) Reopen() error {
 	w.cacheMu.Lock()
 	w.cache = make(map[string]*Snapshot)
 	w.cacheMu.Unlock()
-	w.dirtyMu.Lock()
-	w.dirty = make(map[string]bool)
-	w.dirtyMu.Unlock()
+	w.resetJournaled()
 	w.views.reset()
 	if err := w.loadFromDisk(); err != nil {
 		return err
@@ -760,6 +807,7 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 			if err := w.writeDoc(name, data); err != nil {
 				return err
 			}
+			w.journaled(name, true, false)
 			w.publish(name, clone)
 			return nil
 		})
@@ -843,7 +891,7 @@ func (w *Warehouse) Drop(name string) error {
 				return err
 			}
 			w.cacheDel(name)
-			w.setDirty(name, false)
+			w.forget(name)
 			return nil
 		})
 	if err != nil {
@@ -902,10 +950,17 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 // lock, snapshot, run compute outside the state lock (concurrent
 // queries on the same document are never blocked by it), then journal
 // and install the successor tree. compute returns the successor, the
-// journal's Tx annotation, and the update's structural footprint for
-// view maintenance (nil when unknown, forcing affected views to
+// update record's Tx and Event, and the update's structural footprint
+// for view maintenance (nil when unknown, forcing affected views to
 // recompute). The lock-entry lifecycle bookkeeping (releaseIfGone on
 // vanished documents) lives only here.
+//
+// The record carries the successor's full state only when the
+// document's journal tail calls for one (nextIsFullState): the first
+// update after Open, Reopen or Compact, and then every
+// fullStateEvery-th. The others carry the transaction and the node
+// count, so the request path neither serializes the document nor
+// writes it to the journal.
 //
 // Registered views of the document are maintained after the install,
 // still under the writers lock — so view state advances in lockstep
@@ -913,7 +968,7 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 // outside every view's own mutex, so concurrent ReadView calls are
 // never blocked: they serve the previous state marked stale until the
 // maintenance pass lands (see maintainViews).
-func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft *fuzzy.Tree) (*fuzzy.Tree, string, *view.Delta, error)) error {
+func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error)) error {
 	if err := validName(name); err != nil {
 		return err
 	}
@@ -935,22 +990,28 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 		return err
 	}
 	_, cspan := obs.StartSpan(ctx, "update.compute")
-	nextTree, txNote, delta, err := compute(pre.tree)
+	nextTree, rec, delta, err := compute(pre.tree)
 	cspan.End()
 	if err != nil {
 		return err
 	}
-	data, err := xmlio.DocXML(nextTree)
-	if err != nil {
-		return err
+	rec.Op, rec.Doc = OpUpdate, name
+	fullState := w.nextIsFullState(name)
+	if fullState {
+		data, err := xmlio.DocXML(nextTree)
+		if err != nil {
+			return err
+		}
+		rec.Content = string(data)
+	} else {
+		rec.Nodes = nextTree.Size()
 	}
 	var next *Snapshot
-	err = w.install(ctx, dl,
-		Record{Op: OpUpdate, Doc: name, Tx: txNote, Content: string(data)},
+	err = w.install(ctx, dl, rec,
 		func() error {
 			// No page write on the request path: the record is the
 			// durable copy, and the next checkpoint brings the page up.
-			w.setDirty(name, true)
+			w.journaled(name, fullState, true)
 			next = w.publish(name, nextTree)
 			return nil
 		})
@@ -978,13 +1039,13 @@ func (w *Warehouse) UpdateCtx(ctx context.Context, name string, tx *update.Trans
 		return nil, err
 	}
 	var stats *update.FuzzyStats
-	err = w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, string, *view.Delta, error) {
+	err = w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error) {
 		next, s, err := tx.ApplyFuzzy(ft)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, Record{}, nil, err
 		}
 		stats = s
-		return next, string(txXML), &view.Delta{
+		return next, Record{Tx: string(txXML), Event: string(s.Event)}, &view.Delta{
 			InsertedLabels:    s.InsertedLabels,
 			DeleteTargetPaths: s.DeleteTargetPaths,
 		}, nil
@@ -1007,10 +1068,10 @@ func (w *Warehouse) SimplifyCtx(ctx context.Context, name string) (fuzzy.Simplif
 	// The nil footprint makes every view of the document recompute:
 	// simplification rewrites conditions tree-wide, which the overlap
 	// analysis cannot bound.
-	err := w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, string, *view.Delta, error) {
+	err := w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error) {
 		next := ft.Clone()
 		stats = next.Simplify()
-		return next, "<simplify/>", nil, nil
+		return next, Record{Tx: simplifyTx}, nil, nil
 	})
 	if err != nil {
 		return fuzzy.SimplifyStats{}, err
@@ -1071,7 +1132,8 @@ func (w *Warehouse) Journal() ([]Record, error) {
 // registry, and only then trade the journal for space (ResetJournal,
 // which for the kv backend also rewrites the page file down to its
 // live pages). After it returns, the stored documents are the
-// authority until the next mutation journals a new post-state.
+// authority until the next mutation journals a document's full state
+// again — the first update of each document after Compact does.
 func (w *Warehouse) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1115,5 +1177,7 @@ func (w *Warehouse) Compact() error {
 		return err
 	}
 	w.journal = newJournal(log, 0, &w.jc, w.setDegraded)
+	// The new journal holds no full state of any document.
+	w.resetJournaled()
 	return nil
 }

@@ -227,13 +227,34 @@ func TestJournalAudit(t *testing.T) {
 			t.Errorf("record %d: seq %d ref %d, want seq %d and no ref", i, r.Seq, r.RefSeq, i+1)
 		}
 	}
-	// The record carries the post-state itself.
+	// The create is the document's full state, so the update record
+	// carries its transaction and the post-state's node count only.
+	info, err := w.Stat("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs[1].Content != "" || recs[1].Nodes != info.Nodes || recs[1].Event != "" {
+		t.Errorf("update record = %+v, want Tx only with %d nodes and no event", recs[1], info.Nodes)
+	}
+	// After a Reopen the journal holds no full state the new instance
+	// wrote, so the next update's record carries the post-state itself,
+	// and names the event it minted.
+	if err := w.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := w.Update("doc", update.New(tpwj.MustParseQuery("A $a"), 0.5, update.Insert("a", tree.MustParse("M"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = w.Journal(); err != nil {
+		t.Fatal(err)
+	}
 	want, err := w.GetXML("doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs[1].Content != string(want) {
-		t.Errorf("update record content = %q, want the document %q", recs[1].Content, want)
+	if last := recs[len(recs)-1]; last.Content != string(want) || last.Nodes != 0 || last.Event != string(stats.Event) || stats.Event == "" {
+		t.Errorf("first update after Reopen = %+v, want the document %q and event %q", last, want, stats.Event)
 	}
 }
 
