@@ -80,9 +80,6 @@ type (
 	WarehouseSnapshot = warehouse.Snapshot
 	// WarehouseInfo summarizes a stored document.
 	WarehouseInfo = warehouse.Info
-	// JournalStats reports warehouse journal counters: durable
-	// appends, group-commit fsync batches, documents replayed at Open.
-	JournalStats = warehouse.JournalStats
 	// JournalSummary describes a warehouse journal file as found on
 	// disk, without recovering it (see InspectJournal).
 	JournalSummary = warehouse.JournalSummary
@@ -99,9 +96,6 @@ type (
 	KeywordResult = keyword.Result
 	// KeywordIndex is a per-document inverted index for keyword search.
 	KeywordIndex = keyword.Index
-	// WarehouseSearchStats reports a warehouse's keyword-search
-	// counters (index builds, hits, threshold prunes).
-	WarehouseSearchStats = warehouse.SearchStats
 	// ViewDefinition is the registered identity of a materialized
 	// view: name, query text and syntax ("tpwj" or "xpath").
 	ViewDefinition = view.Definition
@@ -109,11 +103,6 @@ type (
 	// incrementally maintained answers, and whether the read was
 	// served stale (a maintenance pass was in flight).
 	ViewResult = warehouse.ViewResult
-	// WarehouseViewStats reports a warehouse's materialized-view
-	// counters: registered views, maintenance tiers taken (skipped /
-	// incremental / full recomputes), reused vs recomputed answer
-	// probabilities, and stale reads.
-	WarehouseViewStats = warehouse.ViewStats
 	// StorageStats reports a warehouse's storage backend and on-disk
 	// footprint (Warehouse.StorageStats, the /stats storage section).
 	StorageStats = store.Stats
@@ -123,9 +112,9 @@ type (
 	// ServerOptions configures NewServer (body limit, request logging,
 	// slow-query threshold, trace-ring size, timeout, in-flight cap).
 	ServerOptions = server.Options
-	// ServerStats is the GET /stats response: request counters with
-	// latency quantiles, per-stage latencies, engine, journal, search,
-	// view and storage counters, uptime and build version.
+	// ServerStats is the GET /stats response: degraded state, the
+	// storage footprint, and every metric series of GET /metrics as
+	// JSON (Warehouse.Registry holds the warehouse's share of them).
 	ServerStats = server.StatsSnapshot
 )
 

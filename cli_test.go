@@ -188,7 +188,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("pxwarehouse verify-journal full-state counts:\n%s", out)
 	}
 	out = run(t, bins["pxwarehouse"], "-dir", wh, "recover")
-	if !strings.Contains(out, "recovered: 0 documents") {
+	if !strings.Contains(out, "recovered: 0 documents replayed from the journal\n") ||
+		!strings.Contains(out, "recovered: 0 transaction-only records re-applied\n") {
 		t.Errorf("pxwarehouse recover:\n%s", out)
 	}
 
@@ -343,10 +344,18 @@ func TestCLIPxview(t *testing.T) {
 		t.Errorf("pxview -json read: %+v", res)
 	}
 
-	// Stats carries the registry size.
+	// Stats prints the warehouse's view series: the registry size and
+	// the maintenance tiers, keyed as /stats reports them.
 	out = run(t, bins["pxview"], "-dir", wh, "stats")
-	if !strings.Contains(out, `"registered": 2`) {
-		t.Errorf("pxview stats:\n%s", out)
+	var viewStats map[string]float64
+	if err := json.Unmarshal([]byte(out), &viewStats); err != nil {
+		t.Fatalf("pxview stats does not parse: %v\n%s", err, out)
+	}
+	if viewStats["px_views_registered"] != 2 {
+		t.Errorf("pxview stats: px_views_registered = %v, want 2:\n%s", viewStats["px_views_registered"], out)
+	}
+	if _, ok := viewStats[`px_view_maintenance_total{tier="recompute"}`]; !ok {
+		t.Errorf("pxview stats lacks the maintenance tiers:\n%s", out)
 	}
 
 	// Drop, and reads start failing.
@@ -462,8 +471,8 @@ func TestCLIPxsim(t *testing.T) {
 	addr := strings.TrimSpace(banner[i+len("listening on "):])
 	endpoint := "http://" + addr
 
-	// A clean seeded run: exit 0, audit summary, BENCH json with the
-	// sim section and a zero discrepancy count.
+	// A clean seeded run: exit 0, audit summary, and a BENCH json that
+	// is the run report itself, with a zero discrepancy count.
 	benchPath := filepath.Join(work, "BENCH_sim.json")
 	logPath := filepath.Join(work, "workload.log")
 	out := run(t, bins["pxsim"],
@@ -478,28 +487,30 @@ func TestCLIPxsim(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bench struct {
-		Sim *struct {
-			Ops   int64 `json:"ops"`
-			Audit struct {
-				DiscrepancyCount int64 `json:"discrepancy_count"`
-				Checks           int64 `json:"checks"`
-			} `json:"audit"`
-			Routes []struct {
-				Route string `json:"route"`
-			} `json:"routes"`
-		} `json:"sim"`
+		Ops   int64 `json:"ops"`
+		Audit *struct {
+			DiscrepancyCount int64 `json:"discrepancy_count"`
+			Checks           int64 `json:"checks"`
+		} `json:"audit"`
+		Routes []struct {
+			Route string `json:"route"`
+		} `json:"routes"`
+		Engine map[string]float64 `json:"engine_counters"`
 	}
 	if err := json.Unmarshal(data, &bench); err != nil {
 		t.Fatalf("BENCH json does not parse: %v", err)
 	}
-	if bench.Sim == nil {
-		t.Fatal("BENCH json has no sim section")
+	if bench.Audit == nil {
+		t.Fatal("BENCH json has no audit")
 	}
-	if bench.Sim.Audit.DiscrepancyCount != 0 {
-		t.Errorf("BENCH json reports %d discrepancies", bench.Sim.Audit.DiscrepancyCount)
+	if bench.Audit.DiscrepancyCount != 0 {
+		t.Errorf("BENCH json reports %d discrepancies", bench.Audit.DiscrepancyCount)
 	}
-	if bench.Sim.Ops != 150 || len(bench.Sim.Routes) == 0 {
-		t.Errorf("BENCH sim section: ops=%d routes=%d", bench.Sim.Ops, len(bench.Sim.Routes))
+	if bench.Ops != 150 || len(bench.Routes) == 0 {
+		t.Errorf("BENCH json: ops=%d routes=%d", bench.Ops, len(bench.Routes))
+	}
+	if bench.Engine["px_engine_compiles_total"] == 0 {
+		t.Errorf("BENCH json engine counters = %v, want the server's compiles", bench.Engine)
 	}
 	if logData, err := os.ReadFile(logPath); err != nil || len(logData) == 0 {
 		t.Errorf("workload log missing or empty (err=%v)", err)

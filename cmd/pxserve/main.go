@@ -15,7 +15,8 @@
 //	pxserve -dir ./wh -request-timeout 30s -max-inflight 64
 //
 // On SIGINT/SIGTERM the server drains in-flight requests (up to 10s)
-// and logs a final stats summary before exiting. -slow-query logs
+// and logs the final /stats payload (every metric series, the storage
+// footprint and the degraded state) before exiting. -slow-query logs
 // every request over the threshold with its span breakdown; -pprof
 // serves net/http/pprof and GET /debug/traces on a separate debug
 // address (keep it off public interfaces — neither is reachable

@@ -25,12 +25,15 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/sim"
 )
 
@@ -120,7 +123,7 @@ func main() {
 		if path == "" {
 			path = "BENCH_" + date + ".json"
 		}
-		if err := writeReport(exp.SimBenchReport(date, rep), path); err != nil {
+		if err := writeReport(rep, path); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", path)
@@ -156,21 +159,19 @@ func render(rep *sim.Report) {
 	fmt.Printf("audit: checks=%d discrepancies=%d degraded=%v stale_view_reads=%d failed_writes=%d ambiguous(applied=%d aborted=%d)\n",
 		a.Checks, a.DiscrepancyCount, a.Degraded, a.StaleViewReads, a.FailedWrites,
 		a.AmbiguousApplied, a.AmbiguousAborted)
-	e := rep.Engine
-	fmt.Printf("engine: compiles=%d (bitset %d) memo=%d/%d components=%d expansion_nodes=%d mc_samples=%d cancellations=%d\n",
-		e.Compiles, e.BitsetCompiles, e.MemoHits, e.MemoMisses, e.Components,
-		e.ExpansionNodes, e.MCSamples, e.Cancellations)
+	fmt.Print("engine:")
+	for _, k := range slices.Sorted(maps.Keys(rep.Engine)) {
+		name := strings.TrimSuffix(strings.TrimPrefix(k, "px_engine_"), "_total")
+		fmt.Printf(" %s=%.0f", name, rep.Engine[k])
+	}
+	fmt.Println()
 }
 
-// writeReport writes the benchmark report to path.
-func writeReport(report exp.BenchReport, path string) error {
-	f, err := os.Create(path)
+// writeReport writes the run report to path as indented JSON.
+func writeReport(rep *sim.Report, path string) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close() //nolint:errcheck
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	fuzzyxml "repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -93,7 +94,9 @@ func main() {
 		fmt.Printf("dropped %q from %q\n", args[2], args[1])
 
 	case "stats":
-		printJSON(w.ViewStats())
+		// The warehouse's px_view_* and px_views_registered series, as
+		// pxserve's /stats reports them.
+		printJSON(obs.Snapshot(w.Registry()).WithPrefix("px_view"))
 
 	default:
 		usage(fmt.Sprintf("unknown command %q", cmd))

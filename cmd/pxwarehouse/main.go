@@ -24,6 +24,7 @@ import (
 	"os"
 
 	fuzzyxml "repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -57,8 +58,11 @@ func main() {
 
 	case "recover":
 		// Opening the warehouse above already ran recovery; report how
-		// many documents it caught up to the journal.
-		fmt.Printf("recovered: %d documents replayed from the journal\n", w.JournalStats().RecoveryReplays)
+		// many documents it caught up to the journal, and how many
+		// transaction-only records it re-applied to do so.
+		m := obs.Snapshot(w.Registry()).Metrics
+		fmt.Printf("recovered: %.0f documents replayed from the journal\n", m["px_recovery_replays_total"])
+		fmt.Printf("recovered: %.0f transaction-only records re-applied\n", m["px_recovery_tx_replayed_total"])
 
 	case "load":
 		need(args, 3, "load <name> <file.pxml>")

@@ -65,8 +65,9 @@
 // collapsing the exponential blow-up for answers whose valuations touch
 // disjoint event sets. Monte-Carlo estimation samples the same compiled
 // form: on the bitset path a possible world is one uint64 and a clause
-// check two word operations. The engine exposes counters (compiles,
-// memo hits/misses, components) through the server's /stats route.
+// check two word operations. The engine's counters (compiles, memo
+// hits/misses, components) are the px_engine_* series of the server's
+// /stats and /metrics routes.
 //
 // # Keyword search
 //
@@ -202,8 +203,10 @@
 //
 // Every layer records into internal/obs, the shared metrics registry
 // (lock-free counters, gauges, latency histograms) and span-tracing
-// substrate. The server exposes the registry as JSON under /stats and
-// as Prometheus text under /metrics; each request runs under a trace
+// substrate. The server renders the merged registries as JSON under
+// /stats (beside the one hand-built storage section) and as
+// Prometheus text under /metrics, with the same series keys in both;
+// each request runs under a trace
 // whose span tree (warehouse snapshot fetch, symbolic match, DNF
 // compile, probability evaluation, journal writes, view maintenance)
 // is retained in a bounded ring, echoed by ?trace=1, and fed into

@@ -11,7 +11,12 @@
 //     cmd/<bin>/main.go does not declare with flag.<Type>("flag", ...),
 //     or
 //   - such a block exercises a server URL whose path matches no route
-//     registered in internal/server.
+//     registered in internal/server,
+//   - a metric family registered in non-test Go code has no row in the
+//     docs/OBSERVABILITY.md catalog, or
+//   - an inline code span in README or docs names a px_* metric (or a
+//     px_..._* prefix) that no Go code registers; the _bucket, _sum and
+//     _count series of a histogram count as registered.
 //
 // The checks are deliberately textual — no doc generation, no special
 // markers in the prose — so writing documentation stays cheap and
@@ -53,7 +58,18 @@ var (
 	// flagArgRE matches a command-line flag token (-name, --name,
 	// -name=value) and captures the name.
 	flagArgRE = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_.-]*)(=|$)`)
+	// metricRegRE extracts the metric families Go code registers on an
+	// obs registry: reg.Counter("px_...", ...) and likewise Gauge,
+	// GaugeFunc, Histogram and HistogramFunc.
+	metricRegRE = regexp.MustCompile(`\.(?:Counter|Gauge|GaugeFunc|Histogram|HistogramFunc)\("(px_[a-z0-9_]+)"`)
+	// codeSpanRE matches an inline code span.
+	codeSpanRE = regexp.MustCompile("`[^`]+`")
+	// metricNameRE matches a metric name, or a prefix ending in *.
+	metricNameRE = regexp.MustCompile(`\bpx_[a-z0-9_]*\*?`)
 )
+
+// metricCatalog is the document whose table rows catalog every metric.
+const metricCatalog = "docs/OBSERVABILITY.md"
 
 // builtinFlags are accepted by every command the flag package parses.
 var builtinFlags = []string{"h", "help"}
@@ -111,6 +127,108 @@ func Check(root string) ([]string, error) {
 		}
 		rel, _ := filepath.Rel(root, f)
 		problems = append(problems, checkBlocks(rel, string(data), binaries, routes)...)
+	}
+
+	metrics, err := checkMetrics(root, files)
+	if err != nil {
+		return nil, err
+	}
+	return append(problems, metrics...), nil
+}
+
+// checkMetrics checks the metric catalog in both directions: every
+// family registered in non-test Go code has a row in metricCatalog, and
+// every px_* name in an inline code span of files is registered.
+func checkMetrics(root string, files []string) ([]string, error) {
+	registered := make(map[string]string) // family -> first registering file
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, m := range metricRegRE.FindAllStringSubmatch(string(data), -1) {
+			if _, ok := registered[m[1]]; !ok {
+				registered[m[1]] = filepath.ToSlash(rel)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	catalog, err := os.ReadFile(filepath.Join(root, metricCatalog))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(string(catalog), "\n") {
+		if strings.HasPrefix(line, "|") {
+			for _, span := range codeSpanRE.FindAllString(line, -1) {
+				rows[strings.Trim(span, "`")] = true
+			}
+		}
+	}
+	var problems []string
+	families := make([]string, 0, len(registered))
+	for f := range registered {
+		families = append(families, f)
+	}
+	sort.Strings(families)
+	for _, f := range families {
+		if !rows[f] {
+			problems = append(problems, fmt.Sprintf("%s: metric %s (registered in %s) has no catalog row", metricCatalog, f, registered[f]))
+		}
+	}
+
+	resolves := func(name string) bool {
+		if prefix, ok := strings.CutSuffix(name, "*"); ok {
+			for _, f := range families {
+				if strings.HasPrefix(f, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, suffix := range []string{"", "_bucket", "_sum", "_count"} {
+			if _, ok := registered[strings.TrimSuffix(name, suffix)]; ok {
+				return true
+			}
+		}
+		return false
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, f)
+		inBlock := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if fenceRE.MatchString(line) {
+				inBlock = !inBlock
+			}
+			if inBlock {
+				continue
+			}
+			for _, span := range codeSpanRE.FindAllString(line, -1) {
+				for _, name := range metricNameRE.FindAllString(span, -1) {
+					if !resolves(name) {
+						problems = append(problems, fmt.Sprintf("%s:%d: names metric %s, which no Go code registers", filepath.ToSlash(rel), i+1, name))
+					}
+				}
+			}
+		}
 	}
 	return problems, nil
 }

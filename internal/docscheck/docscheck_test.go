@@ -145,3 +145,34 @@ func TestDetectsStaleFlag(t *testing.T) {
 		t.Fatalf("problems = %q\nwant %q", problems, want)
 	}
 }
+
+// TestDetectsStaleMetric covers the metric catalog check in both
+// directions: a family registered in non-test Go code without a row in
+// docs/OBSERVABILITY.md fails, as does a px_* name (or px_..._* prefix)
+// in an inline code span that no Go code registers; histogram series
+// suffixes, test-only registrations and fenced blocks pass.
+func TestDetectsStaleMetric(t *testing.T) {
+	dir := scaffold(t)
+	write(t, dir, "README.md", "See [docs/GOOD.md](docs/GOOD.md) and [docs/OBSERVABILITY.md](docs/OBSERVABILITY.md).\n")
+	write(t, dir, "internal/foo/foo.go", "package foo\n"+
+		"var a = obs.Default().Counter(\"px_good_total\", \"good\")\n"+
+		"func f() {\n\treg.Histogram(\"px_lat_seconds\", \"latency\", obs.L(\"stage\", s))\n"+
+		"\treg.GaugeFunc(\"px_missing\",\n\t\t\"no row\", nil)\n}\n")
+	write(t, dir, "internal/foo/foo_test.go", "package foo\nvar b = reg.Counter(\"px_testonly_total\", \"\")\n")
+	write(t, dir, "docs/OBSERVABILITY.md", "| metric | type |\n|---|---|\n"+
+		"| `px_good_total` | counter |\n| `px_lat_seconds` | histogram |\n\n"+
+		"Read `px_lat_seconds_count{stage=\"s\"}`, `rate(px_good_total[5m])` and `px_lat_*`,\n"+
+		"not `px_gone_total` or `px_nothing_*`.\n\n```sh\necho `px_fenced_total`\n```\n")
+	problems, err := Check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`docs/OBSERVABILITY.md: metric px_missing (registered in internal/foo/foo.go) has no catalog row`,
+		`docs/OBSERVABILITY.md:7: names metric px_gone_total, which no Go code registers`,
+		`docs/OBSERVABILITY.md:7: names metric px_nothing_*, which no Go code registers`,
+	}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("problems = %q\nwant %q", problems, want)
+	}
+}

@@ -75,7 +75,7 @@ func cancelMidFlight(t *testing.T, eval func(ctx context.Context) error) time.Du
 // ISSUE satellite (c) and bumps the engine cancellation counter.
 func TestProbDNFCtxCancelsMidFlight(t *testing.T) {
 	tab, d := hardDNF(t, 64)
-	before := ReadEngineCounters().Cancellations
+	before := engineCancellations.Value()
 	lag := cancelMidFlight(t, func(ctx context.Context) error {
 		p, err := tab.ProbDNFCtx(ctx, d)
 		if err != nil && !math.IsNaN(p) {
@@ -86,7 +86,7 @@ func TestProbDNFCtxCancelsMidFlight(t *testing.T) {
 	if lag > 100*time.Millisecond {
 		t.Errorf("exact evaluation took %v to stop after cancel, want <100ms", lag)
 	}
-	if got := ReadEngineCounters().Cancellations; got <= before {
+	if got := engineCancellations.Value(); got <= before {
 		t.Errorf("engine cancellations = %d, want > %d", got, before)
 	}
 }
@@ -96,7 +96,7 @@ func TestProbDNFCtxCancelsMidFlight(t *testing.T) {
 // batches.
 func TestEstimateDNFCtxCancelsMidFlight(t *testing.T) {
 	tab, d := hardDNF(t, 64)
-	before := ReadEngineCounters().Cancellations
+	before := engineCancellations.Value()
 	lag := cancelMidFlight(t, func(ctx context.Context) error {
 		p, err := tab.EstimateDNFCtx(ctx, d, 500_000_000, rand.New(rand.NewSource(1)))
 		if err != nil && !math.IsNaN(p) {
@@ -107,7 +107,7 @@ func TestEstimateDNFCtxCancelsMidFlight(t *testing.T) {
 	if lag > 100*time.Millisecond {
 		t.Errorf("MC estimation took %v to stop after cancel, want <100ms", lag)
 	}
-	if got := ReadEngineCounters().Cancellations; got <= before {
+	if got := engineCancellations.Value(); got <= before {
 		t.Errorf("engine cancellations = %d, want > %d", got, before)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // probability engine: interning of event IDs to dense integers, the
 // canonical integer-literal clause representation, its single-word mask
 // form for DNFs over at most 64 events, and the engine counters
-// surfaced by the pxserve /stats route.
+// (px_engine_*) that pxserve's /stats and /metrics render.
 //
 // A compiled literal is slot<<1|neg where slot is the index of the
 // event in the DNF-local universe (events ordered by their per-table
@@ -25,8 +25,8 @@ import (
 
 // engine counters (package-global, lock-free: tables are read
 // concurrently by query evaluation running outside warehouse locks).
-// They live on the obs default registry, so /metrics and /stats read
-// the same source of truth.
+// They live on the obs default registry, which /metrics and /stats
+// render; tests in this package read the handles directly.
 var (
 	engineCompiles       = obs.Default().Counter("px_engine_compiles_total", "DNFs compiled by the exact probability engine")
 	engineBitsetCompiles = obs.Default().Counter("px_engine_bitset_compiles_total", "compiled DNFs that qualified for the <=64-event bitset fast path")
@@ -38,57 +38,6 @@ var (
 	engineExpansionNodes = obs.Default().Counter("px_engine_expansion_nodes_total", "Shannon-expansion nodes visited (DNF engine recursion steps and formula evaluator steps)")
 	engineMCSamples      = obs.Default().Counter("px_engine_mc_samples_total", "Monte-Carlo world samples drawn")
 )
-
-// EngineCounters is a snapshot of the probability-engine counters:
-// how many DNFs were compiled (and how many qualified for the ≤64-event
-// bitset fast path), Shannon-expansion memo hits and misses, the number
-// of independent components the decomposition produced, and structural
-// hash collisions (checked, never trusted — a collision only costs a
-// recomputation).
-type EngineCounters struct {
-	Compiles       int64 `json:"compiles"`
-	BitsetCompiles int64 `json:"bitset_compiles"`
-	MemoHits       int64 `json:"memo_hits"`
-	MemoMisses     int64 `json:"memo_misses"`
-	Components     int64 `json:"components"`
-	HashCollisions int64 `json:"hash_collisions"`
-	// Cancellations counts evaluations (exact or Monte-Carlo) stopped
-	// mid-flight because their context was cancelled or timed out.
-	Cancellations int64 `json:"cancellations"`
-	// ExpansionNodes counts Shannon-expansion nodes visited (DNF engine
-	// recursion steps plus formula-evaluator steps); MCSamples counts
-	// Monte-Carlo world samples drawn.
-	ExpansionNodes int64 `json:"expansion_nodes"`
-	MCSamples      int64 `json:"mc_samples"`
-}
-
-// ReadEngineCounters returns the current engine counter values.
-func ReadEngineCounters() EngineCounters {
-	return EngineCounters{
-		Compiles:       engineCompiles.Value(),
-		BitsetCompiles: engineBitsetCompiles.Value(),
-		MemoHits:       engineMemoHits.Value(),
-		MemoMisses:     engineMemoMisses.Value(),
-		Components:     engineComponents.Value(),
-		HashCollisions: engineHashCollisions.Value(),
-		Cancellations:  engineCancellations.Value(),
-		ExpansionNodes: engineExpansionNodes.Value(),
-		MCSamples:      engineMCSamples.Value(),
-	}
-}
-
-// ResetEngineCounters zeroes the engine counters (tests, benchmarks).
-func ResetEngineCounters() {
-	engineCompiles.Reset()
-	engineBitsetCompiles.Reset()
-	engineMemoHits.Reset()
-	engineMemoMisses.Reset()
-	engineComponents.Reset()
-	engineHashCollisions.Reset()
-	engineCancellations.Reset()
-	engineExpansionNodes.Reset()
-	engineMCSamples.Reset()
-}
 
 // cclause is one compiled conjunctive clause: its local literals,
 // sorted ascending.

@@ -81,7 +81,7 @@ func TestProbDNFComponents(t *testing.T) {
 		MustParseCondition("e4 !e5"),
 	}
 	want := 1 - (1-0.1*0.2)*(1-0.3*0.4)*(1-0.5*0.4)
-	ResetEngineCounters()
+	components := engineComponents.Value()
 	got, err := tab.ProbDNF(d)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func TestProbDNFComponents(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("ProbDNF = %v, want %v", got, want)
 	}
-	if c := ReadEngineCounters(); c.Components < 3 {
-		t.Errorf("components counter = %d, want >= 3", c.Components)
+	if c := engineComponents.Value() - components; c < 3 {
+		t.Errorf("components counter advanced by %d, want >= 3", c)
 	}
 	brute, err := tab.ProbDNFBrute(d)
 	if err != nil {
@@ -137,7 +137,7 @@ func TestProbDNFLargeUniverse(t *testing.T) {
 func TestEngineCountersAdvance(t *testing.T) {
 	tab := NewTable()
 	tab.MustSet("w1", 0.8).MustSet("w2", 0.7).MustSet("w3", 0.6)
-	ResetEngineCounters()
+	compiles, bitset, misses, collisions := engineCompiles.Value(), engineBitsetCompiles.Value(), engineMemoMisses.Value(), engineHashCollisions.Value()
 	d := DNF{
 		MustParseCondition("w1 w2"),
 		MustParseCondition("w2 w3"),
@@ -146,15 +146,14 @@ func TestEngineCountersAdvance(t *testing.T) {
 	if _, err := tab.ProbDNF(d); err != nil {
 		t.Fatal(err)
 	}
-	c := ReadEngineCounters()
-	if c.Compiles != 1 || c.BitsetCompiles != 1 {
-		t.Errorf("compiles = %d/%d, want 1/1", c.Compiles, c.BitsetCompiles)
+	if c, b := engineCompiles.Value()-compiles, engineBitsetCompiles.Value()-bitset; c != 1 || b != 1 {
+		t.Errorf("compiles = %d/%d, want 1/1", c, b)
 	}
-	if c.MemoMisses == 0 {
-		t.Errorf("memo misses = 0, want > 0")
+	if engineMemoMisses.Value() == misses {
+		t.Errorf("memo misses did not advance")
 	}
-	if c.HashCollisions != 0 {
-		t.Errorf("hash collisions = %d on a tiny DNF", c.HashCollisions)
+	if h := engineHashCollisions.Value() - collisions; h != 0 {
+		t.Errorf("hash collisions = %d on a tiny DNF", h)
 	}
 }
 

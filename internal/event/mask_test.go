@@ -71,24 +71,23 @@ func TestMaskEngineCancelsAtThePoll(t *testing.T) {
 	// One poll before the evaluation starts, two that pass, one that fires.
 	cost := obs.NewCost()
 	ctx := obs.ContextWithCost(newPollBudget(t, 3), cost)
-	before := ReadEngineCounters()
+	nodes0, cancels0, misses0 := engineExpansionNodes.Value(), engineCancellations.Value(), engineMemoMisses.Value()
 	p, err := c.ProbCtx(ctx)
 	if !errors.Is(err, context.Canceled) || !math.IsNaN(p) {
 		t.Fatalf("ProbCtx = %v, %v; want NaN, context.Canceled", p, err)
 	}
-	after := ReadEngineCounters()
-	if got := after.ExpansionNodes - before.ExpansionNodes; got != 3*cancelCheckInterval {
+	if got := engineExpansionNodes.Value() - nodes0; got != 3*cancelCheckInterval {
 		t.Errorf("aborted after %d expansion nodes, want %d", got, 3*cancelCheckInterval)
 	}
 	if got := cost.Value(obs.CostEngineExpansionNodes); got != 3*cancelCheckInterval {
 		t.Errorf("request charged %d expansion nodes, want %d", got, 3*cancelCheckInterval)
 	}
-	if after.Cancellations != before.Cancellations+1 {
-		t.Errorf("cancellations %d → %d, want one more", before.Cancellations, after.Cancellations)
+	if cancels := engineCancellations.Value(); cancels != cancels0+1 {
+		t.Errorf("cancellations %d → %d, want one more", cancels0, cancels)
 	}
-	if after.MemoMisses == before.MemoMisses || cost.Value(obs.CostEngineMemoMisses) != after.MemoMisses-before.MemoMisses {
+	if misses := engineMemoMisses.Value(); misses == misses0 || cost.Value(obs.CostEngineMemoMisses) != misses-misses0 {
 		t.Errorf("memo misses not flushed: global %d → %d, request %d",
-			before.MemoMisses, after.MemoMisses, cost.Value(obs.CostEngineMemoMisses))
+			misses0, misses, cost.Value(obs.CostEngineMemoMisses))
 	}
 }
 
@@ -153,15 +152,14 @@ func TestProbSmallAllocatesNothing(t *testing.T) {
 func TestChainMemoIsLoadBearing(t *testing.T) {
 	i := slices.IndexFunc(probShapes, func(sh probShape) bool { return sh.name == "chain60" })
 	tab, d := probShapes[i].build()
-	before := ReadEngineCounters()
+	nodes0, hits0 := engineExpansionNodes.Value(), engineMemoHits.Value()
 	if _, err := tab.ProbDNF(d); err != nil {
 		t.Fatal(err)
 	}
-	after := ReadEngineCounters()
-	if nodes := after.ExpansionNodes - before.ExpansionNodes; nodes > 1000 {
+	if nodes := engineExpansionNodes.Value() - nodes0; nodes > 1000 {
 		t.Errorf("chain60 took %d expansion nodes, want at most 1000", nodes)
 	}
-	if after.MemoHits == before.MemoHits {
+	if engineMemoHits.Value() == hits0 {
 		t.Error("chain60 never hit the memo")
 	}
 }

@@ -100,13 +100,13 @@ func BenchmarkProbShapes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			before := ReadEngineCounters().ExpansionNodes
+			before := engineExpansionNodes.Value()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				probSink = c.Prob()
 			}
-			b.ReportMetric(float64(ReadEngineCounters().ExpansionNodes-before)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(engineExpansionNodes.Value()-before)/float64(b.N), "nodes/op")
 		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fuzzy"
 	"repro/internal/keyword"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/store/filestore"
 	"repro/internal/store/kv"
@@ -461,27 +460,13 @@ type ExperimentResult struct {
 // BenchReport is the BENCH_<date>.json document (see README, section
 // "Benchmark tracking").
 type BenchReport struct {
-	Date        string               `json:"date"`
-	GoVersion   string               `json:"go_version"`
-	Engine      event.EngineCounters `json:"engine_counters"`
-	Benchmarks  []BenchResult        `json:"benchmarks"`
-	Experiments []ExperimentResult   `json:"experiments,omitempty"`
-	// Sim is a pxsim run result (workload throughput, per-route
-	// latency percentiles on the shared obs bucket ladder, and the
-	// self-verification audit), present when the report came from
-	// pxsim rather than pxbench.
-	Sim *sim.Report `json:"sim,omitempty"`
-}
-
-// SimBenchReport wraps a simulator run in the BENCH_<date>.json
-// envelope without running the micro-benchmark probes: pxsim measures
-// a live server, so the in-process probe timings would only add
-// minutes of noise next to it. The engine counters come from the run's
-// audit snapshot of the server's /stats — the engine work happened in
-// the server process, so reading this process's counters (as RunProbes
-// does) would report zeros.
-func SimBenchReport(date string, sr *sim.Report) BenchReport {
-	return BenchReport{Date: date, GoVersion: runtime.Version(), Engine: sr.Engine, Sim: sr}
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	// Engine holds the px_engine_* counters the probes accumulated,
+	// keyed by series as /stats reports them.
+	Engine      map[string]float64 `json:"engine_counters"`
+	Benchmarks  []BenchResult      `json:"benchmarks"`
+	Experiments []ExperimentResult `json:"experiments,omitempty"`
 }
 
 // RunProbes measures every probe with testing.Benchmark and returns the
@@ -489,7 +474,8 @@ func SimBenchReport(date string, sr *sim.Report) BenchReport {
 // engine counters accumulated while probing are included, giving a
 // coarse view of memo and component behavior alongside the timings.
 func RunProbes(date string) BenchReport {
-	event.ResetEngineCounters()
+	engine := func() map[string]float64 { return obs.Snapshot(obs.Default()).WithPrefix("px_engine_") }
+	before := engine()
 	rep := BenchReport{Date: date, GoVersion: runtime.Version()}
 	for _, p := range Probes() {
 		res := testing.Benchmark(p.Run)
@@ -501,7 +487,10 @@ func RunProbes(date string) BenchReport {
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
 	}
-	rep.Engine = event.ReadEngineCounters()
+	rep.Engine = engine()
+	for k := range rep.Engine {
+		rep.Engine[k] -= before[k]
+	}
 	return rep
 }
 

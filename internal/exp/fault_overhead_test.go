@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/event"
+	"repro/internal/obs"
 )
 
 // errCounter counts the cancellation polls made on a context.
@@ -66,11 +66,12 @@ func TestFaultOverhead(t *testing.T) {
 	// Counts first: they do not depend on the machine.
 	const pollEvery = 1024
 	counted := &errCounter{Context: ctx}
-	before := event.ReadEngineCounters().ExpansionNodes
+	expansionNodes := obs.Default().Counter("px_engine_expansion_nodes_total", "").Value
+	before := expansionNodes()
 	if _, err := tab.ProbDNFCtx(counted, d); err != nil {
 		t.Fatal(err)
 	}
-	nodes := event.ReadEngineCounters().ExpansionNodes - before
+	nodes := expansionNodes() - before
 	if want := 1 + int(nodes/pollEvery); counted.polls != want {
 		t.Errorf("an evaluation of %d expansion nodes polled its context %d times, want %d", nodes, counted.polls, want)
 	}

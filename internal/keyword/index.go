@@ -31,9 +31,8 @@ import (
 )
 
 // package counters (lock-free: indexes are built and searched
-// concurrently by server requests), served by pxserve under /stats as
-// "search" and under /metrics as px_keyword_* counters — both read the
-// same obs registry handles.
+// concurrently by server requests), rendered by pxserve's /stats and
+// /metrics as the px_keyword_* series.
 var (
 	ctrIndexBuilds     = obs.Default().Counter("px_keyword_index_builds_total", "inverted keyword indexes built")
 	ctrPostings        = obs.Default().Counter("px_keyword_postings_total", "inverted-index postings built")
@@ -63,15 +62,6 @@ func ReadCounters() Counters {
 		PostingsScanned: ctrPostingsScanned.Value(),
 		ThresholdPrunes: ctrThresholdPrunes.Value(),
 	}
-}
-
-// ResetCounters zeroes the package counters (tests, benchmarks).
-func ResetCounters() {
-	ctrIndexBuilds.Reset()
-	ctrPostings.Reset()
-	ctrSearches.Reset()
-	ctrPostingsScanned.Reset()
-	ctrThresholdPrunes.Reset()
 }
 
 // Index is a per-document inverted index for keyword search: every

@@ -21,11 +21,7 @@ type sample struct {
 	labels []Label
 	count  int64   // counter value
 	gauge  float64 // gauge value
-	// histogram data (bucketCumulative form)
-	cum    []int64
-	bounds []float64
-	sum    float64
-	total  int64
+	hist   HistData
 }
 
 // sampleFamily is all samples sharing one name across the merged
@@ -37,15 +33,15 @@ type sampleFamily struct {
 	samples    map[string]*sample
 }
 
-// WriteText writes all metrics of the given registries in Prometheus
-// text exposition format. Families with the same name across
-// registries are merged under one header (first registration's help
-// text and kind win); within a family, samples appear in registration
-// order, and samples with an identical label set across registries are
-// summed — counters and histograms add, so a name+label collision
-// between the server, warehouse and default registries underreports
-// nothing.
-func WriteText(w io.Writer, regs ...*Registry) error {
+// gather evaluates the given registries once and merges them, returning
+// the families sorted by name. Families with the same name across
+// registries are merged (first registration's help text and kind win);
+// within a family, samples keep registration order, and samples with an
+// identical label set across registries are summed — counters and
+// histograms add, so a name+label collision between the server,
+// warehouse and default registries underreports nothing. Both renderers
+// (WriteText and Snapshot) read this one result.
+func gather(regs ...*Registry) []*sampleFamily {
 	merged := make(map[string]*sampleFamily)
 	var names []string
 	for _, r := range regs {
@@ -72,12 +68,70 @@ func WriteText(w io.Writer, regs ...*Registry) error {
 		}
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		if err := writeFamily(w, merged[name]); err != nil {
+	out := make([]*sampleFamily, len(names))
+	for i, name := range names {
+		out[i] = merged[name]
+	}
+	return out
+}
+
+// WriteText writes all metrics of the given registries in Prometheus
+// text exposition format (see gather for the merge rules).
+func WriteText(w io.Writer, regs ...*Registry) error {
+	for _, f := range gather(regs...) {
+		if err := writeFamily(w, f); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Values is the JSON rendering of merged registries, the body of GET
+// /stats beside its storage section. Both maps are keyed by the
+// exposition's own series identity — family name plus label set, as
+// in `px_http_requests_total{route="PUT /docs/{name}"}` — so a series
+// has one name in /stats, /metrics and anything that parses either.
+type Values struct {
+	// Metrics holds every counter and gauge sample.
+	Metrics map[string]float64 `json:"metrics"`
+	// Histograms holds every histogram sample, summarized; its count
+	// is the exposition's _count series.
+	Histograms map[string]HistogramSnapshot `json:"histograms"`
+}
+
+// Snapshot renders the given registries as Values (see gather for the
+// merge rules).
+func Snapshot(regs ...*Registry) Values {
+	v := Values{Metrics: make(map[string]float64), Histograms: make(map[string]HistogramSnapshot)}
+	for _, f := range gather(regs...) {
+		for _, key := range f.order {
+			s := f.samples[key]
+			series := f.name + formatLabels(s.labels, "", "")
+			switch f.kind {
+			case KindHistogram:
+				v.Histograms[series] = s.hist.Snapshot()
+			case KindGauge:
+				v.Metrics[series] = s.gauge
+			default:
+				v.Metrics[series] = float64(s.count)
+			}
+		}
+	}
+	return v
+}
+
+// WithPrefix returns the counter and gauge series whose keys start
+// with prefix, for reports that carry one subsystem's numbers (the
+// px_engine_* counters of a benchmark run, a warehouse's px_view*
+// series).
+func (v Values) WithPrefix(prefix string) map[string]float64 {
+	out := make(map[string]float64)
+	for k, x := range v.Metrics {
+		if strings.HasPrefix(k, prefix) {
+			out[k] = x
+		}
+	}
+	return out
 }
 
 // evaluate reads a metric's current value into a sample. Returns nil
@@ -89,11 +143,9 @@ func evaluate(kind Kind, m *metric) *sample {
 	case KindHistogram:
 		switch {
 		case m.hf != nil:
-			d := m.hf()
-			s.cum, s.bounds, s.sum, s.total = d.Cum, d.Bounds, d.Sum, d.Total
+			s.hist = m.hf()
 		case m.h != nil:
-			s.cum, s.sum, s.total = m.h.bucketCumulative()
-			s.bounds = m.h.bounds
+			s.hist = m.h.data()
 		default:
 			return nil
 		}
@@ -123,12 +175,16 @@ func evaluate(kind Kind, m *metric) *sample {
 func (s *sample) merge(o *sample) {
 	s.count += o.count
 	s.gauge += o.gauge
-	if len(s.cum) == len(o.cum) && len(s.bounds) == len(o.bounds) {
-		for i := range s.cum {
-			s.cum[i] += o.cum[i]
+	a, b := &s.hist, o.hist
+	if len(a.Cum) == len(b.Cum) && len(a.Bounds) == len(b.Bounds) {
+		cum := make([]int64, len(a.Cum))
+		for i := range cum {
+			cum[i] = a.Cum[i] + b.Cum[i]
 		}
-		s.sum += o.sum
-		s.total += o.total
+		a.Cum = cum
+		a.Sum += b.Sum
+		a.Total += b.Total
+		a.Max = max(a.Max, b.Max)
 	}
 }
 
@@ -156,23 +212,24 @@ func writeFamily(w io.Writer, f *sampleFamily) error {
 }
 
 func writeHistogram(w io.Writer, name string, s *sample) error {
-	for i, bound := range s.bounds {
+	d := s.hist
+	for i, bound := range d.Bounds {
 		le := formatFloat(bound)
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, formatLabels(s.labels, "le", le), s.cum[i]); err != nil {
+			name, formatLabels(s.labels, "le", le), d.Cum[i]); err != nil {
 			return err
 		}
 	}
 	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		name, formatLabels(s.labels, "le", "+Inf"), s.total); err != nil {
+		name, formatLabels(s.labels, "le", "+Inf"), d.Total); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-		name, formatLabels(s.labels, "", ""), formatFloat(s.sum)); err != nil {
+		name, formatLabels(s.labels, "", ""), formatFloat(d.Sum)); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-		name, formatLabels(s.labels, "", ""), s.total)
+		name, formatLabels(s.labels, "", ""), d.Total)
 	return err
 }
 

@@ -7,17 +7,15 @@ import (
 
 // Histogram is a fixed-bucket latency histogram over DefaultBuckets
 // (see buckets.go for why the ladder is shared and pinned). Observe is lock-free:
-// one atomic add into the bucket, one into the sum, one into the
-// count. Quantiles (p50/p95/p99) are derived at snapshot time by
-// linear interpolation within the owning bucket — the usual Prometheus
-// histogram_quantile estimate, computed server-side.
+// one atomic add into the bucket, one into the sum, and a max that
+// rarely needs a write. Quantiles (p50/p95/p99) are derived at snapshot
+// time by HistData.Quantile.
 //
 // A nil *Histogram discards observations.
 type Histogram struct {
 	bounds []float64 // upper bounds in seconds, ascending
 	counts []atomic.Int64
 	sum    atomic.Int64 // nanoseconds
-	count  atomic.Int64
 	max    atomic.Int64 // nanoseconds, largest single observation
 }
 
@@ -44,25 +42,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-	h.count.Add(1)
 	// Raise the observed max (CAS loop; in the common case one load
 	// shows the current max is already larger and no write happens).
 	// The max bounds quantile interpolation in the +Inf bucket and
-	// feeds the per-route max_ms /stats reports.
+	// feeds the max_ms /stats reports.
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
 			return
 		}
 	}
-}
-
-// Max returns the largest single observation so far.
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.max.Load())
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram, with
@@ -84,77 +73,67 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	if s.Count == 0 {
+	return h.data().Snapshot()
+}
+
+// data reads the histogram into exposition form: cumulative counts at
+// the finite bounds (Prometheus `le` semantics), the total, the sum and
+// the observed maximum in seconds.
+func (h *Histogram) data() HistData {
+	d := HistData{Bounds: h.bounds, Cum: make([]int64, len(h.bounds))}
+	for i := range h.counts {
+		d.Total += h.counts[i].Load()
+		if i < len(h.bounds) {
+			d.Cum[i] = d.Total
+		}
+	}
+	d.Sum = float64(h.sum.Load()) / 1e9
+	d.Max = float64(h.max.Load()) / 1e9
+	return d
+}
+
+// Snapshot summarizes the distribution: count, mean, max and the
+// p50/p95/p99 quantiles, in milliseconds.
+func (d HistData) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{Count: d.Total}
+	if d.Total == 0 {
 		return s
 	}
-	s.AvgMS = float64(h.sum.Load()) / float64(s.Count) / 1e6
-	s.MaxMS = float64(h.max.Load()) / 1e6
-	s.P50MS = h.Quantile(0.50) * 1e3
-	s.P95MS = h.Quantile(0.95) * 1e3
-	s.P99MS = h.Quantile(0.99) * 1e3
+	s.AvgMS = d.Sum / float64(d.Total) * 1e3
+	s.MaxMS = d.Max * 1e3
+	s.P50MS = d.Quantile(0.50) * 1e3
+	s.P95MS = d.Quantile(0.95) * 1e3
+	s.P99MS = d.Quantile(0.99) * 1e3
 	return s
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) in seconds by linear
-// interpolation within the bucket holding the target rank. A rank
-// landing in the +Inf bucket interpolates between the largest finite
-// bound and the observed maximum, so tail latencies beyond the ladder
-// still move p99 instead of being silently clamped at the last bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+// interpolation within the bucket holding the target rank — the usual
+// Prometheus histogram_quantile estimate. A rank landing in the +Inf
+// bucket interpolates between the largest finite bound and Max, so tail
+// latencies beyond the ladder still move p99 instead of being silently
+// clamped at the last bound; without a known Max (or with a racy read
+// that has not published it yet) it clamps. A known Max also caps the
+// estimate inside a finite bucket, so no quantile exceeds max_ms.
+func (d HistData) Quantile(q float64) float64 {
+	if d.Total == 0 {
 		return 0
 	}
-	total := int64(0)
-	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := float64(0)
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
+	rank := q * float64(d.Total)
+	var prev int64
+	lo := 0.0
+	for i, hi := range d.Bounds {
+		if n := d.Cum[i] - prev; n > 0 && float64(d.Cum[i]) >= rank {
+			v := lo + (hi-lo)*(rank-float64(prev))/float64(n)
+			if d.Max > lo {
+				v = min(v, d.Max)
 			}
-			hi := float64(0)
-			if i == len(h.bounds) {
-				hi = float64(h.max.Load()) / 1e9
-				if hi <= lo {
-					// Racy read, or max not yet published: fall back
-					// to the old clamp.
-					return lo
-				}
-			} else {
-				hi = h.bounds[i]
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
+			return v
 		}
-		cum = next
+		prev, lo = d.Cum[i], hi
 	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// bucketCumulative returns the cumulative bucket counts (Prometheus
-// `le` semantics: counts[i] = observations ≤ bounds[i], final entry is
-// the total) plus the sum in seconds. Used by the exposition writer.
-func (h *Histogram) bucketCumulative() (cum []int64, sumSeconds float64, total int64) {
-	cum = make([]int64, len(h.counts))
-	running := int64(0)
-	for i := range h.counts {
-		running += h.counts[i].Load()
-		cum[i] = running
+	if n := d.Total - prev; n > 0 && d.Max > lo {
+		return lo + (d.Max-lo)*(rank-float64(prev))/float64(n)
 	}
-	return cum, float64(h.sum.Load()) / 1e9, running
+	return lo
 }

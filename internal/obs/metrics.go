@@ -5,7 +5,8 @@
 // context.Context). Every layer — the HTTP server, the warehouse, the
 // TPWJ/XPath engine, the probability engine, keyword search and view
 // maintenance — records into it, and the server's /stats and /metrics
-// routes read from it, so there is one source of truth for counters.
+// routes render it (Snapshot and WriteText over one gather step), so
+// there is one source of truth for counters.
 //
 // Design constraints, in order:
 //
@@ -23,7 +24,7 @@
 // Registries are cheap; the process typically has several (the
 // server's, the warehouse's, and the package-global Default() used by
 // the event and keyword engines' process-wide counters), merged at
-// exposition time by WriteText.
+// exposition time by WriteText and Snapshot.
 package obs
 
 import (
@@ -91,14 +92,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Reset zeroes the counter. For tests and benchmarks only — scrapers
-// assume counters are monotone within a process lifetime.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v.Store(0)
-	}
-}
-
 // Gauge is an instantaneous int64 value.
 type Gauge struct {
 	v atomic.Int64
@@ -115,20 +108,6 @@ func (g *Gauge) Set(n int64) {
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
-	}
-}
-
-// SetMax raises the gauge to n if n exceeds the current value
-// (lock-free CAS loop). Used for per-route maximum latencies.
-func (g *Gauge) SetMax(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
 	}
 }
 
@@ -269,16 +248,20 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return r.slot(name, help, KindHistogram, labels).h
 }
 
-// HistData is a histogram distribution computed outside obs, exposed
-// through HistogramFunc: Bounds are the finite upper bounds, Cum the
-// cumulative counts at those bounds (len(Cum) == len(Bounds)), Total
-// the all-samples count (the +Inf bucket), Sum the (possibly
-// approximated) sum of observations.
+// HistData is a histogram distribution in exposition form — what a
+// Histogram reads into, and what a HistogramFunc computes outside obs:
+// Bounds are the finite upper bounds, Cum the cumulative counts at
+// those bounds (len(Cum) == len(Bounds)), Total the all-samples count
+// (the +Inf bucket), Sum the (possibly approximated) sum of
+// observations and Max the largest observation, all in seconds. Max is
+// 0 when unknown; it only bounds quantile interpolation in the +Inf
+// bucket and never reaches the text exposition.
 type HistData struct {
 	Bounds []float64
 	Cum    []int64
 	Sum    float64
 	Total  int64
+	Max    float64
 }
 
 // HistogramFunc registers a histogram whose distribution is computed by
@@ -301,7 +284,7 @@ func (r *Registry) HistogramFunc(name, help string, f func() HistData, labels ..
 // the registry mutex, because slot keeps mutating the originals as
 // new series register lazily (per-stage histograms appear the first
 // time a span finishes); only the handle pointers are shared, and
-// those are read with atomics. Used by WriteText.
+// those are read with atomics. Used by gather.
 func (r *Registry) snapshotFamilies() []*family {
 	if r == nil {
 		return nil

@@ -27,14 +27,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
-	g.SetMax(3)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("SetMax lowered the gauge to %d", got)
-	}
-	g.SetMax(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("SetMax = %d, want 9", got)
-	}
 }
 
 func TestNilRegistryIsNoOp(t *testing.T) {
@@ -46,12 +38,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.SetMax(2)
 	h.Observe(time.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil handles recorded values")
 	}
-	if h.Quantile(0.5) != 0 {
+	if h.Snapshot().P50MS != 0 {
 		t.Fatal("nil histogram quantile nonzero")
 	}
 	var b strings.Builder
@@ -90,10 +81,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		h2.Observe(time.Second)
 	}
-	if p50 := h2.Quantile(0.50); p50 > 1e-3 {
+	if p50 := h2.data().Quantile(0.50); p50 > 1e-3 {
 		t.Fatalf("p50 = %v s, want microsecond-scale", p50)
 	}
-	if p99 := h2.Quantile(0.99); p99 < 0.5 {
+	if p99 := h2.data().Quantile(0.99); p99 < 0.5 {
 		t.Fatalf("p99 = %v s, want second-scale", p99)
 	}
 }
@@ -101,25 +92,25 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(time.Hour) // beyond the last bound
-	cum, _, total := h.bucketCumulative()
-	if total != 1 {
-		t.Fatalf("total = %d", total)
+	d := h.data()
+	if d.Total != 1 {
+		t.Fatalf("total = %d", d.Total)
 	}
-	if cum[len(cum)-2] != 0 {
+	if d.Cum[len(d.Cum)-1] != 0 {
 		t.Fatal("overflow observation counted in a finite bucket")
 	}
-	if got := h.Max(); got != time.Hour {
-		t.Fatalf("max = %v, want 1h", got)
+	if d.Max != time.Hour.Seconds() {
+		t.Fatalf("max = %vs, want 1h", d.Max)
 	}
 	// A rank in the +Inf bucket interpolates between the last finite
 	// bound and the observed max — not clamped at the bound, so tails
 	// beyond the ladder are visible in p99.
 	last := DefaultBuckets[len(DefaultBuckets)-1]
 	maxS := time.Hour.Seconds()
-	if q := h.Quantile(0.99); q <= last || q > maxS {
+	if q := d.Quantile(0.99); q <= last || q > maxS {
 		t.Fatalf("overflow quantile = %v, want in (%v, %v]", q, last, maxS)
 	}
-	if q := h.Quantile(1.0); q != maxS {
+	if q := d.Quantile(1.0); q != maxS {
 		t.Fatalf("q=1 in overflow bucket = %v, want the observed max %v", q, maxS)
 	}
 }
@@ -346,5 +337,76 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if got := h.Snapshot().Count; got != 8*500 {
 		t.Fatalf("histogram count = %d, want %d", got, 8*500)
+	}
+}
+
+// TestHistogramFuncMatchesHistogram feeds the same observations through
+// an obs.Histogram and, bucketed by hand, through a HistogramFunc: both
+// must report identical quantiles and identical exposition, because
+// both read through the one HistData interpolation and writer.
+func TestHistogramFuncMatchesHistogram(t *testing.T) {
+	obsv := []time.Duration{
+		3 * time.Microsecond, 40 * time.Microsecond, 40 * time.Microsecond,
+		700 * time.Microsecond, 2 * time.Millisecond, 9 * time.Millisecond,
+		120 * time.Millisecond, 3 * time.Second, 42 * time.Second, // beyond the ladder
+	}
+	h := NewRegistry()
+	hist := h.Histogram("px_q_seconds", "quantile check")
+	d := HistData{Bounds: DefaultBuckets, Cum: make([]int64, len(DefaultBuckets))}
+	var sumNS, maxNS int64
+	for _, o := range obsv {
+		hist.Observe(o)
+		for i, b := range DefaultBuckets {
+			if o.Seconds() <= b {
+				d.Cum[i]++
+			}
+		}
+		d.Total++
+		sumNS += int64(o)
+		maxNS = max(maxNS, int64(o))
+	}
+	d.Sum, d.Max = float64(sumNS)/1e9, float64(maxNS)/1e9
+	f := NewRegistry()
+	f.HistogramFunc("px_q_seconds", "quantile check", func() HistData { return d })
+
+	got, want := Snapshot(f).Histograms["px_q_seconds"], Snapshot(h).Histograms["px_q_seconds"]
+	if got != want {
+		t.Errorf("HistogramFunc snapshot %+v, Histogram snapshot %+v", got, want)
+	}
+	if want.Count != int64(len(obsv)) || want.P99MS <= DefaultBuckets[len(DefaultBuckets)-1]*1e3 {
+		t.Errorf("snapshot %+v: want count %d and p99 past the last bound", want, len(obsv))
+	}
+	var ht, ft strings.Builder
+	if err := WriteText(&ht, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&ft, f); err != nil {
+		t.Fatal(err)
+	}
+	if ht.String() != ft.String() {
+		t.Errorf("exposition differs:\nHistogram:\n%s\nHistogramFunc:\n%s", ht.String(), ft.String())
+	}
+}
+
+// TestSnapshotKeys pins the JSON rendering's keys to the exposition's
+// series identity, and its merge to the exposition's summing rule.
+func TestSnapshotKeys(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("px_req_total", "requests", L("route", "GET /docs/{name}")).Add(2)
+	b.Counter("px_req_total", "requests", L("route", "GET /docs/{name}")).Add(3)
+	a.GaugeFunc("px_up", "up", func() float64 { return 1.5 })
+	b.Histogram("px_lat_seconds", "latency", L("stage", "s")).Observe(time.Millisecond)
+	v := Snapshot(a, b)
+	if got := v.Metrics[`px_req_total{route="GET /docs/{name}"}`]; got != 5 {
+		t.Errorf("merged counter = %v, want 5 (metrics %v)", got, v.Metrics)
+	}
+	if v.Metrics["px_up"] != 1.5 || len(v.Metrics) != 2 {
+		t.Errorf("metrics = %v", v.Metrics)
+	}
+	if hs := v.Histograms[`px_lat_seconds{stage="s"}`]; hs.Count != 1 || len(v.Histograms) != 1 {
+		t.Errorf("histograms = %v", v.Histograms)
+	}
+	if p := v.WithPrefix("px_req"); len(p) != 1 {
+		t.Errorf("WithPrefix(px_req) = %v", p)
 	}
 }

@@ -32,9 +32,9 @@ const runtimeRefreshTTL = 100 * time.Millisecond
 const maxRuntimeBuckets = 32
 
 // RuntimeCollector samples the Go runtime via runtime/metrics and
-// exposes the result as obs gauge/histogram families plus a JSON
-// snapshot for /stats. All methods are safe for concurrent use; reads
-// within runtimeRefreshTTL of each other share one metrics.Read.
+// exposes the result as obs gauge/histogram families. All methods are
+// safe for concurrent use; reads within runtimeRefreshTTL of each other
+// share one metrics.Read.
 type RuntimeCollector struct {
 	mu      sync.Mutex
 	samples []rtm.Sample
@@ -161,32 +161,6 @@ func convertHistogram(h *rtm.Float64Histogram) HistData {
 	return d
 }
 
-// histQuantile interpolates the q-quantile (0..1) of a HistData.
-func histQuantile(d HistData, q float64) float64 {
-	if d.Total == 0 {
-		return 0
-	}
-	rank := q * float64(d.Total)
-	var prevCum int64
-	lower := 0.0
-	for i, b := range d.Bounds {
-		if float64(d.Cum[i]) >= rank {
-			n := d.Cum[i] - prevCum
-			if n == 0 {
-				return b
-			}
-			frac := (rank - float64(prevCum)) / float64(n)
-			return lower + frac*(b-lower)
-		}
-		prevCum = d.Cum[i]
-		lower = b
-	}
-	if len(d.Bounds) > 0 {
-		return d.Bounds[len(d.Bounds)-1]
-	}
-	return 0
-}
-
 // Register exposes the collector on a registry: goroutine / heap /
 // live-bytes / GC-cycle gauges, plus the GC-pause and scheduler-latency
 // histograms on the runtime's (compacted) bucket ladders.
@@ -203,45 +177,4 @@ func (c *RuntimeCollector) Register(reg *Registry) {
 		func() HistData { return c.histValue(rmGCPauses) })
 	reg.HistogramFunc("px_runtime_sched_latency_seconds", "goroutine scheduling latency",
 		func() HistData { return c.histValue(rmSchedLat) })
-}
-
-// RuntimeStats is the /stats "runtime" section.
-type RuntimeStats struct {
-	Goroutines int64 `json:"goroutines"`
-	HeapBytes  int64 `json:"heap_bytes"`
-	LiveBytes  int64 `json:"live_bytes"`
-	GCCycles   int64 `json:"gc_cycles"`
-	// GCPause / SchedLatency summarize the runtime histograms:
-	// observation counts and interpolated quantiles in milliseconds.
-	GCPause      RuntimeHistStats `json:"gc_pause"`
-	SchedLatency RuntimeHistStats `json:"sched_latency"`
-}
-
-// RuntimeHistStats summarizes one runtime latency distribution.
-type RuntimeHistStats struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-func runtimeHistStats(d HistData) RuntimeHistStats {
-	return RuntimeHistStats{
-		Count: d.Total,
-		P50MS: histQuantile(d, 0.50) * 1e3,
-		P95MS: histQuantile(d, 0.95) * 1e3,
-		P99MS: histQuantile(d, 0.99) * 1e3,
-	}
-}
-
-// Stats snapshots the collector for GET /stats.
-func (c *RuntimeCollector) Stats() RuntimeStats {
-	return RuntimeStats{
-		Goroutines:   int64(c.uint64Value(rmGoroutines)),
-		HeapBytes:    int64(c.uint64Value(rmHeapBytes)),
-		LiveBytes:    int64(c.uint64Value(rmLiveBytes)),
-		GCCycles:     int64(c.uint64Value(rmGCCycles)),
-		GCPause:      runtimeHistStats(c.histValue(rmGCPauses)),
-		SchedLatency: runtimeHistStats(c.histValue(rmSchedLat)),
-	}
 }

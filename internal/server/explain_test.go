@@ -206,28 +206,23 @@ func TestExplainEcho(t *testing.T) {
 	}
 }
 
-// TestStatsRuntime covers the /stats "runtime" section: live values
-// from runtime/metrics, quantiles in sane relation.
+// TestStatsRuntime covers the px_runtime_* series of /stats: live
+// values from runtime/metrics, quantiles in sane relation.
 func TestStatsRuntime(t *testing.T) {
 	runtime.GC() // ensure at least one cycle so pause stats exist
 	ts, _ := newTestServer(t, Options{})
 	snap := serverStats(t, ts)
-	rt := snap.Runtime
-	if rt.Goroutines <= 0 {
-		t.Errorf("runtime.goroutines = %d, want > 0", rt.Goroutines)
+	for _, name := range []string{"px_runtime_goroutines", "px_runtime_heap_bytes", "px_runtime_live_bytes", "px_runtime_gc_cycles"} {
+		if v := snap.Metrics[name]; v <= 0 {
+			t.Errorf("%s = %v, want > 0", name, v)
+		}
 	}
-	if rt.HeapBytes <= 0 || rt.LiveBytes <= 0 {
-		t.Errorf("runtime heap_bytes = %d, live_bytes = %d, want > 0", rt.HeapBytes, rt.LiveBytes)
+	if n := snap.Histograms["px_runtime_gc_pause_seconds"].Count; n <= 0 {
+		t.Errorf("px_runtime_gc_pause_seconds count = %d, want > 0 after runtime.GC()", n)
 	}
-	if rt.GCCycles <= 0 {
-		t.Errorf("runtime.gc_cycles = %d, want > 0 after runtime.GC()", rt.GCCycles)
-	}
-	if rt.GCPause.Count <= 0 {
-		t.Errorf("runtime.gc_pause.count = %d, want > 0 after runtime.GC()", rt.GCPause.Count)
-	}
-	for _, h := range []obs.RuntimeHistStats{rt.GCPause, rt.SchedLatency} {
-		if h.P50MS < 0 || h.P95MS < h.P50MS || h.P99MS < h.P95MS {
-			t.Errorf("runtime quantiles out of order: %+v", h)
+	for _, name := range []string{"px_runtime_gc_pause_seconds", "px_runtime_sched_latency_seconds"} {
+		if h := snap.Histograms[name]; h.P50MS < 0 || h.P95MS < h.P50MS || h.P99MS < h.P95MS {
+			t.Errorf("%s quantiles out of order: %+v", name, h)
 		}
 	}
 }

@@ -231,8 +231,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	// The /stats scrape itself may have raced ahead of the /metrics
 	// one, but the query route was quiet in between.
-	if got := snap.Requests[route].Count; float64(got) != s.value {
-		t.Errorf("route %q: /metrics says %g requests, /stats says %d", route, s.value, got)
+	if got := snap.Metrics[routeSeries("px_http_requests_total", route)]; got != s.value {
+		t.Errorf("route %q: /metrics says %g requests, /stats says %g", route, s.value, got)
 	}
 }
 
@@ -437,15 +437,16 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestStatsUptimeVersion covers the new /stats fields.
+// TestStatsUptimeVersion covers the build version and uptime series of
+// /stats.
 func TestStatsUptimeVersion(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
-	snap := serverStats(t, ts)
-	if snap.Version != Version {
-		t.Errorf("stats version = %q, want %q", snap.Version, Version)
+	m := serverStats(t, ts).Metrics
+	if v := m[fmt.Sprintf("px_build_info{version=%q}", Version)]; v != 1 {
+		t.Errorf("px_build_info for version %q = %v, want 1 (metrics %v)", Version, v, m)
 	}
-	if snap.UptimeSeconds <= 0 {
-		t.Errorf("uptime_seconds = %v, want > 0", snap.UptimeSeconds)
+	if m["px_uptime_seconds"] <= 0 {
+		t.Errorf("px_uptime_seconds = %v, want > 0", m["px_uptime_seconds"])
 	}
 }
 
@@ -518,4 +519,124 @@ func TestObsConcurrency(t *testing.T) {
 	if s == nil || s.value == 0 {
 		t.Fatalf("query route recorded no requests: %+v", s)
 	}
+}
+
+// TestStatsMirrorsMetrics pins /stats as a rendering of the registries
+// /metrics exposes: after traffic through every layer, every sample of
+// /metrics other than histogram buckets and sums appears in /stats under
+// the same key with the same value (a histogram's _count as its count),
+// and /stats has no series /metrics lacks. Requests are served in
+// process, so each is recorded before the next starts. Excluded: the
+// time-varying uptime and runtime series, and the series of the two
+// scrapes themselves, which move between them.
+func TestStatsMirrorsMetrics(t *testing.T) {
+	wh, err := warehouse.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wh.Close() })
+	srv := New(wh, Options{})
+	serve := func(method, path string, body []byte) (int, []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	for _, r := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{"PUT", "/docs/ex", string(sampleDocXML(t)), http.StatusCreated},
+		{"POST", "/docs/ex/query", `{"query":"A(B $x)"}`, http.StatusOK},
+		{"POST", "/docs/ex/search", `{"keywords":["x"]}`, http.StatusOK},
+		{"POST", "/docs/ex/update", `{"query":"A $a","confidence":0.5,"ops":[{"op":"insert","var":"a","tree":"B:y"}]}`, http.StatusOK},
+		{"PUT", "/docs/ex/views/bv", `{"query":"A(B $x)"}`, http.StatusCreated},
+		{"GET", "/docs/ex/views/bv", "", http.StatusOK},
+		{"GET", "/docs/nope", "", http.StatusNotFound},
+	} {
+		if status, body := serve(r.method, r.path, []byte(r.body)); status != r.status {
+			t.Fatalf("%s %s = %d, want %d: %s", r.method, r.path, status, r.status, body)
+		}
+	}
+
+	_, text := serve("GET", "/metrics", nil)
+	_, body := serve("GET", "/stats", nil)
+	var snap StatsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("decode /stats: %v\n%s", err, body)
+	}
+	skip := func(key string) bool {
+		return strings.HasPrefix(key, "px_uptime_seconds") || strings.HasPrefix(key, "px_runtime_") ||
+			strings.Contains(key, `"`+RouteStats+`"`) || strings.Contains(key, `"`+RouteMetrics+`"`)
+	}
+
+	histograms := make(map[string]bool)
+	seen := make(map[string]bool)
+	for _, line := range strings.Split(string(text), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok && strings.HasSuffix(f, " histogram") {
+			histograms[strings.TrimSuffix(f, " histogram")] = true
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		key := line[:i]
+		want, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		name, labels, _ := strings.Cut(key, "{")
+		if labels != "" {
+			labels = "{" + labels
+		}
+		base, suffix := name, ""
+		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, sfx); ok && histograms[b] {
+				base, suffix = b, sfx
+				break
+			}
+		}
+		switch {
+		case skip(key) || suffix == "_bucket" || suffix == "_sum":
+			continue
+		case suffix == "_count":
+			seen[base+labels] = true
+			h, ok := snap.Histograms[base+labels]
+			if !ok || float64(h.Count) != want {
+				t.Errorf("%s = %g in /metrics, /stats histogram %s = %+v (present %v)", key, want, base+labels, h, ok)
+			}
+			continue
+		}
+		seen[key] = true
+		if got, ok := snap.Metrics[key]; !ok || got != want {
+			t.Errorf("%s = %g in /metrics, %g in /stats (present %v)", key, want, got, ok)
+		}
+	}
+	for _, m := range []map[string]bool{keys(snap.Metrics), keys(snap.Histograms)} {
+		for key := range m {
+			if !skip(key) && !seen[key] {
+				t.Errorf("/stats reports %s, which /metrics does not", key)
+			}
+		}
+	}
+	// Spot checks across the server, warehouse and default registries.
+	for _, key := range []string{
+		"px_journal_bytes_total", "px_tpwj_nodes_visited_total", "px_keyword_postings_scanned_total",
+		`px_cancellations_total{reason="timeout"}`, "px_load_shed_total",
+	} {
+		if _, ok := snap.Metrics[key]; !ok {
+			t.Errorf("/stats lacks %s", key)
+		}
+	}
+	if snap.Metrics["px_journal_bytes_total"] == 0 || snap.Metrics["px_tpwj_nodes_visited_total"] == 0 {
+		t.Errorf("journal bytes %v, tpwj nodes visited %v: want both > 0 after the traffic",
+			snap.Metrics["px_journal_bytes_total"], snap.Metrics["px_tpwj_nodes_visited_total"])
+	}
+}
+
+func keys[V any](m map[string]V) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
 }

@@ -79,12 +79,13 @@ func TestSearchRoute(t *testing.T) {
 // API: one index build per version searched, however often it is
 // searched.
 func TestSearchInvalidatedByUpdate(t *testing.T) {
-	ts, wh := newTestServer(t, Options{})
+	ts, _ := newTestServer(t, Options{})
 	if status, _ := do(t, "PUT", ts.URL+"/docs/lib", searchDocXML(t)); status != 201 {
 		t.Fatal("create failed")
 	}
 
-	builds := wh.SearchStats().IndexBuilds
+	indexBuilds := func() float64 { return serverStats(t, ts).Metrics["px_keyword_index_builds_total"] }
+	builds := indexBuilds()
 	req := SearchRequest{Keywords: []string{"kafka"}}
 	if _, resp := search(t, ts, "lib", req); resp.Count != 2 {
 		t.Fatalf("initial search: %+v", resp)
@@ -92,8 +93,8 @@ func TestSearchInvalidatedByUpdate(t *testing.T) {
 	if _, resp := search(t, ts, "lib", req); resp.Count != 2 {
 		t.Fatalf("repeated search: %+v", resp)
 	}
-	if got := wh.SearchStats().IndexBuilds; got != builds+1 {
-		t.Fatalf("index builds = %d, want %d", got, builds+1)
+	if got := indexBuilds(); got != builds+1 {
+		t.Fatalf("index builds = %v, want %v", got, builds+1)
 	}
 
 	// Insert a third node carrying the keyword.
@@ -110,8 +111,8 @@ func TestSearchInvalidatedByUpdate(t *testing.T) {
 	if resp.Count != 3 {
 		t.Errorf("post-update search = %+v, want the inserted note too", resp)
 	}
-	if got := wh.SearchStats().IndexBuilds; got != builds+2 {
-		t.Errorf("index builds = %d, want %d", got, builds+2)
+	if got := indexBuilds(); got != builds+2 {
+		t.Errorf("index builds = %v, want %v", got, builds+2)
 	}
 }
 
@@ -177,18 +178,14 @@ func TestStatsSearchSection(t *testing.T) {
 		t.Fatal("search failed")
 	}
 
-	var stats StatsSnapshot
-	if status := doJSON(t, "GET", ts.URL+"/stats", nil, &stats); status != 200 {
-		t.Fatalf("stats: %d", status)
+	m := serverStats(t, ts).Metrics
+	if m["px_searches_total"] < 1 || m["px_keyword_index_builds_total"] < 1 {
+		t.Errorf("search series missing builds/searches: %v", m)
 	}
-	s := stats.Search
-	if s.Searches < 1 || s.IndexBuilds < 1 {
-		t.Errorf("search stats missing builds/searches: %+v", s)
+	if m["px_keyword_postings_total"] == 0 {
+		t.Errorf("no postings counted: %v", m)
 	}
-	if s.Postings == 0 {
-		t.Errorf("no postings counted: %+v", s)
-	}
-	if s.ThresholdPrunes == 0 {
-		t.Errorf("no threshold prunes counted at min_prob 0.9: %+v", s)
+	if m["px_keyword_threshold_prunes_total"] == 0 {
+		t.Errorf("no threshold prunes counted at min_prob 0.9: %v", m)
 	}
 }

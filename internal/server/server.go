@@ -19,8 +19,8 @@
 //	DELETE /docs/{name}/views/{view}      drop a view
 //	POST   /admin/compact         truncate the journal
 //	POST   /admin/reopen          re-run recovery, clearing degraded mode
-//	GET    /stats                 request, engine, journal, search and view counters
-//	GET    /metrics               Prometheus text exposition of the same counters
+//	GET    /stats                 every metric series as JSON, plus storage and degraded state
+//	GET    /metrics               Prometheus text exposition of the same series
 //	GET    /debug/traces          ring buffer of recent request traces (opt-in, see Options.ExposeDebugTraces)
 //	GET    /healthz               liveness probe
 //	GET    /readyz                readiness probe (503 while degraded)
@@ -161,7 +161,6 @@ type Server struct {
 	wh      *warehouse.Warehouse
 	stats   *stats
 	reg     *obs.Registry
-	runtime *obs.RuntimeCollector
 	traces  *obs.TraceRing
 	mux     *http.ServeMux
 	maxBody int64
@@ -222,8 +221,7 @@ func New(wh *warehouse.Warehouse, opts Options) *Server {
 	if ringSize > 0 {
 		s.traces = obs.NewTraceRing(ringSize)
 	}
-	s.runtime = obs.NewRuntimeCollector()
-	s.runtime.Register(reg)
+	obs.NewRuntimeCollector().Register(reg)
 	reg.GaugeFunc("px_build_info",
 		"always 1, labeled with the build version (see -ldflags in docs/OBSERVABILITY.md)",
 		func() float64 { return 1 }, obs.L("version", Version))
@@ -836,26 +834,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// Snapshot returns the GET /stats payload: every counter the server,
-// warehouse and engine registries hold, in JSON form. pxserve logs it
-// as the final summary on graceful shutdown.
+// registries are the metric registries /stats and /metrics render: the
+// server's (routes, stages, admission, runtime), the warehouse's
+// (journal, recovery, search, views) and the process-global one
+// (probability and keyword engines).
+func (s *Server) registries() []*obs.Registry {
+	return []*obs.Registry{s.reg, s.wh.Registry(), obs.Default()}
+}
+
+// Snapshot returns the GET /stats payload. pxserve logs it as the final
+// summary on graceful shutdown.
 func (s *Server) Snapshot() StatsSnapshot {
-	snap := s.stats.snapshot(s.wh.JournalStats(), s.wh.SearchStats(), s.wh.ViewStats())
+	snap := StatsSnapshot{Values: obs.Snapshot(s.registries()...)}
 	snap.Degraded, snap.DegradedReason = s.wh.Degraded()
 	if st, err := s.wh.StorageStats(); err == nil {
 		snap.Storage = st
 	}
-	snap.Runtime = s.runtime.Stats()
 	return snap
 }
 
-// handleMetrics serves the Prometheus text exposition, merging the
-// server's registry (routes, stages, admission), the warehouse's
-// (journal, recovery, search, views) and the process-global one
-// (probability and keyword engines) — the same handles /stats reads.
+// handleMetrics serves the Prometheus text exposition of the same
+// registries.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteText(w, s.reg, s.wh.Registry(), obs.Default()) //nolint:errcheck
+	obs.WriteText(w, s.registries()...) //nolint:errcheck
 }
 
 // handleTraces serves the retained request traces, newest first.

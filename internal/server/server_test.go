@@ -94,6 +94,12 @@ func query(t *testing.T, ts *httptest.Server, doc string, req QueryRequest) (int
 	return status, resp
 }
 
+// routeSeries is the /stats and /metrics key of one route's series in
+// a family.
+func routeSeries(family, route string) string {
+	return fmt.Sprintf("%s{route=%q}", family, route)
+}
+
 func serverStats(t *testing.T, ts *httptest.Server) StatsSnapshot {
 	t.Helper()
 	var snap StatsSnapshot
@@ -336,11 +342,17 @@ func TestStatsTracksRoutes(t *testing.T) {
 	do(t, "PUT", ts.URL+"/docs/ex", sampleDocXML(t))
 	do(t, "GET", ts.URL+"/docs/nope", nil)
 	snap := serverStats(t, ts)
-	if rs := snap.Requests["PUT /docs/{name}"]; rs.Count != 1 || rs.Errors != 0 {
-		t.Errorf("PUT route stats = %+v, want count 1, errors 0", rs)
-	}
-	if rs := snap.Requests["GET /docs/{name}"]; rs.Count != 1 || rs.Errors != 1 {
-		t.Errorf("GET route stats = %+v, want count 1, errors 1", rs)
+	for _, want := range []struct {
+		route         string
+		count, errors float64
+	}{{RouteCreate, 1, 0}, {RouteGet, 1, 1}} {
+		count := snap.Metrics[routeSeries("px_http_requests_total", want.route)]
+		errors := snap.Metrics[routeSeries("px_http_request_errors_total", want.route)]
+		lat := snap.Histograms[routeSeries("px_http_request_seconds", want.route)]
+		if count != want.count || errors != want.errors || float64(lat.Count) != want.count {
+			t.Errorf("%s: %v requests, %v errors, latency %+v; want count %v, errors %v",
+				want.route, count, errors, lat, want.count, want.errors)
+		}
 	}
 }
 
@@ -352,16 +364,15 @@ func TestStatsSurfacesEngineCounters(t *testing.T) {
 	if status, _ := do(t, "PUT", ts.URL+"/docs/ex", sampleDocXML(t)); status != 201 {
 		t.Fatal("setup create failed")
 	}
-	before := serverStats(t, ts).Engine
+	before := serverStats(t, ts).Metrics
 	if status, _ := query(t, ts, "ex", QueryRequest{Query: "A(B $b)"}); status != 200 {
 		t.Fatal("query failed")
 	}
-	after := serverStats(t, ts).Engine
-	if after.Compiles <= before.Compiles {
-		t.Errorf("engine compiles did not advance: %d -> %d", before.Compiles, after.Compiles)
-	}
-	if after.BitsetCompiles <= before.BitsetCompiles {
-		t.Errorf("bitset compiles did not advance: %d -> %d", before.BitsetCompiles, after.BitsetCompiles)
+	after := serverStats(t, ts).Metrics
+	for _, name := range []string{"px_engine_compiles_total", "px_engine_bitset_compiles_total"} {
+		if after[name] <= before[name] {
+			t.Errorf("%s did not advance: %v -> %v", name, before[name], after[name])
+		}
 	}
 }
 
@@ -371,19 +382,24 @@ func TestStatsSurfacesEngineCounters(t *testing.T) {
 // the document.
 func TestStatsSurfacesJournalCounters(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
-	before := serverStats(t, ts).Journal
+	const (
+		appends   = "px_journal_appends_total"
+		fullState = "px_journal_full_state_total"
+		batches   = "px_journal_sync_batches_total"
+	)
+	before := serverStats(t, ts).Metrics
 	if status, _ := do(t, "PUT", ts.URL+"/docs/jc", sampleDocXML(t)); status != 201 {
 		t.Fatal("setup create failed")
 	}
-	after := serverStats(t, ts).Journal
+	after := serverStats(t, ts).Metrics
 	// A create is one journal record and one fsync, and carries the
 	// document.
-	if after.Appends != before.Appends+1 || after.FullStateRecords != before.FullStateRecords+1 {
-		t.Errorf("journal appends = %d -> %d, full-state records %d -> %d, want +1 and +1",
-			before.Appends, after.Appends, before.FullStateRecords, after.FullStateRecords)
+	if after[appends] != before[appends]+1 || after[fullState] != before[fullState]+1 {
+		t.Errorf("journal appends = %v -> %v, full-state records %v -> %v, want +1 and +1",
+			before[appends], after[appends], before[fullState], after[fullState])
 	}
-	if after.SyncBatches != before.SyncBatches+1 {
-		t.Errorf("sync batches = %d -> %d, want +1", before.SyncBatches, after.SyncBatches)
+	if after[batches] != before[batches]+1 {
+		t.Errorf("sync batches = %v -> %v, want +1", before[batches], after[batches])
 	}
 	// The update after it journals its transaction only.
 	if status := doJSON(t, "POST", ts.URL+"/docs/jc/update", UpdateRequest{
@@ -391,12 +407,13 @@ func TestStatsSurfacesJournalCounters(t *testing.T) {
 	}, nil); status != 200 {
 		t.Fatalf("update = %d", status)
 	}
-	updated := serverStats(t, ts).Journal
-	if updated.Appends != after.Appends+1 || updated.FullStateRecords != after.FullStateRecords {
-		t.Errorf("after an update: %+v, want one more append and no full-state record", updated)
+	updated := serverStats(t, ts).Metrics
+	if updated[appends] != after[appends]+1 || updated[fullState] != after[fullState] {
+		t.Errorf("after an update: appends %v -> %v, full-state records %v -> %v; want one more append and no full-state record",
+			after[appends], updated[appends], after[fullState], updated[fullState])
 	}
-	if updated.RecoveryTxReplayed != 0 {
-		t.Errorf("recovery_tx_replayed = %d on a fresh warehouse", updated.RecoveryTxReplayed)
+	if r := updated["px_recovery_tx_replayed_total"]; r != 0 {
+		t.Errorf("px_recovery_tx_replayed_total = %v on a fresh warehouse", r)
 	}
 }
 
@@ -476,9 +493,10 @@ func TestConcurrentClients(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	snap := serverStats(t, ts)
-	if strings.Contains(fmt.Sprint(snap.Requests), "error") {
-		t.Errorf("unexpected route errors: %+v", snap.Requests)
+	for k, v := range serverStats(t, ts).Metrics {
+		if strings.HasPrefix(k, "px_http_request_errors_total") && v != 0 {
+			t.Errorf("unexpected route errors: %s = %v", k, v)
+		}
 	}
 }
 

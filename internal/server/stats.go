@@ -4,10 +4,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/warehouse"
 )
 
 // Version identifies the build serving /stats and /metrics. "dev" by
@@ -42,10 +40,9 @@ type stats struct {
 	stages sync.Map // string -> *obs.Histogram
 }
 
-// routeMetrics are one route's pre-registered handles. The maximum
-// latency /stats reports comes from the histogram, which tracks its
-// largest observation (and uses it to bound overflow-bucket quantile
-// interpolation).
+// routeMetrics are one route's pre-registered handles. The latency
+// histogram also tracks its largest observation (/stats max_ms), which
+// bounds overflow-bucket quantile interpolation.
 type routeMetrics struct {
 	count  *obs.Counter
 	errors *obs.Counter
@@ -99,94 +96,26 @@ func (s *stats) observeStage(name string, d time.Duration) {
 	h.(*obs.Histogram).Observe(d)
 }
 
-// RouteSnapshot reports the request counters of one route, with
-// latency quantiles derived from its histogram.
-type RouteSnapshot struct {
-	Count  int64   `json:"count"`
-	Errors int64   `json:"errors"`
-	AvgMS  float64 `json:"avg_ms"`
-	MaxMS  float64 `json:"max_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// StatsSnapshot is the GET /stats response body. Engine reports the
-// probability-engine counters (DNF compiles, bitset fast-path share,
-// Shannon memo hits/misses, component decompositions) accumulated over
-// the whole process; Journal reports the warehouse's journal counters
-// (durable appends — one per mutation — group-commit fsync batches, and
-// the documents the last Open replayed); Search reports the keyword
-// search subsystem (index builds and reuses, searches, postings,
-// threshold prunes). Every number is read from the same obs registries
-// that GET /metrics exposes.
+// StatsSnapshot is the GET /stats response body: the warehouse's
+// degraded state, its storage footprint, and the merged registries
+// GET /metrics exposes, rendered as JSON (obs.Values: a "metrics" map
+// of counters and gauges and a "histograms" map of summaries, both
+// keyed by exposition series such as
+// px_http_requests_total{route="PUT /docs/{name}"}). Version and uptime
+// are the px_build_info{version} and px_uptime_seconds series.
 type StatsSnapshot struct {
-	// Version is the build identifier (see Version).
-	Version string `json:"version"`
 	// Degraded reports whether the warehouse is in degraded read-only
 	// mode (writes rejected after an unrecoverable storage error);
 	// DegradedReason carries the failing operation and error. See
 	// docs/FAULTS.md for the recovery runbook.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// UptimeSeconds is the time since the server was constructed.
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Requests      map[string]RouteSnapshot `json:"requests"`
-	// Stages reports per-stage latency distributions (span names like
-	// "warehouse.query" or "event.prob"), fed by request traces.
-	Stages  map[string]obs.HistogramSnapshot `json:"stages,omitempty"`
-	Engine  event.EngineCounters             `json:"engine"`
-	Journal warehouse.JournalStats           `json:"journal"`
-	Search  warehouse.SearchStats            `json:"search"`
-	// Views reports the materialized-view subsystem: registered views
-	// and the maintenance-tier counters (skipped / incremental / full
-	// recomputes, reused vs recomputed answer probabilities, stale
-	// reads served during in-flight maintenance).
-	Views warehouse.ViewStats `json:"views"`
 	// Storage reports the active storage backend ("filestore" or "kv")
 	// and its on-disk footprint: document count, total bytes, and live
 	// bytes (for the kv page store, the subset not reclaimable by
-	// compaction; equal to total for the filestore). See
-	// docs/STORAGE.md.
+	// compaction; equal to total for the filestore). It is the one
+	// section built by hand: a directory walk that can fail, too costly
+	// to run on every /metrics scrape. See docs/STORAGE.md.
 	Storage store.Stats `json:"storage"`
-	// Runtime reports Go runtime health (goroutines, heap, GC pauses,
-	// scheduler latency), read from runtime/metrics. Filled by the
-	// Server, which owns the collector.
-	Runtime obs.RuntimeStats `json:"runtime"`
-}
-
-func (s *stats) snapshot(journal warehouse.JournalStats, search warehouse.SearchStats, views warehouse.ViewStats) StatsSnapshot {
-	out := StatsSnapshot{
-		Version:       Version,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      make(map[string]RouteSnapshot, len(s.routes)),
-		Engine:        event.ReadEngineCounters(),
-		Journal:       journal,
-		Search:        search,
-		Views:         views,
-	}
-	for route, rm := range s.routes {
-		count := rm.count.Value()
-		if count == 0 {
-			continue // keep /stats to routes that have actually served
-		}
-		hs := rm.lat.Snapshot()
-		out.Requests[route] = RouteSnapshot{
-			Count:  count,
-			Errors: rm.errors.Value(),
-			AvgMS:  hs.AvgMS,
-			MaxMS:  hs.MaxMS,
-			P50MS:  hs.P50MS,
-			P95MS:  hs.P95MS,
-			P99MS:  hs.P99MS,
-		}
-	}
-	s.stages.Range(func(k, v any) bool {
-		if out.Stages == nil {
-			out.Stages = make(map[string]obs.HistogramSnapshot)
-		}
-		out.Stages[k.(string)] = v.(*obs.Histogram).Snapshot()
-		return true
-	})
-	return out
+	obs.Values
 }

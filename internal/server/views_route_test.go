@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -99,25 +100,25 @@ func TestViewXPathSyntaxAndStats(t *testing.T) {
 		t.Fatalf("xpath view: %+v", resp)
 	}
 
-	// An unrelated insert is provably skippable; the stats section must
-	// show the skip and the registration's full recompute.
+	// An unrelated insert is provably skippable; /stats must show the
+	// skip and the registration's full recompute.
 	if s := doJSON(t, "POST", ts.URL+"/docs/doc1/update", UpdateRequest{
 		Query: "A $a", Confidence: 1, Ops: []UpdateOp{{Op: "insert", Var: "a", Tree: "Z:zed"}},
 	}, nil); s != http.StatusOK {
 		t.Fatalf("update: %d", s)
 	}
-	var stats StatsSnapshot
-	if s := doJSON(t, "GET", ts.URL+"/stats", nil, &stats); s != http.StatusOK {
-		t.Fatalf("stats: %d", s)
+	tier := func(m map[string]float64, tier string) float64 {
+		return m[fmt.Sprintf("px_view_maintenance_total{tier=%q}", tier)]
 	}
-	if stats.Views.Registered != 1 {
-		t.Errorf("views.registered = %d, want 1", stats.Views.Registered)
+	m := serverStats(t, ts).Metrics
+	if m["px_views_registered"] != 1 {
+		t.Errorf("px_views_registered = %v, want 1", m["px_views_registered"])
 	}
-	if stats.Views.FullRecomputes == 0 {
-		t.Errorf("views.full_recomputes = 0, want > 0")
+	if tier(m, "recompute") == 0 {
+		t.Errorf("recompute tier = 0, want > 0")
 	}
-	if stats.Views.Skipped == 0 {
-		t.Errorf("views.maintenance_skipped = 0, want > 0 (unrelated insert)")
+	if tier(m, "skip") == 0 {
+		t.Errorf("skip tier = 0, want > 0 (unrelated insert)")
 	}
 
 	// A touching update must drive the incremental tier.
@@ -126,11 +127,8 @@ func TestViewXPathSyntaxAndStats(t *testing.T) {
 	}, nil); s != http.StatusOK {
 		t.Fatalf("touching update: %d", s)
 	}
-	if s := doJSON(t, "GET", ts.URL+"/stats", nil, &stats); s != http.StatusOK {
-		t.Fatalf("stats: %d", s)
-	}
-	if stats.Views.Incremental == 0 {
-		t.Errorf("views.maintenance_incremental = 0, want > 0 (touching insert)")
+	if tier(serverStats(t, ts).Metrics, "incremental") == 0 {
+		t.Errorf("incremental tier = 0, want > 0 (touching insert)")
 	}
 
 	// Unknown body fields are rejected like everywhere else.

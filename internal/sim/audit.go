@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/event"
 	"repro/internal/server"
 	"repro/internal/tpwj"
 	"repro/internal/tree"
@@ -99,6 +98,12 @@ func (r *Runner) expectedRoute(route string) (sent, errs int64) {
 	return rs.sent.Load(), rs.errs.Load()
 }
 
+// routeSeries is the exposition key of one route's series in a family,
+// the key /stats and /metrics both report it under.
+func routeSeries(family, route string) string {
+	return fmt.Sprintf("%s{route=%q}", family, route)
+}
+
 // auditStats fetches /stats and reconciles every workload route's
 // request and error count against the client ledger. The server
 // records a request's counters after its handler finishes writing the
@@ -108,6 +113,10 @@ func (r *Runner) expectedRoute(route string) (sent, errs int64) {
 func (r *Runner) auditStats(a *AuditResult) (*server.StatsSnapshot, error) {
 	var stats server.StatsSnapshot
 	deadline := time.Now().Add(2 * time.Second)
+	served := func(route string) (count, errs int64) {
+		return int64(stats.Metrics[routeSeries("px_http_requests_total", route)]),
+			int64(stats.Metrics[routeSeries("px_http_request_errors_total", route)])
+	}
 	for {
 		status, body, err := r.cl.raw(http.MethodGet, "/stats", nil)
 		if err != nil {
@@ -122,8 +131,7 @@ func (r *Runner) auditStats(a *AuditResult) (*server.StatsSnapshot, error) {
 		settled := true
 		for _, route := range workloadRoutes {
 			sent, errs := r.expectedRoute(route)
-			got := stats.Requests[route]
-			if got.Count != sent || got.Errors != errs {
+			if count, failed := served(route); count != sent || failed != errs {
 				settled = false
 			}
 		}
@@ -134,13 +142,13 @@ func (r *Runner) auditStats(a *AuditResult) (*server.StatsSnapshot, error) {
 	}
 	for _, route := range workloadRoutes {
 		sent, errs := r.expectedRoute(route)
-		got := stats.Requests[route]
+		count, failed := served(route)
 		a.Checks += 2
-		if got.Count != sent {
-			a.fail("stats: route %s served %d requests, client sent %d", route, got.Count, sent)
+		if count != sent {
+			a.fail("stats: route %s served %d requests, client sent %d", route, count, sent)
 		}
-		if got.Errors != errs {
-			a.fail("stats: route %s reports %d errors, client observed %d", route, got.Errors, errs)
+		if failed != errs {
+			a.fail("stats: route %s reports %d errors, client observed %d", route, failed, errs)
 		}
 	}
 	return &stats, nil
@@ -150,7 +158,8 @@ func (r *Runner) auditStats(a *AuditResult) (*server.StatsSnapshot, error) {
 // families against the client ledger and the /stats snapshot: the
 // request and error counters, the histogram sample counts, and the
 // degraded gauge. Exposition parsing is exact-key — the route label
-// values are the server's own Route* constants.
+// values are the server's own Route* constants — and uses the same
+// series keys as /stats.
 func (r *Runner) auditMetrics(a *AuditResult, stats *server.StatsSnapshot) error {
 	status, body, err := r.cl.raw(http.MethodGet, "/metrics", nil)
 	if err != nil {
@@ -163,15 +172,15 @@ func (r *Runner) auditMetrics(a *AuditResult, stats *server.StatsSnapshot) error
 	for _, route := range workloadRoutes {
 		sent, errs := r.expectedRoute(route)
 		a.Checks += 3
-		if got := samples[fmt.Sprintf(`px_http_requests_total{route=%q}`, route)]; int64(got) != sent {
+		if got := samples[routeSeries("px_http_requests_total", route)]; int64(got) != sent {
 			a.fail("metrics: px_http_requests_total{%s} = %g, client sent %d", route, got, sent)
 		}
 		// Zero-valued series may legitimately be absent (the error
 		// counter is registered lazily per route).
-		if got := samples[fmt.Sprintf(`px_http_request_errors_total{route=%q}`, route)]; int64(got) != errs {
+		if got := samples[routeSeries("px_http_request_errors_total", route)]; int64(got) != errs {
 			a.fail("metrics: px_http_request_errors_total{%s} = %g, client observed %d errors", route, got, errs)
 		}
-		if got := samples[fmt.Sprintf(`px_http_request_seconds_count{route=%q}`, route)]; int64(got) != sent {
+		if got := samples[routeSeries("px_http_request_seconds_count", route)]; int64(got) != sent {
 			a.fail("metrics: px_http_request_seconds_count{%s} = %g, client sent %d", route, got, sent)
 		}
 	}
@@ -373,8 +382,7 @@ type RouteReport struct {
 	MaxMS        float64 `json:"max_ms"`
 }
 
-// Report is the full run result, embedded into BENCH_*.json by
-// internal/exp.
+// Report is the full run result, the document pxsim -json writes.
 type Report struct {
 	Endpoint        string        `json:"endpoint"`
 	Seed            int64         `json:"seed"`
@@ -391,11 +399,11 @@ type Report struct {
 	EventsPerSec    float64       `json:"events_per_sec"`
 	Routes          []RouteReport `json:"routes"`
 	Audit           *AuditResult  `json:"audit"`
-	// Engine is the server's process-wide probability-engine counter
-	// snapshot, read from /stats during the audit (after the workload
-	// drained, before any report-only traffic) — so the BENCH envelope
-	// records what the run actually cost the engine, not zeros.
-	Engine event.EngineCounters `json:"engine_counters"`
+	// Engine holds the server's process-wide px_engine_* counters, read
+	// from the /stats metrics map during the audit (after the workload
+	// drained, before any report-only traffic) — so the report records
+	// what the run actually cost the engine, not zeros.
+	Engine map[string]float64 `json:"engine_counters"`
 	// Fingerprint digests the expected-state model; two equal-seed
 	// fault-free runs report equal fingerprints.
 	Fingerprint string `json:"fingerprint"`
@@ -425,7 +433,7 @@ func (r *Runner) Report(audit *AuditResult) *Report {
 		Fingerprint:     r.model.Fingerprint(),
 	}
 	if r.auditSnap != nil {
-		rep.Engine = r.auditSnap.Engine
+		rep.Engine = r.auditSnap.WithPrefix("px_engine_")
 	}
 	for _, route := range workloadRoutes {
 		rs := r.cl.routes[route]

@@ -114,7 +114,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := o.JournalStats().RecoveryTxReplayed; got != int64(tail) {
+				if got := counter(o, "px_recovery_tx_replayed_total"); got != int64(tail) {
 					b.Fatalf("Open replayed %d records, want %d", got, tail)
 				}
 				o.Close()

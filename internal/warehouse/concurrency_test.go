@@ -117,7 +117,7 @@ func TestStressParallelMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if appends := w.JournalStats().Appends; int64(len(recs)) != appends {
+	if appends := counter(w, "px_journal_appends_total"); int64(len(recs)) != appends {
 		t.Errorf("journal holds %d records for %d acknowledged appends", len(recs), appends)
 	}
 	for i, rec := range recs {

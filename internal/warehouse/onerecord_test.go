@@ -67,6 +67,8 @@ func TestOneRecordPerMutation(t *testing.T) {
 				return n
 			}
 			journalBytes := w.Registry().Counter("px_journal_bytes_total", "").Value
+			appends := w.Registry().Counter("px_journal_appends_total", "").Value
+			batches := w.Registry().Counter("px_journal_sync_batches_total", "").Value
 			// What a backend adds around a journal payload: a newline, or a
 			// kv frame's header and checksum.
 			framing := map[string]int64{warehouse.BackendFile: 1, warehouse.BackendKV: 19}[backend]
@@ -76,14 +78,14 @@ func TestOneRecordPerMutation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				before, syncs, docs, payload := w.JournalStats(), inj.Calls(syncPoint[backend]), docCalls(), journalBytes()
+				a0, b0 := appends(), batches()
+				syncs, docs, payload := inj.Calls(syncPoint[backend]), docCalls(), journalBytes()
 				if err := op(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				after := w.JournalStats()
-				if after.Appends != before.Appends+1 || after.SyncBatches != before.SyncBatches+1 {
+				if a1, b1 := appends(), batches(); a1 != a0+1 || b1 != b0+1 {
 					t.Errorf("%s: appends %d -> %d, sync batches %d -> %d; want +1 and +1",
-						name, before.Appends, after.Appends, before.SyncBatches, after.SyncBatches)
+						name, a0, a1, b0, b1)
 				}
 				if got := inj.Calls(syncPoint[backend]) - syncs; got != 1 {
 					t.Errorf("%s: %d fsyncs, want 1", name, got)
@@ -244,8 +246,9 @@ func reopened(t *testing.T, dir, backend, want string, replays int64) {
 	if got := fingerprint(t, w); got != want {
 		t.Errorf("reopened state:\n%s\nwant:\n%s", got, want)
 	}
-	if s := w.JournalStats(); s.RecoveryReplays != replays || s.Appends != 0 {
-		t.Errorf("reopen: %+v, want %d replays and nothing appended", s, replays)
+	r, a := w.Registry().Counter("px_recovery_replays_total", "").Value(), w.Registry().Counter("px_journal_appends_total", "").Value()
+	if r != replays || a != 0 {
+		t.Errorf("reopen: %d replays, %d appends; want %d replays and nothing appended", r, a, replays)
 	}
 }
 

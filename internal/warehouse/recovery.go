@@ -15,41 +15,6 @@ import (
 	"repro/internal/xupdate"
 )
 
-// JournalStats reports journal activity counters: durable appends,
-// group-commit fsync batches (batches ≤ appends; the gap is fsyncs
-// saved by batching), and how many documents the last recovery had to
-// catch up. Served by pxserve under /stats as "journal".
-type JournalStats struct {
-	// Appends counts records durably appended, cumulative across
-	// Compact calls: one per acknowledged mutation or view operation.
-	Appends int64 `json:"appends"`
-	// SyncBatches counts fsync calls; concurrent appends share
-	// batches, so appends/sync_batches is the group-commit factor.
-	SyncBatches int64 `json:"sync_batches"`
-	// RecoveryReplays counts documents whose stored page recovery
-	// rewrote (or removed) to match the journal at Open: the documents
-	// mutated since the last checkpoint (Compact or a clean Close).
-	RecoveryReplays int64 `json:"recovery_replays"`
-	// FullStateRecords counts the appended mutation records that carry
-	// a full document state: every create, and an update only when it
-	// starts a new base for its document's replay.
-	FullStateRecords int64 `json:"full_state_records"`
-	// RecoveryTxReplayed counts the Tx-only update records recovery
-	// re-applied to their documents' full states at Open.
-	RecoveryTxReplayed int64 `json:"recovery_tx_replayed"`
-}
-
-// JournalStats returns the warehouse's journal counters.
-func (w *Warehouse) JournalStats() JournalStats {
-	return JournalStats{
-		Appends:            w.jc.appends.Value(),
-		SyncBatches:        w.jc.batches.Value(),
-		RecoveryReplays:    w.recoveryReplays.Value(),
-		FullStateRecords:   w.jc.fullState.Value(),
-		RecoveryTxReplayed: w.recoveryTxReplayed.Value(),
-	}
-}
-
 // simplifyTx is the Tx of a Simplify's update record.
 const simplifyTx = "<simplify/>"
 

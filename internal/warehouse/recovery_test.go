@@ -449,8 +449,8 @@ func checkRecovered(t *testing.T, dir, backend string, records []Record, docs ma
 			t.Errorf("views of %q = %v, want %v", doc, got, views[doc])
 		}
 	}
-	if s := w.JournalStats(); s.Appends != 0 {
-		t.Errorf("recovery appended %d records", s.Appends)
+	if a := counter(w, "px_journal_appends_total"); a != 0 {
+		t.Errorf("recovery appended %d records", a)
 	}
 	got, err := w.Journal()
 	if err != nil {
@@ -468,8 +468,8 @@ func checkRecovered(t *testing.T, dir, backend string, records []Record, docs ma
 
 	w2 := openB(t, dir, backend)
 	defer w2.Close()
-	if s := w2.JournalStats(); s.RecoveryReplays != 0 {
-		t.Errorf("recovery did not converge after one open: %+v", s)
+	if r := counter(w2, "px_recovery_replays_total"); r != 0 {
+		t.Errorf("recovery did not converge after one open: %d replays", r)
 	}
 	for _, doc := range names {
 		wantDoc(t, w2, doc, docs[doc])
@@ -911,8 +911,8 @@ func TestRecoveryRepairsTornDocFile(t *testing.T) {
 	if !found {
 		t.Errorf("committed update lost in repair: %s", fuzzy.Format(got.Root))
 	}
-	if s := w2.JournalStats(); s.RecoveryReplays != 1 {
-		t.Errorf("recovery replays = %d, want 1", s.RecoveryReplays)
+	if r := counter(w2, "px_recovery_replays_total"); r != 1 {
+		t.Errorf("recovery replays = %d, want 1", r)
 	}
 }
 
@@ -1131,12 +1131,12 @@ func testGroupCommitBatching(t *testing.T, backend string) {
 	}
 	wg.Wait()
 
-	s := w.JournalStats()
+	appends, batches := counter(w, "px_journal_appends_total"), counter(w, "px_journal_sync_batches_total")
 	want := int64(docs + docs*rounds) // one record per create and update
-	if s.Appends != want {
-		t.Errorf("appends = %d, want %d", s.Appends, want)
+	if appends != want {
+		t.Errorf("appends = %d, want %d", appends, want)
 	}
-	if s.SyncBatches <= 0 || s.SyncBatches > s.Appends {
-		t.Errorf("sync batches = %d, want in (0, %d]", s.SyncBatches, s.Appends)
+	if batches <= 0 || batches > appends {
+		t.Errorf("sync batches = %d, want in (0, %d]", batches, appends)
 	}
 }

@@ -125,8 +125,8 @@ func requireRecoversLive(t *testing.T, w *Warehouse, backend string, txReplayed 
 			t.Fatalf("recovered %q differs from the live snapshot:\n%s\nwant:\n%s", name, got, live)
 		}
 	}
-	if s := r.JournalStats(); s.RecoveryTxReplayed != int64(txReplayed) {
-		t.Errorf("recovery re-applied %d Tx-only records, want %d", s.RecoveryTxReplayed, txReplayed)
+	if got := counter(r, "px_recovery_tx_replayed_total"); got != int64(txReplayed) {
+		t.Errorf("recovery re-applied %d Tx-only records, want %d", got, txReplayed)
 	}
 }
 

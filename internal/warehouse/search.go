@@ -21,37 +21,6 @@ func (s *searchCounters) initMetrics(reg *obs.Registry) {
 	s.searches = reg.Counter("px_searches_total", "keyword searches on this warehouse")
 }
 
-// SearchStats reports the keyword-search counters of this warehouse
-// together with the keyword engine's package counters (builds,
-// postings, threshold prunes). Served by pxserve under /stats as
-// "search".
-type SearchStats struct {
-	// Searches counts Search calls on this warehouse.
-	Searches int64 `json:"searches"`
-	// IndexHits counts searches served by an index an earlier search
-	// of the same document version built.
-	IndexHits int64 `json:"index_hits"`
-	// IndexBuilds counts inverted-index builds (process-wide).
-	IndexBuilds int64 `json:"index_builds"`
-	// Postings counts inverted-index postings built (process-wide).
-	Postings int64 `json:"postings"`
-	// ThresholdPrunes counts candidates eliminated by the MinProb
-	// upper bound before exact evaluation (process-wide).
-	ThresholdPrunes int64 `json:"threshold_prunes"`
-}
-
-// SearchStats returns the warehouse's keyword-search counters.
-func (w *Warehouse) SearchStats() SearchStats {
-	kc := keyword.ReadCounters()
-	return SearchStats{
-		Searches:        w.search.searches.Value(),
-		IndexHits:       w.search.hits.Value(),
-		IndexBuilds:     kc.IndexBuilds,
-		Postings:        kc.Postings,
-		ThresholdPrunes: kc.ThresholdPrunes,
-	}
-}
-
 // Search runs a keyword search against the current version of the named
 // document (see Snapshot.Search).
 func (w *Warehouse) Search(name string, req keyword.Request) (*keyword.Result, error) {

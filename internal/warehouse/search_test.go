@@ -56,22 +56,24 @@ func TestSearchIndexLifecycle(t *testing.T) {
 	if err := w.Create("lib", searchDoc()); err != nil {
 		t.Fatal(err)
 	}
-	builds := w.SearchStats().IndexBuilds
+	// Index builds are counted process-wide by the keyword engine;
+	// searches and index hits per warehouse.
+	indexBuilds := func() int64 { return keyword.ReadCounters().IndexBuilds }
+	hits := func() int64 { return counter(w, "px_search_index_hits_total") }
+	builds := indexBuilds()
 
 	req := keyword.Request{Keywords: []string{"kafka"}}
 	if _, err := w.Search("lib", req); err != nil {
 		t.Fatal(err)
 	}
-	s0 := w.SearchStats()
-	if s0.Searches != 1 || s0.IndexHits != 0 || s0.IndexBuilds != builds+1 {
-		t.Fatalf("after first search: %+v", s0)
+	if s, h, b := counter(w, "px_searches_total"), hits(), indexBuilds(); s != 1 || h != 0 || b != builds+1 {
+		t.Fatalf("after first search: %d searches, %d index hits, %d builds", s, h, b-builds)
 	}
 	if _, err := w.Search("lib", req); err != nil {
 		t.Fatal(err)
 	}
-	s1 := w.SearchStats()
-	if s1.IndexHits != s0.IndexHits+1 || s1.IndexBuilds != builds+1 {
-		t.Fatalf("second search did not reuse the index: %+v", s1)
+	if h, b := hits(), indexBuilds(); h != 1 || b != builds+1 {
+		t.Fatalf("second search did not reuse the index: %d index hits, %d builds", h, b-builds)
 	}
 
 	// Two mutations publish two versions; only the one that is searched
@@ -82,16 +84,15 @@ func TestSearchIndexLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.SearchStats().IndexBuilds; got != builds+1 {
+	if got := indexBuilds(); got != builds+1 {
 		t.Fatalf("updates built %d indexes, want none until searched", got-builds-1)
 	}
 	res, err := w.Search("lib", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := w.SearchStats()
-	if s2.IndexBuilds != builds+2 || s2.IndexHits != s1.IndexHits {
-		t.Fatalf("search after two updates: %+v, want exactly one more build", s2)
+	if h, b := hits(), indexBuilds(); b != builds+2 || h != 1 {
+		t.Fatalf("search after two updates: %d index hits, %d builds; want exactly one more build", h, b-builds)
 	}
 	if len(res.Answers) != 3 {
 		t.Fatalf("post-update answers = %+v, want the inserted note too", res.Answers)
@@ -103,7 +104,7 @@ func TestSearchIndexLifecycle(t *testing.T) {
 	if _, err := w.Search("lib", req); !errors.Is(err, ErrNotFound) {
 		t.Errorf("search of a dropped document: %v, want ErrNotFound", err)
 	}
-	if got := w.SearchStats().IndexBuilds; got != builds+2 {
+	if got := indexBuilds(); got != builds+2 {
 		t.Errorf("index builds = %d, want %d", got, builds+2)
 	}
 }

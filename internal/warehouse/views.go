@@ -41,33 +41,6 @@ type ViewResult struct {
 	Stale   bool
 }
 
-// ViewStats reports the materialized-view counters of this warehouse.
-// Served by pxserve under /stats as "views".
-type ViewStats struct {
-	// Registered is the number of currently registered views.
-	Registered int `json:"registered"`
-	// Skipped counts maintenance passes resolved by the overlap
-	// analysis alone: the update provably could not affect the view.
-	Skipped int64 `json:"maintenance_skipped"`
-	// Incremental counts maintenance passes that re-ran the symbolic
-	// evaluation and recomputed only changed answers' probabilities.
-	Incremental int64 `json:"maintenance_incremental"`
-	// FullRecomputes counts maintenance passes (and registrations)
-	// that evaluated the view from scratch.
-	FullRecomputes int64 `json:"full_recomputes"`
-	// AnswersReused / AnswersRecomputed count answer probabilities
-	// kept versus re-derived across incremental passes; their ratio is
-	// the affected-answer ratio.
-	AnswersReused     int64 `json:"answers_reused"`
-	AnswersRecomputed int64 `json:"answers_recomputed"`
-	// AffectedAnswerRatio is AnswersRecomputed over all answers
-	// handled by incremental passes (0 when none ran).
-	AffectedAnswerRatio float64 `json:"affected_answer_ratio"`
-	// StaleReads counts ReadView calls served from a previous state
-	// while a maintenance pass was in flight.
-	StaleReads int64 `json:"stale_reads"`
-}
-
 // viewHandle is the registry's mutable slot for one view. def is
 // immutable after registration; v (the materialized state, an
 // immutable view.View), version (of the Snapshot v was computed
@@ -237,24 +210,6 @@ func (r *viewRegistry) record(cost *obs.Cost, res view.Result) {
 	case view.Full:
 		obs.Charge(cost, obs.CostViewMaintRecomputed, r.full, 1)
 	}
-}
-
-// ViewStats returns the warehouse's materialized-view counters.
-func (w *Warehouse) ViewStats() ViewStats {
-	r := &w.views
-	s := ViewStats{
-		Registered:        r.count(),
-		Skipped:           r.skipped.Value(),
-		Incremental:       r.incremental.Value(),
-		FullRecomputes:    r.full.Value(),
-		AnswersReused:     r.answersReused.Value(),
-		AnswersRecomputed: r.answersRecomputed.Value(),
-		StaleReads:        r.staleReads.Value(),
-	}
-	if total := s.AnswersReused + s.AnswersRecomputed; total > 0 {
-		s.AffectedAnswerRatio = float64(s.AnswersRecomputed) / float64(total)
-	}
-	return s
 }
 
 // RegisterView registers (and eagerly materializes) a named view of a

@@ -14,6 +14,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/fuzzy"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/tpwj"
 	"repro/internal/tree"
 	"repro/internal/update"
@@ -156,15 +157,15 @@ func TestViewMaintainedAcrossUpdateSimplifyAndXPath(t *testing.T) {
 	}
 	assertViewFresh(t, w, "doc1", "ls")
 
-	s := w.ViewStats()
-	if s.Registered != 2 {
-		t.Errorf("Registered = %d, want 2", s.Registered)
+	m := obs.Snapshot(w.Registry()).WithPrefix("px_view")
+	if m["px_views_registered"] != 2 {
+		t.Errorf("px_views_registered = %v, want 2", m["px_views_registered"])
 	}
-	if s.Skipped+s.Incremental == 0 {
-		t.Errorf("no cheap maintenance tier taken: %+v", s)
+	if m[tierSkip]+m[tierIncremental] == 0 {
+		t.Errorf("no cheap maintenance tier taken: %v", m)
 	}
-	if s.FullRecomputes == 0 {
-		t.Errorf("simplify should force full recomputes: %+v", s)
+	if m[tierRecompute] == 0 {
+		t.Errorf("simplify should force full recomputes: %v", m)
 	}
 	// The xpath view compares through its own engine; check count only.
 	xp, err := w.ReadView("doc1", "xp")
@@ -369,7 +370,12 @@ func TestViewDifferentialRandomized(t *testing.T) {
 		}
 	}
 
-	var total ViewStats
+	total := make(map[string]float64)
+	accumulate := func() {
+		for k, v := range obs.Snapshot(w.Registry()).WithPrefix("px_view_maintenance_total") {
+			total[k] += v
+		}
+	}
 	for step := 0; step < steps; step++ {
 		name := docs[r.Intn(len(docs))]
 		cur, err := w.Get(name)
@@ -428,7 +434,7 @@ func TestViewDifferentialRandomized(t *testing.T) {
 		// Counters are per-instance; fold them into the running total
 		// before the instance goes away.
 		if step%250 == 249 {
-			accumulate(&total, w.ViewStats())
+			accumulate()
 			if step%500 == 499 {
 				if err := w.Compact(); err != nil {
 					t.Fatal(err)
@@ -447,23 +453,19 @@ func TestViewDifferentialRandomized(t *testing.T) {
 			}
 		}
 	}
-	accumulate(&total, w.ViewStats())
-	t.Logf("view stats after %d steps: %+v", steps, total)
-	if total.Skipped == 0 || total.Incremental == 0 || total.FullRecomputes == 0 {
+	accumulate()
+	t.Logf("view maintenance after %d steps: %v", steps, total)
+	if total[tierSkip] == 0 || total[tierIncremental] == 0 || total[tierRecompute] == 0 {
 		t.Errorf("expected all three maintenance tiers to fire: %+v", total)
 	}
 }
 
-// accumulate folds one warehouse instance's counters into a total.
-func accumulate(total *ViewStats, s ViewStats) {
-	total.Registered = s.Registered
-	total.Skipped += s.Skipped
-	total.Incremental += s.Incremental
-	total.FullRecomputes += s.FullRecomputes
-	total.AnswersReused += s.AnswersReused
-	total.AnswersRecomputed += s.AnswersRecomputed
-	total.StaleReads += s.StaleReads
-}
+// The maintenance-tier series of the warehouse registry.
+const (
+	tierSkip        = `px_view_maintenance_total{tier="skip"}`
+	tierIncremental = `px_view_maintenance_total{tier="incremental"}`
+	tierRecompute   = `px_view_maintenance_total{tier="recompute"}`
+)
 
 // TestViewReadsDoNotBlockOnWriter exercises the stale-read contract
 // under concurrency: readers must always get a complete answer set

@@ -174,8 +174,7 @@ type Warehouse struct {
 
 	// recoveryReplays counts the documents recovery caught up, and
 	// recoveryTxReplayed the Tx-only records it re-applied to do so;
-	// both are written during Open (before the warehouse is shared) and
-	// read by JournalStats.
+	// both are written during Open (before the warehouse is shared).
 	recoveryReplays    *obs.Counter
 	recoveryTxReplayed *obs.Counter
 
