@@ -1,7 +1,7 @@
-// Benchmarks, one family per experiment of the reproduction (see
-// DESIGN.md §5 and EXPERIMENTS.md). The same code paths are regenerated
-// as paper-style tables by cmd/pxbench; here they run under testing.B
-// for statistically robust numbers:
+// Benchmarks, one family per experiment of the reproduction (exp.All
+// indexes them; `pxbench -list` names them). The same code paths are
+// regenerated as paper-style tables by cmd/pxbench; here they run under
+// testing.B for statistically robust numbers:
 //
 //	go test -bench=. -benchmem
 package fuzzyxml_test
@@ -303,12 +303,12 @@ func BenchmarkE10QueryScaling(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ------------------------
+// --- Ablations (design choices of the probability engine) ----------------------
 
 // BenchmarkAblationProbDNF compares the memoized Shannon expansion with
 // brute-force world enumeration for the same DNFs. The workload builder
-// is shared with the pxbench -json probes (exp.AblationDNF) so the two
-// stay comparable.
+// is exp.AblationDNF, which TestFaultOverhead in internal/exp also
+// evaluates, so the two stay comparable.
 func BenchmarkAblationProbDNF(b *testing.B) {
 	for _, m := range []int{6, 10, 14} {
 		tab, d := exp.AblationDNF(m)

@@ -236,53 +236,6 @@ func TestCLIPxbenchSelected(t *testing.T) {
 	}
 }
 
-// TestCLIPxbenchJSON checks the machine-readable benchmark output: the
-// BENCH_<date>.json document must parse and carry ns/op and allocs/op
-// for the probability-engine probes.
-func TestCLIPxbenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and runs benchmark probes; skipped in -short mode")
-	}
-	bins := buildTools(t, "pxbench")
-	path := filepath.Join(t.TempDir(), "bench.json")
-	out := run(t, bins["pxbench"], "-e", "E1", "-json-out", path)
-	if !strings.Contains(out, "wrote "+path) {
-		t.Errorf("pxbench -json-out output:\n%s", out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Date       string `json:"date"`
-		Benchmarks []struct {
-			Name        string  `json:"name"`
-			NsPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp int64   `json:"allocs_per_op"`
-		} `json:"benchmarks"`
-		Experiments []struct {
-			ID string `json:"id"`
-			OK bool   `json:"ok"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH json does not parse: %v\n%s", err, data)
-	}
-	names := map[string]bool{}
-	for _, b := range report.Benchmarks {
-		names[b.Name] = true
-		if b.NsPerOp <= 0 {
-			t.Errorf("probe %q has ns_per_op %v", b.Name, b.NsPerOp)
-		}
-	}
-	if !names["probdnf/exact/events=14"] || !names["probdnf/brute/events=14"] {
-		t.Errorf("probability-engine probes missing from report: %v", names)
-	}
-	if len(report.Experiments) != 1 || report.Experiments[0].ID != "E1" || !report.Experiments[0].OK {
-		t.Errorf("experiments = %+v, want E1 ok", report.Experiments)
-	}
-}
-
 // TestCLIPxview drives the materialized-view CLI end to end: register,
 // read, list, maintenance across a warehouse update, stats and drop.
 func TestCLIPxview(t *testing.T) {
@@ -434,8 +387,8 @@ func TestCLIPxsearch(t *testing.T) {
 
 // TestCLIPxsim drives the simulator end-to-end the way CI's sim smoke
 // step does: boot pxserve on an ephemeral port, run a small seeded
-// workload with the audit on, and require a clean exit with a BENCH
-// json carrying zero discrepancies. Also pins the exit-code contract:
+// workload with the audit on, and require a clean exit with a -json-out
+// report carrying zero discrepancies. Also pins the exit-code contract:
 // 2 for usage errors, 1 for runtime failures.
 func TestCLIPxsim(t *testing.T) {
 	if testing.Short() {
@@ -471,22 +424,22 @@ func TestCLIPxsim(t *testing.T) {
 	addr := strings.TrimSpace(banner[i+len("listening on "):])
 	endpoint := "http://" + addr
 
-	// A clean seeded run: exit 0, audit summary, and a BENCH json that
-	// is the run report itself, with a zero discrepancy count.
-	benchPath := filepath.Join(work, "BENCH_sim.json")
+	// A clean seeded run: exit 0, audit summary, and a JSON run report
+	// with a zero discrepancy count.
+	reportPath := filepath.Join(work, "sim.json")
 	logPath := filepath.Join(work, "workload.log")
 	out := run(t, bins["pxsim"],
 		"-endpoint", endpoint, "-tenants", "3", "-docs", "1", "-ops", "150",
 		"-seed", "42", "-workers", "3", "-check-every", "5",
-		"-json-out", benchPath, "-log", logPath)
+		"-json-out", reportPath, "-log", logPath)
 	if !strings.Contains(out, "audit clean") {
 		t.Errorf("pxsim output:\n%s", out)
 	}
-	data, err := os.ReadFile(benchPath)
+	data, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bench struct {
+	var report struct {
 		Ops   int64 `json:"ops"`
 		Audit *struct {
 			DiscrepancyCount int64 `json:"discrepancy_count"`
@@ -497,20 +450,20 @@ func TestCLIPxsim(t *testing.T) {
 		} `json:"routes"`
 		Engine map[string]float64 `json:"engine_counters"`
 	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("BENCH json does not parse: %v", err)
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatalf("run report does not parse: %v", err)
 	}
-	if bench.Audit == nil {
-		t.Fatal("BENCH json has no audit")
+	if report.Audit == nil {
+		t.Fatal("run report has no audit")
 	}
-	if bench.Audit.DiscrepancyCount != 0 {
-		t.Errorf("BENCH json reports %d discrepancies", bench.Audit.DiscrepancyCount)
+	if report.Audit.DiscrepancyCount != 0 {
+		t.Errorf("run report has %d discrepancies", report.Audit.DiscrepancyCount)
 	}
-	if bench.Ops != 150 || len(bench.Routes) == 0 {
-		t.Errorf("BENCH json: ops=%d routes=%d", bench.Ops, len(bench.Routes))
+	if report.Ops != 150 || len(report.Routes) == 0 {
+		t.Errorf("run report: ops=%d routes=%d", report.Ops, len(report.Routes))
 	}
-	if bench.Engine["px_engine_compiles_total"] == 0 {
-		t.Errorf("BENCH json engine counters = %v, want the server's compiles", bench.Engine)
+	if report.Engine["px_engine_compiles_total"] == 0 {
+		t.Errorf("run report engine counters = %v, want the server's compiles", report.Engine)
 	}
 	if logData, err := os.ReadFile(logPath); err != nil || len(logData) == 0 {
 		t.Errorf("workload log missing or empty (err=%v)", err)

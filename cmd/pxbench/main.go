@@ -9,7 +9,10 @@
 //
 //	pxbench             # run all experiments
 //	pxbench -e E3,E5    # run selected experiments
-//	pxbench -json       # also write BENCH_<date>.json (see README)
+//	pxbench -list       # name the experiments
+//
+// pxbench prints tables only; the performance trajectory
+// (BENCH_<date>.json) comes from the benchmark harness, see README.
 package main
 
 import (
@@ -17,17 +20,14 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 )
 
 func main() {
 	var (
-		sel      = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		emitJSON = flag.Bool("json", false, "write machine-readable benchmark results to BENCH_<date>.json")
-		jsonOut  = flag.String("json-out", "", "override the -json output path")
+		sel  = flag.String("e", "", "comma-separated experiment ids (default: all)")
+		list = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -54,46 +54,15 @@ func main() {
 	}
 
 	failed := 0
-	var results []exp.ExperimentResult
 	for _, e := range chosen {
 		t := e.Run()
 		t.Render(os.Stdout)
-		results = append(results, exp.ExperimentResult{ID: t.ID, OK: t.OK})
 		if !t.OK {
 			failed++
 		}
 	}
-
-	if *emitJSON || *jsonOut != "" {
-		date := time.Now().Format("2006-01-02")
-		path := *jsonOut
-		if path == "" {
-			path = "BENCH_" + date + ".json"
-		}
-		report := exp.RunProbes(date)
-		report.Experiments = results
-		if err := writeReport(report, path); err != nil {
-			fmt.Fprintf(os.Stderr, "pxbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "pxbench: %d experiment(s) FAILED\n", failed)
 		os.Exit(1)
 	}
-}
-
-// writeReport writes the benchmark report to path.
-func writeReport(report exp.BenchReport, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

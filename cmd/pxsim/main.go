@@ -17,7 +17,7 @@
 //	pxserve -dir /tmp/wh -addr :8080 &
 //	pxsim -endpoint http://localhost:8080 -tenants 8 -ops 5000 -seed 42
 //	pxsim -endpoint http://localhost:8080 -duration 10s -rate 200 -speed 2
-//	pxsim -endpoint http://localhost:8080 -json   # writes BENCH_<date>.json
+//	pxsim -endpoint http://localhost:8080 -json-out sim.json
 //
 // See docs/SIMULATION.md for the full flag reference, the mix format,
 // and the oracle semantics.
@@ -32,7 +32,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -55,8 +54,7 @@ func main() {
 		events   = flag.Int("events", 4, "events per initial document")
 		check    = flag.Int64("check-every", 8, "spot-check every Nth op against local evaluation (0 = off)")
 		logPath  = flag.String("log", "", "write the deterministic workload log to this file")
-		emitJSON = flag.Bool("json", false, "write machine-readable results to BENCH_<date>.json")
-		jsonOut  = flag.String("json-out", "", "override the -json output path")
+		jsonOut  = flag.String("json-out", "", "write the machine-readable run report to this file")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -117,16 +115,11 @@ func main() {
 	}
 	render(rep)
 
-	if *emitJSON || *jsonOut != "" {
-		date := time.Now().Format("2006-01-02")
-		path := *jsonOut
-		if path == "" {
-			path = "BENCH_" + date + ".json"
-		}
-		if err := writeReport(rep, path); err != nil {
+	if *jsonOut != "" {
+		if err := writeReport(rep, *jsonOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 
 	if rep.Audit.DiscrepancyCount > 0 {

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,6 +65,36 @@ func TestCompileUnknownEventAbsorbed(t *testing.T) {
 	// But a surviving unknown event is an error.
 	if _, err := tab.ProbDNF(DNF{MustParseCondition("zz")}); err == nil {
 		t.Error("surviving unknown event accepted")
+	}
+
+	// The Monte-Carlo estimators accept exactly the DNFs ProbDNF does:
+	// both inputs normalize to "w1", so the estimate approaches 0.8, and
+	// a surviving zz still errors.
+	estimators := map[string]func(DNF) (float64, error){
+		"EstimateDNF": func(d DNF) (float64, error) {
+			return tab.EstimateDNF(d, 20_000, rand.New(rand.NewSource(1)))
+		},
+		"EstimateDNFCtx": func(d DNF) (float64, error) {
+			return tab.EstimateDNFCtx(context.Background(), d, 20_000, rand.New(rand.NewSource(1)))
+		},
+	}
+	for name, estimate := range estimators {
+		for _, d := range []DNF{
+			{MustParseCondition("w1"), MustParseCondition("w1 zz")},
+			{MustParseCondition("zz !zz"), MustParseCondition("w1")},
+		} {
+			p, err := estimate(d)
+			if err != nil {
+				t.Errorf("%s(%v): absorbed or contradictory unknown event should not error: %v", name, d, err)
+				continue
+			}
+			if math.Abs(p-0.8) > 0.02 {
+				t.Errorf("%s(%v) = %v, want ≈0.8", name, d, p)
+			}
+		}
+		if _, err := estimate(DNF{MustParseCondition("zz")}); err == nil {
+			t.Errorf("%s: surviving unknown event accepted", name)
+		}
 	}
 }
 

@@ -181,15 +181,11 @@ func (t *Table) ProbDNFBrute(d DNF) (float64, error) {
 // the standard error decreases as 1/sqrt(samples). Sampling runs on the
 // same compiled form as the exact engine: on the ≤64-event fast path a
 // sampled world is one uint64 and each clause check is two word
-// operations.
+// operations. Unknown events are rejected exactly when ProbDNF rejects
+// them: only if they survive normalization (see CompileDNF).
 func (t *Table) EstimateDNF(d DNF, samples int, r *rand.Rand) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("event: non-positive sample count %d", samples)
-	}
-	for _, e := range d.Events() {
-		if !t.Has(e) {
-			return 0, fmt.Errorf("event: unknown event %q in DNF %q", e, d)
-		}
 	}
 	c, err := t.CompileDNF(d)
 	if err != nil {
@@ -203,11 +199,6 @@ func (t *Table) EstimateDNF(d DNF, samples int, r *rand.Rand) (float64, error) {
 func (t *Table) EstimateDNFCtx(ctx context.Context, d DNF, samples int, r *rand.Rand) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("event: non-positive sample count %d", samples)
-	}
-	for _, e := range d.Events() {
-		if !t.Has(e) {
-			return 0, fmt.Errorf("event: unknown event %q in DNF %q", e, d)
-		}
 	}
 	c, err := t.CompileDNFCtx(ctx, d)
 	if err != nil {

@@ -226,21 +226,14 @@ func joinFormulas(fs []Formula, sep string) string {
 // the number of events (#P-hard in general), like ProbDNF, but the
 // restriction-driven simplification keeps typical query formulas small.
 func (t *Table) ProbFormula(f Formula) (float64, error) {
-	for _, e := range f.Events() {
-		if !t.Has(e) {
-			return 0, fmt.Errorf("event: unknown event %q in formula %q", e, f)
-		}
-	}
-	cc := &cancelCheck{}
-	defer cc.charge(nil)
-	memo := make(map[string]float64)
-	return t.probFormula(f, memo, cc), nil
+	return t.ProbFormulaCtx(context.Background(), f)
 }
 
 // ProbFormulaCtx is ProbFormula honoring context cancellation: the
-// Shannon expansion checks ctx every cancelCheckInterval recursion steps
-// and aborts with the context's error. A context that can never be
-// cancelled takes the same zero-check path as ProbFormula.
+// Shannon expansion runs on the same walk as the compiled DNF engines,
+// polling ctx every pollInterval recursion steps and charging
+// each step to px_engine_expansion_nodes_total. A context that can
+// never be cancelled takes the zero-check path.
 func (t *Table) ProbFormulaCtx(ctx context.Context, f Formula) (p float64, err error) {
 	for _, e := range f.Events() {
 		if !t.Has(e) {
@@ -250,60 +243,22 @@ func (t *Table) ProbFormulaCtx(ctx context.Context, f Formula) (p float64, err e
 	// Grab the cost accumulator before deciding whether the context is
 	// worth polling: an uncancellable context can still carry a cost.
 	cost := obs.CostFromContext(ctx)
-	cc := &cancelCheck{}
+	w := &walk{}
 	if ctx != nil && ctx.Done() != nil {
-		// Small formulas finish before the first periodic tick, so an
+		// Small formulas finish before the first periodic poll, so an
 		// already-expired context must abort before any expansion.
 		if err := ctx.Err(); err != nil {
-			engineCancellations.Add(1)
+			engineCancellations.Inc()
 			return math.NaN(), err
 		}
-		cc.ctx = ctx
+		w.ctx = ctx
 	}
-	defer cc.charge(cost)
-	defer func() {
-		if r := recover(); r != nil {
-			ec, ok := r.(evalCanceled)
-			if !ok {
-				panic(r)
-			}
-			engineCancellations.Add(1)
-			p, err = math.NaN(), ec.err
-		}
-	}()
-	memo := make(map[string]float64)
-	return t.probFormula(f, memo, cc), nil
+	defer w.finish(cost, &p, &err)
+	return t.probFormula(f, make(map[string]float64), w), nil
 }
 
-// cancelCheck amortizes context polling across a hot recursion: tick
-// counts every recursion step and, when a cancellable context is
-// attached, consults ctx.Err once per cancelCheckInterval calls and
-// unwinds via an evalCanceled panic (recovered by the Ctx entry
-// points). The step count doubles as the expansion-node tally charged
-// by charge on the way out, so the formula evaluator feeds the same
-// px_engine_expansion_nodes_total family as the compiled DNF engine.
-type cancelCheck struct {
-	ctx   context.Context
-	steps int64
-}
-
-func (cc *cancelCheck) tick() {
-	if cc.steps++; cc.ctx != nil && cc.steps&(cancelCheckInterval-1) == 0 {
-		if err := cc.ctx.Err(); err != nil {
-			panic(evalCanceled{err})
-		}
-	}
-}
-
-// charge flushes the accumulated step count to the expansion-node
-// counter (and the request cost, when present). Deferred by the entry
-// points so cancelled evaluations still account for the work done.
-func (cc *cancelCheck) charge(cost *obs.Cost) {
-	obs.Charge(cost, obs.CostEngineExpansionNodes, engineExpansionNodes, cc.steps)
-}
-
-func (t *Table) probFormula(f Formula, memo map[string]float64, cc *cancelCheck) float64 {
-	cc.tick()
+func (t *Table) probFormula(f Formula, memo map[string]float64, w *walk) float64 {
+	w.step()
 	switch f {
 	case FTrue:
 		return 1
@@ -325,38 +280,17 @@ func (t *Table) probFormula(f Formula, memo map[string]float64, cc *cancelCheck)
 	}
 	e := events[0]
 	pe := t.probs[e]
-	p := pe*t.probFormula(f.Restrict(e, true), memo, cc) +
-		(1-pe)*t.probFormula(f.Restrict(e, false), memo, cc)
+	p := pe*t.probFormula(f.Restrict(e, true), memo, w) +
+		(1-pe)*t.probFormula(f.Restrict(e, false), memo, w)
 	memo[key] = p
 	return p
 }
 
-// EstimateFormula estimates P(f) by Monte-Carlo sampling, like
-// EstimateDNF but for arbitrary formulas.
-func (t *Table) EstimateFormula(f Formula, samples int, r *rand.Rand) (float64, error) {
-	if samples <= 0 {
-		return 0, fmt.Errorf("event: non-positive sample count %d", samples)
-	}
-	events := f.Events()
-	for _, e := range events {
-		if !t.Has(e) {
-			return 0, fmt.Errorf("event: unknown event %q in formula %q", e, f)
-		}
-	}
-	hits := 0
-	for i := 0; i < samples; i++ {
-		if f.Eval(t.SampleAssignment(events, r)) {
-			hits++
-		}
-	}
-	ChargeMCSamples(nil, int64(samples))
-	return float64(hits) / float64(samples), nil
-}
-
-// EstimateFormulaCtx is EstimateFormula honoring context cancellation
-// between sample batches. Samples actually drawn (including before a
-// cancellation) are charged to the context's cost accumulator and the
-// global MC-sample counter.
+// EstimateFormulaCtx estimates P(f) by Monte-Carlo sampling, like
+// EstimateDNFCtx but for arbitrary formulas, honoring context
+// cancellation between sample batches. Samples actually drawn
+// (including before a cancellation) are charged to the context's cost
+// accumulator and the global MC-sample counter.
 func (t *Table) EstimateFormulaCtx(ctx context.Context, f Formula, samples int, r *rand.Rand) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("event: non-positive sample count %d", samples)
@@ -380,7 +314,7 @@ func (t *Table) EstimateFormulaCtx(ctx context.Context, f Formula, samples int, 
 	hits, done := 0, 0
 	defer func() { ChargeMCSamples(cost, int64(done)) }()
 	for i := 0; i < samples; i++ {
-		if ctx != nil && i&(cancelCheckInterval-1) == cancelCheckInterval-1 {
+		if ctx != nil && i&(pollInterval-1) == pollInterval-1 {
 			if err := ctx.Err(); err != nil {
 				engineCancellations.Add(1)
 				return math.NaN(), err

@@ -97,7 +97,7 @@ func FuzzProbDNFDifferential(f *testing.F) {
 
 // pollBudget is a cancellable context whose Err reports
 // context.Canceled once it has been called polls times. The engines
-// poll once before they start and then every cancelCheckInterval
+// poll once before they start and then every pollInterval
 // expansion nodes, so it stops an evaluation at an exact node count.
 type pollBudget struct {
 	context.Context
@@ -153,11 +153,11 @@ func FuzzProbEnginesAgree(f *testing.F) {
 		if !c.Small() {
 			t.Fatalf("DNF over %d events did not take the mask form", len(c.probs))
 		}
-		masks, err := c.ProbCtx(newPollBudget(t, 1+nodeBudget/cancelCheckInterval))
+		masks, err := c.ProbCtx(newPollBudget(t, 1+nodeBudget/pollInterval))
 		if err != nil {
 			t.Skip("mask engine passed the node budget")
 		}
-		lists, err := c.probLists(newPollBudget(t, 1+nodeBudget/cancelCheckInterval))
+		lists, err := c.probLists(newPollBudget(t, 1+nodeBudget/pollInterval))
 		if err != nil {
 			t.Skip("literal-list engine passed the node budget")
 		}

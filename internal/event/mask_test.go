@@ -56,7 +56,7 @@ func TestEngineWidthBoundary(t *testing.T) {
 
 // TestMaskEngineCancelsAtThePoll: the pathological DNF of cancel_test.go
 // runs on masks; a context that fires at the third poll stops it at
-// exactly 3·cancelCheckInterval expansion nodes, and the aborted
+// exactly 3·pollInterval expansion nodes, and the aborted
 // evaluation still flushes what it did to the global counters and to
 // the request's cost.
 func TestMaskEngineCancelsAtThePoll(t *testing.T) {
@@ -76,11 +76,11 @@ func TestMaskEngineCancelsAtThePoll(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !math.IsNaN(p) {
 		t.Fatalf("ProbCtx = %v, %v; want NaN, context.Canceled", p, err)
 	}
-	if got := engineExpansionNodes.Value() - nodes0; got != 3*cancelCheckInterval {
-		t.Errorf("aborted after %d expansion nodes, want %d", got, 3*cancelCheckInterval)
+	if got := engineExpansionNodes.Value() - nodes0; got != 3*pollInterval {
+		t.Errorf("aborted after %d expansion nodes, want %d", got, 3*pollInterval)
 	}
-	if got := cost.Value(obs.CostEngineExpansionNodes); got != 3*cancelCheckInterval {
-		t.Errorf("request charged %d expansion nodes, want %d", got, 3*cancelCheckInterval)
+	if got := cost.Value(obs.CostEngineExpansionNodes); got != 3*pollInterval {
+		t.Errorf("request charged %d expansion nodes, want %d", got, 3*pollInterval)
 	}
 	if cancels := engineCancellations.Value(); cancels != cancels0+1 {
 		t.Errorf("cancellations %d → %d, want one more", cancels0, cancels)

@@ -9,13 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
-// cancelCheckInterval is how many Shannon-expansion nodes (or
+// pollInterval is how many Shannon-expansion nodes (or
 // Monte-Carlo samples) are processed between context checks: a power
 // of two so the check is a mask test, frequent enough that abandoning
 // a pathological DNF takes microseconds, rare enough that the check is
-// unmeasurable on ordinary evaluations (see the fault/overhead bench
-// probe).
-const cancelCheckInterval = 1024
+// unmeasurable on ordinary evaluations (see exp's TestFaultOverhead).
+const pollInterval = 1024
 
 // evalCanceled carries a context error out of the recursion by panic:
 // threading an error return through the hot prob recursion would tax
@@ -39,13 +38,14 @@ type memoEntry struct {
 	p   float64
 }
 
-// walk is what both exact engines carry through one evaluation: the
+// walk is what every exact evaluator (the two compiled DNF engines and
+// the formula evaluator) carries through one evaluation: the compiled
 // event probabilities, the context to poll and the counter deltas,
-// flushed to the global atomics once per Prob call.
+// flushed to the global atomics once per call.
 type walk struct {
 	probs []float64
 
-	// ctx, when non-nil, is polled every cancelCheckInterval expansion
+	// ctx, when non-nil, is polled every pollInterval expansion
 	// nodes; a cancellation aborts the recursion via evalCanceled. nil
 	// (context-free Prob, or a context that can never be cancelled)
 	// costs nothing on the hot path beyond one pointer test.
@@ -60,7 +60,7 @@ type walk struct {
 // step counts one expansion node and polls the context.
 func (w *walk) step() {
 	w.nodes++
-	if w.ctx != nil && w.nodes&(cancelCheckInterval-1) == 0 {
+	if w.ctx != nil && w.nodes&(pollInterval-1) == 0 {
 		if err := w.ctx.Err(); err != nil {
 			panic(evalCanceled{err})
 		}
@@ -88,7 +88,7 @@ func (c *Compiled) Prob() float64 {
 }
 
 // ProbCtx is Prob with cooperative cancellation: the Shannon expansion
-// polls ctx every cancelCheckInterval nodes and aborts with ctx's
+// polls ctx every pollInterval nodes and aborts with ctx's
 // error when it fires, so a request deadline or a disconnected client
 // stops a pathological DNF mid-flight instead of pinning a core.
 func (c *Compiled) ProbCtx(ctx context.Context) (float64, error) {
@@ -107,7 +107,7 @@ func (c *Compiled) ProbCtx(ctx context.Context) (float64, error) {
 
 func (c *Compiled) probCtx(ctx context.Context, cost *obs.Cost) (p float64, err error) {
 	if ctx != nil {
-		// Evaluations shorter than cancelCheckInterval never reach a
+		// Evaluations shorter than pollInterval never reach a
 		// periodic poll, so an already-expired context must abort here.
 		if err := ctx.Err(); err != nil {
 			engineCancellations.Inc()
@@ -460,7 +460,7 @@ func (c *Compiled) Estimate(samples int, r *rand.Rand) float64 {
 }
 
 // EstimateCtx is Estimate with cooperative cancellation: the sampling
-// loop polls ctx every cancelCheckInterval samples and returns its
+// loop polls ctx every pollInterval samples and returns its
 // error (with a NaN estimate) when it fires.
 func (c *Compiled) EstimateCtx(ctx context.Context, samples int, r *rand.Rand) (float64, error) {
 	cost := obs.CostFromContext(ctx) // before the fast-path nil-ing, like ProbCtx
@@ -493,7 +493,7 @@ func (c *Compiled) estimateCtx(ctx context.Context, cost *obs.Cost, samples int,
 	hits := 0
 	if c.small {
 		for i := 0; i < samples; i++ {
-			if ctx != nil && i&(cancelCheckInterval-1) == cancelCheckInterval-1 {
+			if ctx != nil && i&(pollInterval-1) == pollInterval-1 {
 				if err := ctx.Err(); err != nil {
 					engineCancellations.Inc()
 					return math.NaN(), err
@@ -516,7 +516,7 @@ func (c *Compiled) estimateCtx(ctx context.Context, cost *obs.Cost, samples int,
 	} else {
 		world := make([]bool, len(c.probs))
 		for i := 0; i < samples; i++ {
-			if ctx != nil && i&(cancelCheckInterval-1) == cancelCheckInterval-1 {
+			if ctx != nil && i&(pollInterval-1) == pollInterval-1 {
 				if err := ctx.Err(); err != nil {
 					engineCancellations.Inc()
 					return math.NaN(), err

@@ -1,54 +1,11 @@
 package exp
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-func TestProbesWellFormed(t *testing.T) {
-	seen := map[string]bool{}
-	for _, p := range Probes() {
-		if p.Name == "" || p.Run == nil {
-			t.Fatalf("malformed probe %+v", p)
-		}
-		if seen[p.Name] {
-			t.Errorf("duplicate probe name %q", p.Name)
-		}
-		seen[p.Name] = true
-	}
-}
+import "testing"
 
 func TestAblationDNFDeterministic(t *testing.T) {
 	_, d1 := AblationDNF(10)
 	_, d2 := AblationDNF(10)
 	if d1.String() != d2.String() {
 		t.Errorf("AblationDNF not deterministic:\n%s\n%s", d1, d2)
-	}
-}
-
-func TestBenchReportJSONRoundTrip(t *testing.T) {
-	rep := BenchReport{
-		Date:      "2026-07-27",
-		GoVersion: "go1.24",
-		Benchmarks: []BenchResult{
-			{Name: "probdnf/exact/events=14", Iterations: 1000, NsPerOp: 7432.5, AllocsPerOp: 22, BytesPerOp: 10264},
-		},
-		Experiments: []ExperimentResult{{ID: "E3", OK: true}},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("report does not round-trip: %v\n%s", err, buf.String())
-	}
-	if len(back.Benchmarks) != 1 || back.Benchmarks[0].Name != "probdnf/exact/events=14" ||
-		back.Benchmarks[0].AllocsPerOp != 22 {
-		t.Errorf("round-trip lost data: %+v", back)
-	}
-	if len(back.Experiments) != 1 || !back.Experiments[0].OK {
-		t.Errorf("round-trip lost experiments: %+v", back)
 	}
 }

@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: every quantitative claim,
 // worked example and theorem of the paper maps to one experiment
-// (E1–E10, indexed in DESIGN.md), and each Run function regenerates the
-// corresponding table. The cmd/pxbench binary renders them; the
+// (E1–E10, indexed by All and listed by `pxbench -list`), and each Run
+// function regenerates the corresponding table. The cmd/pxbench binary renders them; the
 // repository-root benchmarks measure the same code paths under
 // testing.B.
 package exp

@@ -27,7 +27,7 @@ func (c *errCounter) Err() error {
 //
 // The cost is two lookups of the request's cost accumulator on the
 // context, one poll of the context before the evaluation starts and one
-// per 1024 expansion nodes (event's cancelCheckInterval), a pointer test
+// per 1024 expansion nodes (event's pollInterval), a pointer test
 // per node, and no allocation. It is gated as what it is rather than as
 // a share of one evaluation's wall time, which would grant a fixed cost
 // a larger allowance whenever the evaluation next to it got slower and
@@ -99,24 +99,4 @@ func TestFaultOverhead(t *testing.T) {
 		}
 	}
 	t.Fatalf("cancellation checks add %v per evaluation, budget %v", overhead, budget)
-}
-
-// TestFaultOverheadProbesExist pins the probe names the benchmark
-// report tracks, so a rename in Probes() cannot silently drop the
-// fault/overhead pair from BENCH_<date>.json.
-func TestFaultOverheadProbesExist(t *testing.T) {
-	want := map[string]bool{
-		"fault/overhead/off/events=14": false,
-		"fault/overhead/on/events=14":  false,
-	}
-	for _, p := range Probes() {
-		if _, ok := want[p.Name]; ok {
-			want[p.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("probe %q missing from Probes()", name)
-		}
-	}
 }

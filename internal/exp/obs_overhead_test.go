@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fuzzy"
+	"repro/internal/obs"
 	"repro/internal/tpwj"
 )
 
@@ -90,4 +92,35 @@ func TestObsOverhead(t *testing.T) {
 		}
 	}
 	t.Fatalf("instrumentation adds %v per eval, budget %v", overhead, budget)
+}
+
+// obsStageRecorder models the server's trace onEnd hook: finished
+// spans feed per-stage histograms on a live registry, with the handle
+// cached after the first lookup (the test is single-goroutine, so a
+// plain map stands in for the server's sync.Map).
+func obsStageRecorder() func(name string, d time.Duration) {
+	reg := obs.NewRegistry()
+	hists := make(map[string]*obs.Histogram)
+	return func(name string, d time.Duration) {
+		h, ok := hists[name]
+		if !ok {
+			h = reg.Histogram("px_stage_seconds", "pipeline stage latency", obs.L("stage", name))
+			hists[name] = h
+		}
+		h.Observe(d)
+	}
+}
+
+// obsTracedEval runs one fully instrumented query evaluation: a fresh
+// trace per call (as the server's middleware does per request), the
+// eval recording its pipeline spans into it, each finished span
+// feeding a histogram. TestObsOverhead compares this against the
+// identical eval on a context without a trace — the no-op
+// instrumentation path.
+func obsTracedEval(q *tpwj.Query, ft *fuzzy.Tree, record func(string, time.Duration)) error {
+	_, root := obs.NewTrace("bench", record)
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	_, err := tpwj.EvalFuzzyContext(ctx, q, ft)
+	root.End()
+	return err
 }

@@ -166,6 +166,27 @@ func SectionDoc(m int) *fuzzy.Tree {
 	return &fuzzy.Tree{Root: root, Table: tab}
 }
 
+// AblationDNF builds the ablation workload of BenchmarkAblationProbDNF:
+// m events and m random two-literal clauses over them.
+func AblationDNF(m int) (*event.Table, event.DNF) {
+	tab := event.NewTable()
+	r := rand.New(rand.NewSource(int64(m)))
+	ids := make([]event.ID, 0, m)
+	for i := 0; i < m; i++ {
+		id, _ := tab.Fresh("e", 0.1+0.8*r.Float64())
+		ids = append(ids, id)
+	}
+	var d event.DNF
+	for i := 0; i < m; i++ {
+		c := event.Cond(
+			event.Literal{Event: ids[r.Intn(m)], Neg: r.Intn(2) == 0},
+			event.Literal{Event: ids[r.Intn(m)], Neg: r.Intn(2) == 0},
+		)
+		d = append(d, c.Normalize())
+	}
+	return tab, d
+}
+
 // e3Instance builds the (document, query) pair with m events for the
 // query experiments: the sections document and a query retrieving every
 // L leaf (one answer per section, probability P(eᵢ)).

@@ -1,15 +1,125 @@
 package exp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/event"
+	"repro/internal/fuzzy"
+	"repro/internal/tpwj"
 	"repro/internal/tree"
+	"repro/internal/update"
 	"repro/internal/view"
 )
 
-// TestViewMaintenanceInstance pins the mechanics behind the pxbench
-// view probes: the touching update takes the incremental tier and
+// viewBenchDoc builds the view-maintenance workload document: m
+// sections, each holding one distinct L value witnessed under k
+// differently-conditioned G nodes (lits literals each, over a
+// per-section pool of ev events). The view "A(S(G(L $x)))" then has m
+// answers whose condition DNFs have k lits-literal clauses over up to
+// ev events — condition structure heavy enough that exact probability
+// computation dominates matching, i.e. the workload where materialized
+// views earn their keep.
+func viewBenchDoc(m, k, lits, ev int) *fuzzy.Tree {
+	root := fuzzy.NewNode("A")
+	tab := event.NewTable()
+	r := rand.New(rand.NewSource(42))
+	for i := 1; i <= m; i++ {
+		ids := make([]event.ID, ev)
+		for j := range ids {
+			id, err := tab.Fresh("e", 0.2+0.6*r.Float64())
+			if err != nil {
+				panic(err)
+			}
+			ids[j] = id
+		}
+		sec := fuzzy.NewNode("S")
+		for w := 0; w < k; w++ {
+			var c event.Condition
+			for l := 0; l < lits; l++ {
+				c = append(c, event.Literal{Event: ids[r.Intn(ev)], Neg: r.Intn(2) == 0})
+			}
+			sec.Add(fuzzy.NewNode("G",
+				fuzzy.NewLeaf("L", fmt.Sprintf("v%d", i)),
+			).WithCond(c))
+		}
+		root.Add(sec)
+	}
+	return &fuzzy.Tree{Root: root, Table: tab}
+}
+
+// viewMaintenanceInstance builds the view-maintenance workload: a view
+// over viewBenchDoc(m, 14, 6, 60), materialized, plus the post-state
+// of one update and its footprint. With touching, the update inserts a
+// fresh G(L) witness under one section — affecting one of the m
+// answers, the shape where incremental maintenance should beat
+// recomputing all m answer probabilities. Without, it inserts an
+// unrelated label, which the overlap analysis proves harmless (the
+// skip tier).
+func viewMaintenanceInstance(m int, touching bool) (*view.View, *fuzzy.Tree, *view.Delta) {
+	ft := viewBenchDoc(m, 14, 6, 60)
+	def := view.Definition{Name: "bench", Query: "A(S(G(L $x)))"}
+	q, err := def.Compile()
+	if err != nil {
+		panic(err)
+	}
+	v, err := view.Materialize(def, q, ft)
+	if err != nil {
+		panic(err)
+	}
+	var tx *update.Transaction
+	if touching {
+		tx = update.New(tpwj.MustParseQuery("A(S $s(G(L=v1)))"), 0.9,
+			update.Insert("s", tree.MustParse("G(L:extra)")))
+	} else {
+		tx = update.New(tpwj.MustParseQuery("A $a"), 0.9,
+			update.Insert("a", tree.MustParse("Z:zed")))
+	}
+	next, stats, err := tx.ApplyFuzzy(ft)
+	if err != nil {
+		panic(err)
+	}
+	return v, next, &view.Delta{
+		InsertedLabels:    stats.InsertedLabels,
+		DeleteTargetPaths: stats.DeleteTargetPaths,
+	}
+}
+
+// BenchmarkViewMaintain measures the three maintenance tiers on the
+// 32-section instance: an unrelated update the overlap analysis skips,
+// a touching update maintained incrementally, and recomputing the view
+// from scratch on the touching update's post-state.
+func BenchmarkViewMaintain(b *testing.B) {
+	maintain := func(touching bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			v, next, d := viewMaintenanceInstance(32, touching)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := v.Maintain(next, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("skip", maintain(false))
+	b.Run("incremental", maintain(true))
+	b.Run("recompute", func(b *testing.B) {
+		v, next, _ := viewMaintenanceInstance(32, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := view.Materialize(v.Def(), v.Query(), next); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestViewMaintenanceInstance pins the mechanics behind
+// BenchmarkViewMaintain: the touching update takes the incremental tier and
 // affects exactly one of the 32 answers, the unrelated update is
 // skipped outright, and both end states equal recompute-from-scratch.
 func TestViewMaintenanceInstance(t *testing.T) {

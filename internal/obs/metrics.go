@@ -16,8 +16,8 @@
 //     never takes a lock and never allocates.
 //  2. A nil *Registry is the no-op registry: it hands out nil handles,
 //     and every handle method is nil-safe. Instrumented code needs no
-//     "is observability on?" branches, and the obs/overhead benchmark
-//     probe compares exactly this nil path against the live one.
+//     "is observability on?" branches, and TestObsOverhead in
+//     internal/exp compares exactly this nil path against the live one.
 //  3. No dependencies outside the standard library, so every internal
 //     package may record into obs without import cycles.
 //

@@ -13,8 +13,8 @@ import (
 // view maintenance, journal appends) call StartSpan/End around their
 // work. On a context with no trace attached, StartSpan returns a nil
 // span whose End is a no-op — one context lookup, no allocation — so
-// instrumentation costs nothing off the request path (measured by the
-// obs/overhead bench probe).
+// instrumentation costs nothing off the request path (gated by
+// TestObsOverhead in internal/exp).
 
 // Trace is one request's span tree. All spans of a trace share its
 // mutex; spans within a request are created and ended from the

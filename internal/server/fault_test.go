@@ -135,7 +135,7 @@ func TestDegradedEndToEnd(t *testing.T) {
 		t.Errorf("query while degraded = %d, want 200", status)
 	}
 
-	// Probes: not-ready but alive; /stats and /metrics report it.
+	// Health checks: not-ready but alive; /stats and /metrics report it.
 	if status, _ := do(t, "GET", ts.URL+"/readyz", nil); status != http.StatusServiceUnavailable {
 		t.Errorf("GET /readyz while degraded = %d, want 503", status)
 	}

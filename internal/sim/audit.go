@@ -382,7 +382,7 @@ type RouteReport struct {
 	MaxMS        float64 `json:"max_ms"`
 }
 
-// Report is the full run result, the document pxsim -json writes.
+// Report is the full run result, the document pxsim -json-out writes.
 type Report struct {
 	Endpoint        string        `json:"endpoint"`
 	Seed            int64         `json:"seed"`
