@@ -99,9 +99,9 @@ type (
 	// ViewDefinition is the registered identity of a materialized
 	// view: name, query text and syntax ("tpwj" or "xpath").
 	ViewDefinition = view.Definition
-	// ViewResult is one materialized-view read: the definition, the
-	// incrementally maintained answers, and whether the read was
-	// served stale (a maintenance pass was in flight).
+	// ViewResult is one materialized-view read: the definition and the
+	// incrementally maintained answers on the version the read loaded
+	// (its Stale field is always false).
 	ViewResult = warehouse.ViewResult
 	// StorageStats reports a warehouse's storage backend and on-disk
 	// footprint (Warehouse.StorageStats, the /stats storage section).

@@ -283,7 +283,6 @@ func TestCLIPxview(t *testing.T) {
 	out = run(t, bins["pxview"], "-dir", wh, "-json", "read", "demo", "bview")
 	var res struct {
 		Name    string `json:"name"`
-		Stale   bool   `json:"stale"`
 		Answers []struct {
 			P         float64 `json:"p"`
 			Tree      string  `json:"tree"`
@@ -293,7 +292,7 @@ func TestCLIPxview(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("pxview -json does not parse: %v\n%s", err, out)
 	}
-	if res.Name != "bview" || res.Stale || len(res.Answers) != 1 || res.Answers[0].Condition == "" {
+	if res.Name != "bview" || len(res.Answers) != 1 || res.Answers[0].Condition == "" {
 		t.Errorf("pxview -json read: %+v", res)
 	}
 
@@ -316,6 +315,43 @@ func TestCLIPxview(t *testing.T) {
 	cmd := exec.Command(bins["pxview"], "-dir", wh, "read", "demo", "bview")
 	if cmdOut, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("pxview read of dropped view succeeded:\n%s", cmdOut)
+	}
+}
+
+// TestCLIPxviewKV drives pxview on a kv warehouse made by pxwarehouse:
+// pxview detects the backend from the directory, as pxserve and
+// pxwarehouse do, so it sees the loaded document and leaves no
+// filestore layout behind.
+func TestCLIPxviewKV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bins := buildTools(t, "pxview", "pxwarehouse")
+	work := t.TempDir()
+	doc := filepath.Join(work, "slide12.pxml")
+	if err := os.WriteFile(doc, []byte(slide12XML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wh := filepath.Join(work, "wh-kv")
+	run(t, bins["pxwarehouse"], "-dir", wh, "-store", "kv", "init")
+	run(t, bins["pxwarehouse"], "-dir", wh, "load", "demo", doc)
+
+	out := run(t, bins["pxview"], "-dir", wh, "register", "demo", "bview", "A(B $x)")
+	if !strings.Contains(out, `registered "bview" on "demo" (1 answers)`) || !strings.Contains(out, "P=0.24") {
+		t.Errorf("pxview register on kv store:\n%s", out)
+	}
+	out = run(t, bins["pxview"], "-dir", wh, "list", "demo")
+	if !strings.Contains(out, "bview\ttpwj\tA(B $x)") {
+		t.Errorf("pxview list on kv store:\n%s", out)
+	}
+	out = run(t, bins["pxview"], "-dir", wh, "read", "demo", "bview")
+	if !strings.Contains(out, "P=0.24") {
+		t.Errorf("pxview read on kv store:\n%s", out)
+	}
+	for _, name := range []string{"docs", "journal.log", "views.json"} {
+		if _, err := os.Stat(filepath.Join(wh, name)); !os.IsNotExist(err) {
+			t.Errorf("pxview left filestore file %s in a kv warehouse (stat: %v)", name, err)
+		}
 	}
 }
 

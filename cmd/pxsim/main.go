@@ -149,8 +149,8 @@ func render(rep *sim.Report) {
 			rr.Route, rr.Requests, rr.Errors, rr.EventsPerSec, rr.P50MS, rr.P95MS, rr.P99MS, rr.MaxMS)
 	}
 	a := rep.Audit
-	fmt.Printf("audit: checks=%d discrepancies=%d degraded=%v stale_view_reads=%d failed_writes=%d ambiguous(applied=%d aborted=%d)\n",
-		a.Checks, a.DiscrepancyCount, a.Degraded, a.StaleViewReads, a.FailedWrites,
+	fmt.Printf("audit: checks=%d discrepancies=%d degraded=%v failed_writes=%d ambiguous(applied=%d aborted=%d)\n",
+		a.Checks, a.DiscrepancyCount, a.Degraded, a.FailedWrites,
 		a.AmbiguousApplied, a.AmbiguousAborted)
 	fmt.Print("engine:")
 	for _, k := range slices.Sorted(maps.Keys(rep.Engine)) {

@@ -12,6 +12,9 @@
 //	pxview -dir ./wh drop mydoc topbooks
 //	pxview -dir ./wh stats
 //
+// The storage backend is detected from the directory, as pxserve and
+// pxwarehouse do by default.
+//
 // Exit status is 0 on success, 1 on any warehouse or view error, and
 // 2 on usage errors.
 package main
@@ -40,7 +43,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	w, err := fuzzyxml.OpenWarehouse(*dir)
+	w, err := fuzzyxml.OpenWarehouseBackend(*dir, fuzzyxml.StoreAuto)
 	if err != nil {
 		fatal(err)
 	}
@@ -112,16 +115,12 @@ func printAnswers(res *fuzzyxml.ViewResult, asJSON bool) {
 			Name    string  `json:"name"`
 			Query   string  `json:"query"`
 			Syntax  string  `json:"syntax,omitempty"`
-			Stale   bool    `json:"stale"`
 			Answers []jsonA `json:"answers"`
-		}{res.Doc, res.Name, res.Query, res.Syntax, res.Stale, jsonAnswers(res)})
+		}{res.Doc, res.Name, res.Query, res.Syntax, jsonAnswers(res)})
 		return
 	}
 	for _, a := range res.Answers {
 		fmt.Printf("P=%.6g  %s\n", a.P, fuzzyxml.FormatTree(a.Tree))
-	}
-	if res.Stale {
-		fmt.Println("(stale: maintenance in flight)")
 	}
 }
 

@@ -201,10 +201,10 @@ func ExampleWarehouse_RegisterView() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("after update: P=%.2f (stale=%v)\n", res.Answers[0].P, res.Stale)
+	fmt.Printf("after update: P=%.2f\n", res.Answers[0].P)
 	// Output:
 	// registered with 1 answer, P=0.24
-	// after update: P=0.12 (stale=false)
+	// after update: P=0.12
 }
 
 // ExampleSimplify prunes a redundant document.

@@ -81,9 +81,6 @@ type ExplainPlan struct {
 	// how much of it the MinProb bound eliminated (searches only).
 	Candidates int `json:"candidates,omitempty"`
 	Pruned     int `json:"pruned,omitempty"`
-	// Stale marks a view read served from the previous maintained state
-	// (view reads only).
-	Stale bool `json:"stale,omitempty"`
 }
 
 // AnswerPlan summarizes one answer's condition: how many clauses its
@@ -204,10 +201,10 @@ type ViewResponse struct {
 	Syntax  string   `json:"syntax,omitempty"`
 	Answers []Answer `json:"answers"`
 	Count   int      `json:"count"`
-	// Stale reports that a maintenance pass was in flight when the
-	// answers were read: they are the complete result against the
-	// document as of the last finished pass, not the mutation being
-	// applied. Reads never block on writers.
+	// Stale is never set: a view read answers for the version it
+	// loads. The key stays on the wire only because benchmark/trace.go
+	// still sets it; it goes when that harness is re-anchored (ROADMAP
+	// item 1).
 	Stale bool `json:"stale"`
 	// Trace is the request's span tree, present only when the request
 	// asked for it with ?trace=1.
@@ -225,7 +222,6 @@ func encodeView(res *warehouse.ViewResult) ViewResponse {
 		Syntax:  res.Syntax,
 		Answers: encodeAnswers(res.Answers),
 		Count:   len(res.Answers),
-		Stale:   res.Stale,
 	}
 }
 

@@ -29,9 +29,9 @@
 // document's current warehouse.Snapshot; the server keeps no state of
 // its own per document or version. A client that repeats a query should
 // register it as a materialized view: the warehouse keeps its answers
-// incrementally maintained, and view reads never block on an in-flight
-// update — they return the previous answer set with "stale": true
-// instead.
+// incrementally maintained as part of each update, and a view read
+// returns the answers of the version it loads, never blocking on an
+// in-flight update.
 // Errors are reported as {"error": "..."} with conventional status
 // codes (400 bad input, 404 missing document, 409 name conflict).
 //
@@ -773,10 +773,9 @@ func (s *Server) handleViewRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, encodeView(res))
 }
 
-// handleViewRead serves the view's maintained answers. During an
-// in-flight maintenance pass it does not wait for the writer: the
-// previous (complete and internally consistent) answer set is returned
-// with "stale": true.
+// handleViewRead serves the view's maintained answers on the
+// document's current version. It never waits for a writer: an update
+// in flight has not published its version yet.
 func (s *Server) handleViewRead(w http.ResponseWriter, r *http.Request) {
 	res, err := s.wh.ReadViewCtx(r.Context(), r.PathValue("name"), r.PathValue("view"))
 	if err != nil {
@@ -785,15 +784,10 @@ func (s *Server) handleViewRead(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := encodeView(res)
 	attachTrace(r, &resp.Trace)
-	reason := "materialized answers served from the maintained state"
-	if res.Stale {
-		reason = "materialized answers served stale (maintenance pass in flight)"
-	}
 	attachExplain(r, &resp.Explain, &ExplainPlan{
 		Mode:    "exact",
-		Reason:  reason,
+		Reason:  "materialized answers served from the maintained state",
 		Answers: answerPlans(res.Answers),
-		Stale:   res.Stale,
 	})
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -17,7 +17,7 @@ import (
 
 // AuditResult is the outcome of the end-of-run audit. A run is
 // healthy iff DiscrepancyCount is zero; everything else is
-// informational (degraded mode, ambiguity resolution, stale counts).
+// informational (degraded mode, ambiguity resolution, failed writes).
 type AuditResult struct {
 	// Checks counts individual verifications performed (counter
 	// comparisons, content hashes, view reads, metric cross-checks).
@@ -29,10 +29,6 @@ type AuditResult struct {
 	// Degraded mirrors the server's end-of-run degraded state.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// StaleViewReads counts workload view reads served with the stale
-	// flag set (tolerated by contract; only unflagged staleness is a
-	// discrepancy).
-	StaleViewReads int64 `json:"stale_view_reads"`
 	// AmbiguousApplied / AmbiguousAborted count documents whose failed
 	// tail write the audit resolved as actually-applied respectively
 	// cleanly-aborted.
@@ -52,7 +48,7 @@ type AuditResult struct {
 // then content and views (whose reads would otherwise not even matter
 // — they are uncounted — but are kept last for log readability).
 func (r *Runner) Audit() (*AuditResult, error) {
-	a := &AuditResult{StaleViewReads: r.staleReads.Load()}
+	a := &AuditResult{}
 
 	stats, err := r.auditStats(a)
 	if err != nil {
@@ -80,8 +76,8 @@ func (r *Runner) Audit() (*AuditResult, error) {
 	for _, d := range r.model.docs {
 		a.FailedWrites += d.failedWrites
 	}
-	r.logf("audit: %d checks, %d discrepancies, degraded=%v, stale=%d, ambiguous applied=%d aborted=%d",
-		a.Checks, a.DiscrepancyCount, a.Degraded, a.StaleViewReads, a.AmbiguousApplied, a.AmbiguousAborted)
+	r.logf("audit: %d checks, %d discrepancies, degraded=%v, ambiguous applied=%d aborted=%d",
+		a.Checks, a.DiscrepancyCount, a.Degraded, a.AmbiguousApplied, a.AmbiguousAborted)
 	return a, nil
 }
 
@@ -303,10 +299,6 @@ func (r *Runner) auditContent(a *AuditResult) error {
 			var vr server.ViewResponse
 			if err := decode(body, &vr); err != nil {
 				a.fail("audit: view %s/%s: undecodable: %v", name, v, err)
-				continue
-			}
-			if vr.Stale {
-				a.fail("audit: view %s/%s still stale after drain", name, v)
 				continue
 			}
 			pq, err := tpwj.ParseQuery(q)

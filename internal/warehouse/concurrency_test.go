@@ -195,25 +195,34 @@ func TestParallelQueriesSameDoc(t *testing.T) {
 
 // TestReadsRacingUpdatesSeePublishedVersions is the staleness contract
 // under contention (run with -race): while one writer keeps updating a
-// document, every query and search returns exactly the answers of one
-// published version — the one its Snapshot names — never a blend of two
-// and never a version that was not published. A reader also never goes
-// back in time.
+// document, every query, search and view read returns exactly the
+// answers of one published version — the one its Snapshot names —
+// never a blend of two and never a version that was not published. A
+// reader also never goes back in time.
 func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
 	w := openTemp(t)
 	if err := w.Create("doc", stressDoc()); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := w.RegisterView("doc", "marks", "A(N(M $m))", ""); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := w.views.get("doc", "marks")
 	ctx := context.Background()
 	q := tpwj.MustParseQuery("A(N $n)")
 	kw := keyword.Request{Keywords: []string{"mark"}}
-	// read renders what one snapshot answers to the query and the search.
+	// read renders what one snapshot answers to the query, the search
+	// and the view (read the way ReadView reads it).
 	read := func(s *Snapshot) (string, error) {
 		answers, err := s.Query(ctx, q)
 		if err != nil {
 			return "", err
 		}
 		res, err := s.Search(ctx, kw)
+		if err != nil {
+			return "", err
+		}
+		v, err := w.viewOn(ctx, s, h)
 		if err != nil {
 			return "", err
 		}
@@ -224,6 +233,10 @@ func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
 		b.WriteString("|")
 		for _, a := range res.Answers {
 			fmt.Fprintf(&b, " %s:%s=%v", a.Path, a.Value, a.P)
+		}
+		b.WriteString(" |")
+		for _, a := range v.Answers() {
+			fmt.Fprintf(&b, " %s=%v", tree.Canonical(a.Tree), a.P)
 		}
 		return b.String(), nil
 	}

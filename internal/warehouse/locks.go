@@ -6,67 +6,50 @@ import "sync"
 // stripe, so handing out locks never becomes a global contention point.
 const nStripes = 64
 
-// docLock coordinates access to one document.
-//
-// writers serializes mutations (Create, Update, Simplify, Drop) on the
-// document; it is held across the whole mutation so concurrent writers
-// see each other's results. Expensive work — query valuation, update
-// application, serialization — runs while holding only writers, never
-// state, so readers proceed in parallel with it.
-//
-// state guards the installed snapshot (the cache entry and the document
-// file): writers hold it just long enough to journal and install the
-// new state, and a cold-loading reader holds it while populating the
-// cache from disk. The hot read path (cache hit) takes no per-document
-// lock at all — installed trees are immutable and swapped atomically.
-type docLock struct {
-	writers sync.Mutex
-	state   sync.Mutex
-}
-
-// lockTable hands out per-document locks from a striped map of lazily
-// created entries. Callers guard get behind an existence check (see
-// Warehouse.statGuard), Drop deletes its entry, and operations that
-// find the document vanished release any entry they re-created in the
-// race window (see Warehouse.snapshot and releaseIfGone) — so the
-// table is bounded by documents that currently exist or are being
-// created, never by arbitrary names clients probe or create/drop
-// churn.
+// lockTable hands out one mutex per document from a striped map of
+// lazily created entries. The mutex is held across a whole mutation of
+// the document — compute, view maintenance, journal append, publish —
+// and across its cold load from the store; readers of a resident
+// document never take it. Callers guard get behind an existence check
+// (see Warehouse.statGuard), Drop deletes its entry, and operations
+// that find the document vanished release any entry they re-created in
+// the race window (see Warehouse.releaseIfGone) — so the table is
+// bounded by documents that currently exist or are being created,
+// never by arbitrary names clients probe or create/drop churn.
 type lockTable struct {
 	stripes [nStripes]struct {
 		mu    sync.Mutex
-		locks map[string]*docLock
+		locks map[string]*sync.Mutex
 	}
 }
 
-func (t *lockTable) get(name string) *docLock {
+func (t *lockTable) get(name string) *sync.Mutex {
 	s := &t.stripes[fnv32(name)%nStripes]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.locks == nil {
-		s.locks = make(map[string]*docLock)
+		s.locks = make(map[string]*sync.Mutex)
 	}
-	dl, ok := s.locks[name]
+	mu, ok := s.locks[name]
 	if !ok {
-		dl = &docLock{}
-		s.locks[name] = dl
+		mu = &sync.Mutex{}
+		s.locks[name] = mu
 	}
-	return dl
+	return mu
 }
 
 // peek returns the entry without creating one.
-func (t *lockTable) peek(name string) (*docLock, bool) {
+func (t *lockTable) peek(name string) (*sync.Mutex, bool) {
 	s := &t.stripes[fnv32(name)%nStripes]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dl, ok := s.locks[name]
-	return dl, ok
+	mu, ok := s.locks[name]
+	return mu, ok
 }
 
 // del removes the entry. Goroutines still blocked on the removed
-// lock's mutexes recheck table membership after acquiring them (see
-// Warehouse.lockWriter and Warehouse.snapshot) and retry on the
-// successor entry.
+// mutex recheck table membership after acquiring it (see
+// Warehouse.lockWriter) and retry on the successor entry.
 func (t *lockTable) del(name string) {
 	s := &t.stripes[fnv32(name)%nStripes]
 	s.mu.Lock()

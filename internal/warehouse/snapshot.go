@@ -9,18 +9,19 @@ import (
 	"repro/internal/keyword"
 	"repro/internal/obs"
 	"repro/internal/tpwj"
+	"repro/internal/view"
 	"repro/internal/xmlio"
 )
 
 // Snapshot is one immutable version of one document, together with
 // everything derived from it. A mutation never edits a snapshot: it
-// publishes a successor with a larger Version, so whatever was computed
-// from a snapshot — its flat form and keyword index, held here — stays
-// correct for that version forever and becomes garbage with it. This is
-// the one place a version's derived state lives: queries and searches
-// evaluate on the snapshot every time, and a view's maintained state is
-// tagged with the version it answers, so "is this stale?" is always
-// the one comparison of two version numbers.
+// builds a successor with a larger Version and publishes it whole, so
+// whatever was computed from a snapshot — its flat form, keyword index
+// and registered views' states, held here — stays correct for that
+// version forever and becomes garbage with it. This is the one place a
+// version's derived state lives: queries and searches evaluate on the
+// snapshot every time, and a view read returns the view's state on the
+// snapshot it loads, so it answers for exactly that version.
 //
 // A Snapshot stays valid after its document is updated or dropped and
 // after the warehouse is closed; all methods are safe for concurrent
@@ -40,6 +41,12 @@ type Snapshot struct {
 	// index is the keyword index over doc, built by the first Search.
 	indexOnce sync.Once
 	index     *keyword.Index
+
+	// views holds registered views' states on this version: carried
+	// over by the mutation that built it, set by RegisterView, or
+	// materialized by the first ReadView that misses; DropView deletes.
+	viewsMu sync.Mutex
+	views   map[*viewHandle]*view.View
 }
 
 // Snapshot returns the current version of the named document. The
@@ -59,16 +66,46 @@ func (w *Warehouse) Snapshot(ctx context.Context, name string) (*Snapshot, error
 	return w.loadSnapshot(name)
 }
 
-// publish makes ft the current version of the named document. Versions
-// increase warehouse-wide, so a name that is dropped and created again,
-// or reloaded by Reopen, never repeats one.
-func (w *Warehouse) publish(name string, ft *fuzzy.Tree) *Snapshot {
+// publish makes s, built unpublished as &Snapshot{tree: ...}, the
+// current version of the named document. Versions increase
+// warehouse-wide, so a name that is dropped and created again, or
+// reloaded by Reopen, never repeats one.
+func (w *Warehouse) publish(name string, s *Snapshot) {
 	w.cacheMu.Lock()
 	defer w.cacheMu.Unlock()
 	w.version++
-	s := &Snapshot{tree: ft, version: w.version, search: &w.search}
+	s.version, s.search = w.version, &w.search
 	w.cache[name] = s
-	return s
+}
+
+// viewState returns the view's state on this version, if it has one.
+func (s *Snapshot) viewState(h *viewHandle) (*view.View, bool) {
+	s.viewsMu.Lock()
+	defer s.viewsMu.Unlock()
+	v, ok := s.views[h]
+	return v, ok
+}
+
+// setViewState records the view's state on this version, unless one is
+// there already, and returns the one that stays.
+func (s *Snapshot) setViewState(h *viewHandle, v *view.View) *view.View {
+	s.viewsMu.Lock()
+	defer s.viewsMu.Unlock()
+	if cur, ok := s.views[h]; ok {
+		return cur
+	}
+	if s.views == nil {
+		s.views = make(map[*viewHandle]*view.View)
+	}
+	s.views[h] = v
+	return v
+}
+
+// dropViewState deletes the view's state from this version.
+func (s *Snapshot) dropViewState(h *viewHandle) {
+	s.viewsMu.Lock()
+	defer s.viewsMu.Unlock()
+	delete(s.views, h)
 }
 
 // flat returns the version's flat form, building it on first use: the

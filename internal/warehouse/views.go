@@ -26,12 +26,11 @@ var (
 )
 
 // ViewResult is one materialized view read: the definition and the
-// current answer set. Stale reports that a maintenance pass was in
-// flight (or the state trailed the document) when the answers were
-// copied out: the answers are the complete, consistent result of the
-// view's query against the document as of the last completed
-// maintenance pass, not of the mutation currently being applied. See
-// docs/ARCHITECTURE.md for the consistency model.
+// view's answer set on the version the read loaded. Stale is always
+// false — a read never returns answers of any version but the one it
+// loaded — and stays only because the benchmark harness still sets it
+// on its wire form; it goes when that harness is re-anchored (ROADMAP
+// item 1).
 type ViewResult struct {
 	Doc     string
 	Name    string
@@ -41,40 +40,17 @@ type ViewResult struct {
 	Stale   bool
 }
 
-// viewHandle is the registry's mutable slot for one view. def is
-// immutable after registration; v (the materialized state, an
-// immutable view.View), version (of the Snapshot v was computed
-// against) and maintaining are guarded by mu. Holders of mu do only
-// pointer work — evaluation always runs outside it — so ReadView never
-// blocks on a maintenance pass.
+// viewHandle is the registry's entry for one registration of a view.
+// The view's materialized states live on the snapshots of the versions
+// they answer (see Snapshot), keyed by handle, so a view dropped and
+// registered again under the same name never meets the earlier
+// registration's states.
 type viewHandle struct {
 	def view.Definition
-
-	mu          sync.Mutex
-	q           *tpwj.Query // compiled lazily for recovered definitions
-	v           *view.View
-	version     uint64
-	maintaining bool
-}
-
-// compiled returns the handle's compiled query, compiling the
-// definition on first use (registrations compile eagerly; definitions
-// replayed from the journal or the compaction snapshot do it here).
-// The caller must hold h.mu.
-func (h *viewHandle) compiled() (*tpwj.Query, error) {
-	if h.q == nil {
-		q, err := h.def.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: view %q: %w", h.def.Name, err)
-		}
-		h.q = q
-	}
-	return h.q, nil
 }
 
 // viewRegistry maps document → view name → handle, and accumulates the
-// maintenance counters. The registry mutex guards only the maps;
-// per-view state is guarded by each handle's own mutex.
+// maintenance counters. The registry mutex guards the maps.
 type viewRegistry struct {
 	mu    sync.Mutex
 	byDoc map[string]map[string]*viewHandle
@@ -84,7 +60,6 @@ type viewRegistry struct {
 	full              *obs.Counter
 	answersReused     *obs.Counter
 	answersRecomputed *obs.Counter
-	staleReads        *obs.Counter
 }
 
 // initMetrics registers the maintenance counters on the warehouse's
@@ -95,7 +70,6 @@ func (r *viewRegistry) initMetrics(reg *obs.Registry) {
 	r.full = reg.Counter("px_view_maintenance_total", "view maintenance passes by tier", obs.L("tier", "recompute"))
 	r.answersReused = reg.Counter("px_view_answers_total", "answer probabilities handled by incremental passes", obs.L("outcome", "reused"))
 	r.answersRecomputed = reg.Counter("px_view_answers_total", "answer probabilities handled by incremental passes", obs.L("outcome", "recomputed"))
-	r.staleReads = reg.Counter("px_view_stale_reads_total", "ReadView calls served a previous state during maintenance")
 }
 
 func (r *viewRegistry) get(doc, name string) (*viewHandle, bool) {
@@ -242,43 +216,35 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 		return nil, err
 	}
 	defer release()
-	dl, err := w.lockWriter(doc, true)
+	mu, err := w.lockWriter(doc, true)
 	if err != nil {
 		return nil, err
 	}
-	defer dl.writers.Unlock()
+	defer mu.Unlock()
 	if _, ok := w.views.get(doc, name); ok {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewExists, name, doc)
 	}
-	snap, err := w.loadSnapshot(doc)
-	if err != nil {
-		w.releaseIfGone(doc, err)
-		return nil, err
-	}
-	// Materialize outside the state lock: the writers lock already
-	// serializes this against mutations of the document, and readers
-	// must not wait on query evaluation.
-	flat, err := snap.flat(ctx)
+	// The mutex keeps snap current until the install publishes the view
+	// with its state on it.
+	snap, err := w.loadSnapshotLocked(doc)
 	if err != nil {
 		return nil, err
 	}
-	_, mspan := obs.StartSpan(ctx, "view.materialize")
-	v, err := view.MaterializeCtx(ctx, def, q, flat)
-	mspan.End()
+	h := &viewHandle{def: def}
+	v, err := w.materialize(ctx, snap, def, q)
 	if err != nil {
 		return nil, err
 	}
-	h := &viewHandle{def: def, q: q, v: v, version: snap.version}
-	err = w.install(ctx, dl,
+	err = w.install(ctx,
 		Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax},
 		func() error {
 			w.views.set(doc, h)
+			snap.setViewState(h, v)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	obs.Charge(obs.CostFromContext(ctx), obs.CostViewMaintRecomputed, w.views.full, 1)
 	return &ViewResult{Doc: doc, Name: name, Query: query, Syntax: syntax, Answers: v.Answers()}, nil
 }
 
@@ -295,18 +261,22 @@ func (w *Warehouse) DropView(doc, name string) error {
 		return err
 	}
 	defer release()
-	dl, err := w.lockWriter(doc, true)
+	mu, err := w.lockWriter(doc, true)
 	if err != nil {
 		return err
 	}
-	defer dl.writers.Unlock()
-	if _, ok := w.views.get(doc, name); !ok {
+	defer mu.Unlock()
+	h, ok := w.views.get(doc, name)
+	if !ok {
 		return fmt.Errorf("warehouse: %w: %q on %q", ErrViewNotFound, name, doc)
 	}
-	return w.install(context.Background(), dl,
+	return w.install(context.Background(),
 		Record{Op: OpViewDrop, Doc: doc, View: name},
 		func() error {
 			w.views.del(doc, name)
+			if s, ok := w.cacheGet(doc); ok {
+				s.dropViewState(h)
+			}
 			return nil
 		})
 }
@@ -332,20 +302,19 @@ func (w *Warehouse) ListViews(doc string) ([]view.Definition, error) {
 	return out, nil
 }
 
-// ReadView returns the view's materialized answers. It never blocks on
-// a writer: while a mutation's maintenance pass is in flight (or
-// imminent — the window between a mutation's install and the pass
-// reaching this view), the previous answer set is returned with Stale
-// set — a complete, consistent result against the pre-mutation
-// document. A view with no materialized state at all (first read after
-// recovery) is materialized here, against the current snapshot.
+// ReadView returns the view's answers on the document's current
+// version: its state on the snapshot the read loads, materialized there
+// by the first read that finds none (after recovery, or after a
+// maintenance pass that failed). A read never blocks on a writer — it
+// answers for the version published before the writer's — and never
+// returns answers of any other version.
 func (w *Warehouse) ReadView(doc, name string) (*ViewResult, error) {
 	return w.ReadViewCtx(context.Background(), doc, name)
 }
 
-// ReadViewCtx is ReadView with a context: serving a materialized state
-// never consults it (pointer work only), but the lazy materialization
-// of a never-materialized view honors cancellation.
+// ReadViewCtx is ReadView with a context: serving a state the snapshot
+// holds never consults it (pointer work only), but a materialization
+// honors cancellation.
 func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewResult, error) {
 	if err := validName(doc); err != nil {
 		return nil, err
@@ -362,120 +331,78 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 	if !ok {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewNotFound, name, doc)
 	}
-	res := &ViewResult{Doc: doc, Name: name, Query: h.def.Query, Syntax: h.def.Syntax}
-	for {
-		cur, err := w.loadSnapshot(doc)
-		if err != nil {
-			return nil, err
-		}
-		h.mu.Lock()
-		if h.v != nil {
-			// A state trailing the snapshot with no maintaining flag
-			// set is the window between a mutation's install and its
-			// maintenance pass reaching this handle (maintenance always
-			// runs before the mutation returns): serve it stale like an
-			// in-flight pass, rather than paying a full materialization
-			// the imminent pass would duplicate.
-			res.Answers = h.v.Answers()
-			res.Stale = h.maintaining || h.version != cur.version
-			h.mu.Unlock()
-			if res.Stale {
-				w.views.staleReads.Add(1)
-			}
-			return res, nil
-		}
-		// Never materialized (first read after recovery, or a failed
-		// maintenance pass): evaluate against the current snapshot,
-		// outside the handle mutex.
-		q, err := h.compiled()
-		h.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		flat, err := cur.flat(ctx)
-		if err != nil {
-			return nil, err
-		}
-		v, err := view.MaterializeCtx(ctx, h.def, q, flat)
-		if err != nil {
-			return nil, err
-		}
-		obs.Charge(obs.CostFromContext(ctx), obs.CostViewMaintRecomputed, w.views.full, 1)
-		h.mu.Lock()
-		if h.v == nil && !h.maintaining {
-			h.v, h.version = v, cur.version
-			h.mu.Unlock()
-			res.Answers = v.Answers()
-			return res, nil
-		}
-		if h.maintaining && h.v == nil {
-			// A maintenance pass is re-materializing concurrently; our
-			// result is a complete answer set against the pre-pass
-			// snapshot — exactly what a stale read promises.
-			h.mu.Unlock()
-			w.views.staleReads.Add(1)
-			res.Answers = v.Answers()
-			res.Stale = true
-			return res, nil
-		}
-		// A maintenance pass installed a state while we evaluated; it
-		// is at least as fresh as ours. Retry: the next iteration
-		// serves it with its staleness judged against a fresh snapshot.
-		h.mu.Unlock()
+	s, err := w.loadSnapshot(doc)
+	if err != nil {
+		return nil, err
 	}
+	v, err := w.viewOn(ctx, s, h)
+	if err != nil {
+		return nil, err
+	}
+	return &ViewResult{Doc: doc, Name: name, Query: h.def.Query, Syntax: h.def.Syntax, Answers: v.Answers()}, nil
 }
 
-// maintainViews brings every view of the document from the pre-update
-// snapshot to the post-update snapshot. Called by mutateDoc after the
-// install, still under the document's writers lock (so passes of
-// successive updates never interleave) but outside every handle mutex
-// (so concurrent ReadView calls serve the previous state marked stale
-// instead of blocking). delta is the update's structural footprint;
-// nil forces affected views to recompute from scratch. A cancelled
-// context aborts the remaining passes: the document mutation is already
-// durable at this point, so the affected views are simply left
-// unmaterialized and the next ReadView rebuilds them lazily.
+// viewOn returns the view's state on the snapshot, materializing it
+// there if the snapshot holds none. Readers that miss together each
+// evaluate, and the first to finish sets the state they all return. A
+// read racing DropView may leave the dropped view a state on the
+// snapshot; nothing reads it again, and it goes with the snapshot.
+func (w *Warehouse) viewOn(ctx context.Context, s *Snapshot, h *viewHandle) (*view.View, error) {
+	if v, ok := s.viewState(h); ok {
+		return v, nil
+	}
+	q, err := h.def.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("warehouse: view %q: %w", h.def.Name, err)
+	}
+	v, err := w.materialize(ctx, s, h.def, q)
+	if err != nil {
+		return nil, err
+	}
+	return s.setViewState(h, v), nil
+}
+
+// materialize evaluates the view, q compiled from def, from scratch on
+// the snapshot and charges one recompute.
+func (w *Warehouse) materialize(ctx context.Context, s *Snapshot, def view.Definition, q *tpwj.Query) (*view.View, error) {
+	flat, err := s.flat(ctx)
+	if err != nil {
+		return nil, err
+	}
+	_, span := obs.StartSpan(ctx, "view.materialize")
+	v, err := view.MaterializeCtx(ctx, def, q, flat)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	obs.Charge(obs.CostFromContext(ctx), obs.CostViewMaintRecomputed, w.views.full, 1)
+	return v, nil
+}
+
+// maintainViews carries every view state pre holds into next, the
+// document's unpublished successor, each by the cheapest tier the
+// update's footprint delta allows (nil forces a recompute). mutateDoc
+// calls it under the document's mutex, before the install, so the
+// version is published with its views already answering for it. A
+// view whose pass fails — on a cancelled context, say — gets no state
+// on next, and the first ReadView of next materializes it.
 func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *Snapshot, delta *view.Delta) {
 	cost := obs.CostFromContext(ctx)
 	for _, h := range w.views.forDoc(doc) {
-		h.mu.Lock()
-		old, oldVersion := h.v, h.version
-		q, err := h.compiled()
-		h.maintaining = true
-		h.mu.Unlock()
-
-		var nv *view.View
-		var flat *tpwj.Doc
-		if err == nil {
-			flat, err = next.flat(ctx)
+		old, ok := pre.viewState(h)
+		if !ok {
+			continue
 		}
-		if err == nil {
-			if old != nil && oldVersion == pre.version {
-				var res view.Result
-				nv, res, err = old.MaintainCtx(ctx, flat, delta)
-				if err == nil {
-					w.views.record(cost, res)
-				}
-			} else {
-				// The state does not correspond to the pre-update
-				// snapshot (first use after recovery): start over.
-				nv, err = view.MaterializeCtx(ctx, h.def, q, flat)
-				if err == nil {
-					obs.Charge(cost, obs.CostViewMaintRecomputed, w.views.full, 1)
-				}
-			}
+		flat, err := next.flat(ctx)
+		if err != nil {
+			return
 		}
-
-		h.mu.Lock()
-		if err == nil {
-			h.v, h.version = nv, next.version
-		} else {
-			// Leave the view unmaterialized; the next ReadView retries
-			// against the then-current snapshot.
-			h.v, h.version = nil, 0
+		nv, res, err := old.MaintainCtx(ctx, flat, delta)
+		if err != nil {
+			continue
 		}
-		h.maintaining = false
-		h.mu.Unlock()
+		w.views.record(cost, res)
+		next.setViewState(h, nv)
 	}
 }
 

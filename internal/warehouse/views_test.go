@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -467,9 +469,20 @@ const (
 	tierRecompute   = `px_view_maintenance_total{tier="recompute"}`
 )
 
-// TestViewReadsDoNotBlockOnWriter exercises the stale-read contract
-// under concurrency: readers must always get a complete answer set
-// (pre- or post-update) and never an error, while a writer churns.
+// renderView renders a view read's answers exactly: canonical trees
+// and probabilities.
+func renderView(res *ViewResult) string {
+	var b strings.Builder
+	for _, a := range res.Answers {
+		fmt.Fprintf(&b, "%s=%v ", tree.Canonical(a.Tree), a.P)
+	}
+	return b.String()
+}
+
+// TestViewReadsDoNotBlockOnWriter pins the view read contract under
+// concurrency: while a writer churns, readers never get an error or a
+// stale read, and every read returns exactly the answers of a version
+// the writer published.
 func TestViewReadsDoNotBlockOnWriter(t *testing.T) {
 	w := openTemp(t)
 	if err := w.Create("doc1", sections(6)); err != nil {
@@ -478,12 +491,25 @@ func TestViewReadsDoNotBlockOnWriter(t *testing.T) {
 	if _, err := w.RegisterView("doc1", "ls", "A(S(L $x))", ""); err != nil {
 		t.Fatal(err)
 	}
+	// published is written by the single writer only, before and after
+	// each of its updates, and read once the readers are done.
+	published := make(map[string]bool)
+	record := func() {
+		res, err := w.ReadView("doc1", "ls")
+		if err != nil {
+			t.Fatal(err)
+		}
+		published[renderView(res)] = true
+	}
+	record()
 
+	const readers = 4
+	observed := make([][]string, readers)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for {
 				select {
@@ -496,12 +522,13 @@ func TestViewReadsDoNotBlockOnWriter(t *testing.T) {
 					t.Errorf("ReadView: %v", err)
 					return
 				}
-				if len(res.Answers) < 6 {
-					t.Errorf("ReadView returned %d answers, want >= 6", len(res.Answers))
+				if res.Stale {
+					t.Error("ReadView returned a stale read")
 					return
 				}
+				observed[g] = append(observed[g], renderView(res))
 			}
-		}()
+		}(g)
 	}
 	for i := 0; i < 30; i++ {
 		tx := update.New(tpwj.MustParseQuery("A(S $s(L=v1))"), 0.9,
@@ -509,8 +536,108 @@ func TestViewReadsDoNotBlockOnWriter(t *testing.T) {
 		if _, err := w.Update("doc1", tx); err != nil {
 			t.Fatal(err)
 		}
+		record()
 	}
 	close(done)
 	wg.Wait()
+	for g, reads := range observed {
+		for _, got := range reads {
+			if !published[got] {
+				t.Fatalf("reader %d read answers no published version has:\n  %s", g, got)
+			}
+		}
+	}
 	assertViewFresh(t, w, "doc1", "ls")
+}
+
+// TestCancelledUpdateLeavesViewToFirstReader pins what a cancelled
+// context does to an update: the update still commits, its view
+// maintenance is cut short, and the first read of the new version
+// materializes the view there, charging exactly one recompute.
+func TestCancelledUpdateLeavesViewToFirstReader(t *testing.T) {
+	w := openTemp(t)
+	if err := w.Create("doc1", sections(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RegisterView("doc1", "ls", "A(S(L $x))", ""); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := w.views.get("doc1", "ls")
+	pre, err := w.Snapshot(context.Background(), "doc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tx := update.New(tpwj.MustParseQuery("A(S $s(L=v1))"), 0.9,
+		update.Insert("s", tree.MustParse("L:extra")))
+	if _, err := w.UpdateCtx(ctx, "doc1", tx); err != nil {
+		t.Fatalf("update with a cancelled context: %v", err)
+	}
+	next, err := w.Snapshot(context.Background(), "doc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Version() <= pre.Version() {
+		t.Fatalf("update did not publish a version: %d after %d", next.Version(), pre.Version())
+	}
+	if _, ok := next.viewState(h); ok {
+		t.Fatal("cancelled maintenance left a view state on the new version")
+	}
+
+	cost := obs.NewCost()
+	before := w.views.full.Value()
+	if _, err := w.ReadViewCtx(obs.ContextWithCost(context.Background(), cost), "doc1", "ls"); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.views.full.Value() - before; got != 1 {
+		t.Errorf("first read counted %d recomputes, want 1", got)
+	}
+	if got := cost.Value(obs.CostViewMaintRecomputed); got != 1 {
+		t.Errorf("first read charged %d recomputes, want 1", got)
+	}
+	if _, ok := next.viewState(h); !ok {
+		t.Error("first read did not materialize the view on the new version")
+	}
+	assertViewFresh(t, w, "doc1", "ls")
+	if got := w.views.full.Value() - before; got != 1 {
+		t.Errorf("a second read recomputed again: %d recomputes, want 1", got)
+	}
+}
+
+// TestRegisterDropChurnLeavesOneViewState pins that DropView deletes
+// the view's state from the current snapshot: registering and dropping
+// one name over and over on an unchanged document leaves at most the
+// live registration's state behind.
+func TestRegisterDropChurnLeavesOneViewState(t *testing.T) {
+	w := openTemp(t)
+	if err := w.Create("doc1", sections(4)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := w.Snapshot(context.Background(), "doc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := func() int {
+		s.viewsMu.Lock()
+		defer s.viewsMu.Unlock()
+		return len(s.views)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := w.RegisterView("doc1", "v", "A(S(L $x))", ""); err != nil {
+			t.Fatal(err)
+		}
+		if n := states(); n != 1 {
+			t.Fatalf("round %d: %d view states after register, want 1", i, n)
+		}
+		if err := w.DropView("doc1", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cur, err := w.Snapshot(context.Background(), "doc1"); err != nil || cur != s {
+		t.Fatalf("the document changed version under view churn (err %v)", err)
+	}
+	if n := states(); n != 0 {
+		t.Errorf("%d view states left after every view was dropped, want 0", n)
+	}
 }

@@ -7,13 +7,14 @@
 // every fullStateEvery-th update of a document — stored documents that
 // are checkpoints of that journal, and replay-only recovery on open.
 //
-// Concurrency is per document: each document has its own lock pair
-// (see docLock), handed out by a striped lock table, so reads on
-// different documents never contend and queries on the same document
-// run in parallel with each other — and with the expensive phase of an
-// update, which computes its result before briefly taking the
-// document's state lock to install it. Cached snapshots are immutable,
-// so the hot read path is lock-free. Mutations on different documents
+// Concurrency is per document: each document has one mutex, handed out
+// by a striped lock table (see lockTable), which serializes its
+// mutations and its cold load. A mutation computes its successor
+// version whole — the new tree and every registered view's state on it
+// (see Snapshot) — before it journals it and publishes it. Published
+// snapshots are immutable, so reads take no per-document lock: queries
+// and view reads on the same document run in parallel with each other
+// and with a writer's whole mutation. Mutations on different documents
 // overlap through their durable phase too: the only global section is
 // the journal's in-memory append, with concurrent fsyncs
 // group-committed (see journal).
@@ -215,7 +216,7 @@ const fullStateEvery = 32
 
 // nextIsFullState reports whether the document's next update record
 // must carry its full post-state. The caller holds the document's
-// writers lock, which serializes the document's tail entry.
+// mutex, which serializes the document's tail entry.
 func (w *Warehouse) nextIsFullState(name string) bool {
 	w.dirtyMu.Lock()
 	defer w.dirtyMu.Unlock()
@@ -631,8 +632,8 @@ func (w *Warehouse) statGuard(name string) error {
 }
 
 // releaseIfGone drops the document's lock entry when err reports the
-// document missing. The caller holds the entry's writers mutex (so it
-// is the current entry and no Drop can race the deletion), having just
+// document missing. The caller holds the entry's mutex (so it is the
+// current entry and no Drop can race the deletion), having just
 // discovered the document vanished — keeping the entry would leak it,
 // since only a successful Drop otherwise deletes entries.
 func (w *Warehouse) releaseIfGone(name string, err error) {
@@ -641,27 +642,26 @@ func (w *Warehouse) releaseIfGone(name string, err error) {
 	}
 }
 
-// lockWriter returns the document's lock with its writers mutex held.
-// Drop removes lock entries, so after acquiring the mutex the entry is
-// rechecked against the table and the acquisition retried if a
-// concurrent Drop removed it — every writer critical section thus
-// holds the mutex of the entry currently in the table. With mustExist,
-// each attempt re-verifies the document first, so writers racing a
-// Drop return ErrNotFound instead of re-creating table entries for
-// names that no longer exist.
-func (w *Warehouse) lockWriter(name string, mustExist bool) (*docLock, error) {
+// lockWriter returns the document's mutex, held. Drop removes lock
+// entries, so after acquiring the mutex the entry is rechecked against
+// the table and the acquisition retried if a concurrent Drop removed
+// it — every critical section thus holds the mutex of the entry
+// currently in the table. With mustExist, each attempt re-verifies the
+// document first, so callers racing a Drop return ErrNotFound instead
+// of re-creating table entries for names that no longer exist.
+func (w *Warehouse) lockWriter(name string, mustExist bool) (*sync.Mutex, error) {
 	for {
 		if mustExist {
 			if err := w.statGuard(name); err != nil {
 				return nil, err
 			}
 		}
-		dl := w.locks.get(name)
-		dl.writers.Lock()
-		if cur, ok := w.locks.peek(name); ok && cur == dl {
-			return dl, nil
+		mu := w.locks.get(name)
+		mu.Lock()
+		if cur, ok := w.locks.peek(name); ok && cur == mu {
+			return mu, nil
 		}
-		dl.writers.Unlock()
+		mu.Unlock()
 	}
 }
 
@@ -682,57 +682,46 @@ func (w *Warehouse) readDoc(name string) (*fuzzy.Tree, error) {
 }
 
 // loadSnapshot returns the document's current snapshot, loading the
-// document and publishing it on first use.
-//
-// Snapshots are swapped atomically and never edited, so the fast path
-// needs no lock. Names that exist neither in the cache nor on
-// disk are rejected before touching the lock table, so clients probing
-// arbitrary names can never grow it. The cold path rechecks table
-// membership after locking, like lockWriter, so a reader never
-// populates the cache while a concurrent Drop/Create cycle proceeds
-// under a successor entry.
+// document and publishing it on first use. Snapshots are swapped
+// atomically and never edited, so the hot path takes no lock. A cold
+// load takes the document's mutex through lockWriter, which rejects
+// names that exist neither in the cache nor in the store before
+// touching the lock table, so clients probing arbitrary names can
+// never grow it.
 func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
-	for {
-		if s, ok := w.cacheGet(name); ok {
-			return s, nil
-		}
-		if err := w.statGuard(name); err != nil {
-			return nil, err
-		}
-		dl := w.locks.get(name)
-		dl.state.Lock()
-		if cur, ok := w.locks.peek(name); !ok || cur != dl {
-			dl.state.Unlock()
-			continue
-		}
-		if s, ok := w.cacheGet(name); ok {
-			dl.state.Unlock()
-			return s, nil
-		}
-		var s *Snapshot
-		ft, err := w.readDoc(name)
-		if err == nil {
-			s = w.publish(name, ft)
-		} else if errors.Is(err, ErrNotFound) && dl.writers.TryLock() {
-			// The document vanished between statGuard and the load, so
-			// the locks.get above may have re-created an entry for a
-			// name that no longer exists. No writer owns it (TryLock
-			// succeeded — a blocked writer would recheck and retry),
-			// so release it to keep the table bounded under churn.
-			w.locks.del(name)
-			dl.writers.Unlock()
-		}
-		dl.state.Unlock()
-		return s, err
+	if s, ok := w.cacheGet(name); ok {
+		return s, nil
 	}
+	mu, err := w.lockWriter(name, true)
+	if err != nil {
+		return nil, err
+	}
+	defer mu.Unlock()
+	return w.loadSnapshotLocked(name)
 }
 
-// install journals and applies one mutation under the document's state
-// lock. The caller holds the document's writers lock and has done all
-// expensive computation already, so the state lock — the one a
-// cold-loading reader contends on — is held only for the journal
-// append and apply. Installs on different documents interleave freely;
-// their journal appends share group-committed fsyncs.
+// loadSnapshotLocked is loadSnapshot for a caller that holds the
+// document's mutex. A document found missing releases its lock entry
+// (see releaseIfGone).
+func (w *Warehouse) loadSnapshotLocked(name string) (*Snapshot, error) {
+	if s, ok := w.cacheGet(name); ok {
+		return s, nil
+	}
+	ft, err := w.readDoc(name)
+	if err != nil {
+		w.releaseIfGone(name, err)
+		return nil, err
+	}
+	s := &Snapshot{tree: ft}
+	w.publish(name, s)
+	return s, nil
+}
+
+// install journals and applies one mutation. The caller holds the
+// document's mutex and has done all computation already, including the
+// successor version's view states, so apply is pointer work. Installs
+// on different documents interleave freely; their journal appends share
+// group-committed fsyncs.
 //
 // The record is the commit: once append returns, the mutation is
 // durable and acknowledged-to-be, and only then does apply make it
@@ -740,12 +729,10 @@ func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
 // write of a create, the removal of a drop). A journal failure returns
 // before apply, so readers keep the pre-state. A store failure in
 // apply withdraws the durable record with an abort marker.
-func (w *Warehouse) install(ctx context.Context, dl *docLock, rec Record, apply func() error) error {
+func (w *Warehouse) install(ctx context.Context, rec Record, apply func() error) error {
 	ctx, span := obs.StartSpan(ctx, "warehouse.install")
 	defer span.End()
 	cost := obs.CostFromContext(ctx)
-	dl.state.Lock()
-	defer dl.state.Unlock()
 	_, jspan := obs.StartSpan(ctx, "journal.append")
 	seq, err := w.journal.append(cost, rec)
 	jspan.End()
@@ -785,11 +772,11 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 		return err
 	}
 	defer release()
-	dl, err := w.lockWriter(name, false)
+	mu, err := w.lockWriter(name, false)
 	if err != nil {
 		return err
 	}
-	defer dl.writers.Unlock()
+	defer mu.Unlock()
 	exists, err := w.st.DocExists(name)
 	if err != nil {
 		return err
@@ -797,8 +784,8 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 	if exists {
 		return fmt.Errorf("warehouse: %w: %q", ErrExists, name)
 	}
-	clone := ft.Clone()
-	err = w.install(ctx, dl,
+	s := &Snapshot{tree: ft.Clone()}
+	err = w.install(ctx,
 		Record{Op: OpCreate, Doc: name, Content: string(data)},
 		func() error {
 			// The page is what makes the document exist for DocExists,
@@ -807,7 +794,7 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 				return err
 			}
 			w.journaled(name, true, false)
-			w.publish(name, clone)
+			w.publish(name, s)
 			return nil
 		})
 	if err != nil {
@@ -868,11 +855,11 @@ func (w *Warehouse) Drop(name string) error {
 		return err
 	}
 	defer release()
-	dl, err := w.lockWriter(name, true)
+	mu, err := w.lockWriter(name, true)
 	if err != nil {
 		return err
 	}
-	defer dl.writers.Unlock()
+	defer mu.Unlock()
 	// Re-verify now that the lock is held: a concurrent Drop may have
 	// removed the document between statGuard and acquisition, in which
 	// case the entry lockWriter re-created must be released too.
@@ -880,7 +867,7 @@ func (w *Warehouse) Drop(name string) error {
 		w.releaseIfGone(name, err)
 		return err
 	}
-	err = w.install(context.Background(), dl,
+	err = w.install(context.Background(),
 		Record{Op: OpDrop, Doc: name},
 		func() error {
 			// Remove first: were the removal to fail after the snapshot
@@ -945,14 +932,15 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 }
 
 // mutateDoc runs the shared writer path for document-transforming
-// operations: pin the warehouse open, acquire the document's writers
-// lock, snapshot, run compute outside the state lock (concurrent
-// queries on the same document are never blocked by it), then journal
-// and install the successor tree. compute returns the successor, the
-// update record's Tx and Event, and the update's structural footprint
-// for view maintenance (nil when unknown, forcing affected views to
-// recompute). The lock-entry lifecycle bookkeeping (releaseIfGone on
-// vanished documents) lives only here.
+// operations: pin the warehouse open, take the document's mutex, load
+// the current snapshot, compute the successor tree, carry every view
+// state the predecessor holds into the unpublished successor snapshot
+// (see maintainViews), then journal and publish that version whole.
+// compute returns the successor, the update record's Tx and Event, and
+// the update's structural footprint for view maintenance (nil when
+// unknown, forcing affected views to recompute). Concurrent readers are
+// never blocked: until the install they keep reading the predecessor,
+// whose view states answer for it.
 //
 // The record carries the successor's full state only when the
 // document's journal tail calls for one (nextIsFullState): the first
@@ -960,13 +948,6 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 // fullStateEvery-th. The others carry the transaction and the node
 // count, so the request path neither serializes the document nor
 // writes it to the journal.
-//
-// Registered views of the document are maintained after the install,
-// still under the writers lock — so view state advances in lockstep
-// with the document and the next writer cannot interleave — but
-// outside every view's own mutex, so concurrent ReadView calls are
-// never blocked: they serve the previous state marked stale until the
-// maintenance pass lands (see maintainViews).
 func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error)) error {
 	if err := validName(name); err != nil {
 		return err
@@ -976,16 +957,15 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 		return err
 	}
 	defer release()
-	dl, err := w.lockWriter(name, true)
+	mu, err := w.lockWriter(name, true)
 	if err != nil {
 		return err
 	}
-	defer dl.writers.Unlock()
+	defer mu.Unlock()
 	_, sspan := obs.StartSpan(ctx, "warehouse.snapshot")
-	pre, err := w.loadSnapshot(name)
+	pre, err := w.loadSnapshotLocked(name)
 	sspan.End()
 	if err != nil {
-		w.releaseIfGone(name, err)
 		return err
 	}
 	_, cspan := obs.StartSpan(ctx, "update.compute")
@@ -1005,22 +985,18 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	} else {
 		rec.Nodes = nextTree.Size()
 	}
-	var next *Snapshot
-	err = w.install(ctx, dl, rec,
+	next := &Snapshot{tree: nextTree}
+	_, vspan := obs.StartSpan(ctx, "view.maintain")
+	w.maintainViews(ctx, name, pre, next, delta)
+	vspan.End()
+	return w.install(ctx, rec,
 		func() error {
 			// No page write on the request path: the record is the
 			// durable copy, and the next checkpoint brings the page up.
 			w.journaled(name, fullState, true)
-			next = w.publish(name, nextTree)
+			w.publish(name, next)
 			return nil
 		})
-	if err != nil {
-		return err
-	}
-	_, vspan := obs.StartSpan(ctx, "view.maintain")
-	w.maintainViews(ctx, name, pre, next, delta)
-	vspan.End()
-	return nil
 }
 
 // Update applies a probabilistic transaction to the named document,
@@ -1029,9 +1005,10 @@ func (w *Warehouse) Update(name string, tx *update.Transaction) (*update.FuzzySt
 	return w.UpdateCtx(context.Background(), name, tx)
 }
 
-// UpdateCtx is Update with a context: the compute, install and
-// view-maintenance stages record spans when the context carries an obs
-// trace.
+// UpdateCtx is Update with a context: the compute, view-maintenance
+// and install stages record spans when the context carries an obs
+// trace. A cancelled context does not stop the update; it only cuts
+// short view maintenance (see maintainViews).
 func (w *Warehouse) UpdateCtx(ctx context.Context, name string, tx *update.Transaction) (*update.FuzzyStats, error) {
 	txXML, err := xupdate.TransactionXML(tx)
 	if err != nil {
