@@ -303,7 +303,7 @@ func OpenWarehouseBackend(dir, backend string) (*Warehouse, error) {
 }
 
 // InspectJournal summarizes a warehouse directory's journal — record,
-// mutation and abort counts, a torn tail, structural problems —
+// mutation and legacy abort counts, a torn tail, structural problems —
 // without opening the warehouse or running recovery (the
 // pxwarehouse verify-journal subcommand). The storage backend is
 // detected from the directory layout.

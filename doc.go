@@ -162,9 +162,10 @@
 //     lands on a different node count fails the open instead of
 //     serving a different document. A record that was whole but
 //     unacknowledged at a crash rolls forward; a torn one vanishes.
-//     The one marker is abort, written when the store step of a
-//     Create or Drop failed after its record was durable: it means
-//     "the caller was told this failed and nothing changed".
+//     No current version writes a marker: a Create or Drop touches the
+//     journal only, like an update. The abort markers of journals
+//     written by earlier versions still mean "the caller was told this
+//     failed and nothing changed".
 //
 // The on-disk record format, the torn-write rules and a worked
 // recovery example are in docs/JOURNAL.md; pxwarehouse verify-journal

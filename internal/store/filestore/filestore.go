@@ -223,17 +223,6 @@ func (s *Store) RemoveDoc(name string) error {
 	return s.fs.Remove("doc", s.docPath(name))
 }
 
-// DocExists implements store.Store.
-func (s *Store) DocExists(name string) (bool, error) {
-	if _, err := s.fs.Stat("doc", s.docPath(name)); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
-}
-
 // ListDocs implements store.Store.
 func (s *Store) ListDocs() ([]string, error) {
 	entries, err := s.fs.ReadDir("doc", filepath.Join(s.dir, docsDir))

@@ -420,14 +420,6 @@ func (s *Store) RemoveDoc(name string) error {
 	return nil
 }
 
-// DocExists implements store.Store from the in-memory index.
-func (s *Store) DocExists(name string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.docs[name]
-	return ok, nil
-}
-
 // ListDocs implements store.Store.
 func (s *Store) ListDocs() ([]string, error) {
 	s.mu.Lock()

@@ -4,6 +4,12 @@
 // document pages, the view-registry snapshot, and layout
 // initialization — so the on-disk format becomes a backend choice.
 //
+// Only the journal is on a mutation's path. Document pages are
+// checkpoints of it: the warehouse lists them once at open, reads one
+// on a document's first load, and writes or removes them only while
+// recovering and checkpointing (Close, Compact). Which documents exist
+// is the warehouse's in-memory table, not a store query.
+//
 // Two backends implement it: filestore (file per document, JSON-lines
 // journal, views.json snapshot — the original layout) and kv (a single
 // append-only page file holding Seq-tagged records). Both route every
@@ -60,9 +66,9 @@ type Stats struct {
 // Store is one warehouse persistence backend rooted at a directory.
 // Implementations need not be safe for arbitrary concurrent use: the
 // warehouse serializes journal traffic through its group-commit layer
-// and document writes through per-document locks, but read methods
-// (ReadDoc, ListDocs, Stats, ScanJournal) may be called concurrently
-// with each other and with writes.
+// and writes documents only while no other operation runs, but
+// read methods (ReadDoc, ListDocs, Stats, ScanJournal) may be called
+// concurrently with each other and with journal appends.
 //
 // Missing documents are reported with errors satisfying
 // errors.Is(err, fs.ErrNotExist), the convention the warehouse maps to
@@ -109,9 +115,6 @@ type Store interface {
 	WriteDoc(name string, data []byte, sync bool) error
 	// RemoveDoc deletes the document.
 	RemoveDoc(name string) error
-	// DocExists reports whether the document exists. It must be cheap:
-	// the warehouse calls it on every read to bound lock-table growth.
-	DocExists(name string) (bool, error)
 	// ListDocs returns the sorted names of all stored documents.
 	ListDocs() ([]string, error)
 	// SyncDocs makes every document durable (Compact's barrier before

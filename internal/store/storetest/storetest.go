@@ -261,7 +261,7 @@ func resetJournalEmptiesScan(t *testing.T, newStore func(string) store.Store) {
 }
 
 // Documents read back as last written, across a reopen; ListDocs is
-// sorted; RemoveDoc and DocExists agree with it.
+// sorted and agrees with RemoveDoc.
 func docRoundTrip(t *testing.T, newStore func(string) store.Store) {
 	dir := t.TempDir()
 	s := newStore(dir)
@@ -289,12 +289,6 @@ func docRoundTrip(t *testing.T, newStore func(string) store.Store) {
 			if data, err := s.ReadDoc(name); err != nil || string(data) != want {
 				t.Errorf("%s: ReadDoc(%s) = %q, %v; want %q", when, name, data, err, want)
 			}
-			if ok, err := s.DocExists(name); !ok || err != nil {
-				t.Errorf("%s: DocExists(%s) = %v, %v", when, name, ok, err)
-			}
-		}
-		if ok, err := s.DocExists("gamma"); ok || err != nil {
-			t.Errorf("%s: removed document exists: %v, %v", when, ok, err)
 		}
 	}
 	check("before reopen")
@@ -315,9 +309,6 @@ func missingDocIsNotExist(t *testing.T, newStore func(string) store.Store) {
 	}
 	if err := s.RemoveDoc("nope"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("RemoveDoc(missing) = %v, want fs.ErrNotExist", err)
-	}
-	if ok, err := s.DocExists("nope"); ok || err != nil {
-		t.Errorf("DocExists(missing) = %v, %v", ok, err)
 	}
 }
 

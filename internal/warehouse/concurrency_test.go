@@ -320,15 +320,64 @@ func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreateOneWinner: of 16 goroutines creating one name at
+// once, exactly one succeeds and every other gets ErrExists — a Create
+// that finds the name entered waits for that Create's outcome — and the
+// name ends with one table entry.
+func TestConcurrentCreateOneWinner(t *testing.T) {
+	w := openTemp(t)
+	for round := 0; round < 10; round++ {
+		name := fmt.Sprintf("doc%d", round)
+		start := make(chan struct{})
+		errs := make([]error, 16)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				errs[i] = w.Create(name, stressDoc())
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !errors.Is(err, ErrExists):
+				t.Errorf("Create(%s) = %v, want nil or ErrExists", name, err)
+			}
+		}
+		if won != 1 {
+			t.Errorf("%d of %d concurrent creates of %s succeeded, want exactly 1", won, len(errs), name)
+		}
+		if _, err := w.Stat(name); err != nil {
+			t.Errorf("Stat(%s) after the creates: %v", name, err)
+		}
+		if got := tableSize(w); got != round+1 {
+			t.Errorf("table of documents has %d entries after %d names, want %d", got, round+1, round+1)
+		}
+	}
+}
+
+// tableSize reports the number of entries in the table of documents.
+func tableSize(w *Warehouse) int {
+	w.docsMu.RLock()
+	defer w.docsMu.RUnlock()
+	return len(w.docs)
+}
+
 // TestLockTableBounded pins that operations on nonexistent documents —
-// the names clients can probe freely over HTTP — never allocate lock
+// the names clients can probe freely over HTTP — never allocate table
 // entries, so the table is bounded by real documents.
 func TestLockTableBounded(t *testing.T) {
 	w := openTemp(t)
 	if err := w.Create("real", stressDoc()); err != nil {
 		t.Fatal(err)
 	}
-	base := w.locks.size()
+	base := tableSize(w)
 	q := tpwj.MustParseQuery("A")
 	tx := update.New(q, 0.5, update.Delete(""))
 	for i := 0; i < 50; i++ {
@@ -341,12 +390,12 @@ func TestLockTableBounded(t *testing.T) {
 		w.Simplify(name)                                    //nolint:errcheck
 		w.QueryMC(name, q, 10, rand.New(rand.NewSource(1))) //nolint:errcheck
 	}
-	if got := w.locks.size(); got != base {
-		t.Errorf("lock table grew from %d to %d on nonexistent names", base, got)
+	if got := tableSize(w); got != base {
+		t.Errorf("table of documents grew from %d to %d on nonexistent names", base, got)
 	}
 
 	// Create/drop churn of unique names must not grow it either: Drop
-	// releases the entry.
+	// unlists the entry.
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("churn%d", i)
 		if err := w.Create(name, stressDoc()); err != nil {
@@ -356,8 +405,8 @@ func TestLockTableBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.locks.size(); got != base {
-		t.Errorf("lock table grew from %d to %d under create/drop churn", base, got)
+	if got := tableSize(w); got != base {
+		t.Errorf("table of documents grew from %d to %d under create/drop churn", base, got)
 	}
 }
 

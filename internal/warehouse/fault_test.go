@@ -98,7 +98,7 @@ func applied(t *testing.T, pre string, tx *update.Transaction) string {
 var faultWorkloadDocs = []string{"alpha", "beta", "gamma"}
 
 // runFaultWorkload drives a fixed single-threaded mix of creates,
-// updates, view operations, reads, a drop and a compaction. Individual
+// updates, view operations, reads, a drop and two compactions. Individual
 // operations are allowed to fail — a fault is armed — but every
 // success is folded into the model. The sequence is deterministic, so
 // a fail-once fault always trips at the same call across runs.
@@ -142,6 +142,9 @@ func runFaultWorkload(t *testing.T, w *Warehouse, m *faultModel) {
 	w.Journal()                                      //nolint:errcheck
 
 	mutate("beta")
+	// A compaction gives beta a page, so the later one's checkpoint has
+	// a dropped page to remove.
+	w.Compact() //nolint:errcheck // fault-path outcome checked via the model
 	m.attempt(t, w, func() error { return w.Drop("beta") }, func(s *faultState) {
 		delete(s.docs, "beta")
 		delete(s.views, "beta")
@@ -477,42 +480,4 @@ func TestViewSnapshotCloseFailureReported(t *testing.T) {
 	if _, err := w2.ReadView("doc", "v"); err != nil {
 		t.Errorf("view lost after snapshot-close fault + retry: %v", err)
 	}
-}
-
-// TestCreateStatFailureKeepsDocument is the sweep case the fail-once
-// schedule cannot reach (its first doc.stat is the create of a fresh
-// name): the existence check of a Create failing on a name already in
-// use. An unanswered "does it exist?" is not "no" — the Create must
-// fail with the storage error, and the stored document must be
-// unchanged, live and after recovery. Filestore only: the kv backend
-// answers DocExists from memory.
-func TestCreateStatFailureKeepsDocument(t *testing.T) {
-	dir := t.TempDir()
-	inj := vfs.NewInjector()
-	w, err := OpenFS(dir, vfs.NewFaultFS(vfs.OS, inj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Create("doc", slide12()); err != nil {
-		t.Fatal(err)
-	}
-	want, err := w.GetXML("doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj.Set("doc.stat", vfs.Fault{Count: 1})
-	err = w.Create("doc", fuzzy.MustParseTree("Other(X)", nil))
-	if !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("Create with failing stat = %v, want the injected error", err)
-	}
-	if inj.Trips("doc.stat") != 1 {
-		t.Fatalf("doc.stat tripped %d times, want 1", inj.Trips("doc.stat"))
-	}
-	wantDoc(t, w, "doc", string(want))
-	w.Close()
-	w2 := openB(t, dir, BackendFile)
-	defer w2.Close()
-	wantDoc(t, w2, "doc", string(want))
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/store"
 )
 
-// Op enumerates the journal record kinds: three document mutations,
-// two view operations, and the abort marker (plus the commit marker
-// earlier versions wrote).
+// Op enumerates the journal record kinds: three document mutations and
+// two view operations, plus the commit and abort markers earlier
+// versions wrote.
 type Op string
 
 const (
@@ -36,10 +36,12 @@ const (
 	// it — a whole record is committed by being whole — but it stays a
 	// recognised op so that journals written by those versions open.
 	OpCommit Op = "commit"
-	// OpAbort marks the mutation its RefSeq names as without effect:
-	// its record was durable, the store step after it (the page write
-	// of a create, the removal of a drop) failed, and the caller was
-	// told so.
+	// OpAbort marks the mutation its RefSeq names as without effect.
+	// Earlier versions wrote it when the store step after a durable
+	// record (the page write of a create, the removal of a drop) failed;
+	// creates and drops now touch only the journal, so nothing writes it
+	// any more. Recovery and InspectJournal still honour it, so that
+	// journals written by those versions open as they did.
 	OpAbort Op = "abort"
 )
 
@@ -60,13 +62,13 @@ func (op Op) ViewOp() bool { return op == OpViewRegister || op == OpViewDrop }
 // post-state only on every fullStateEvery-th record of its document
 // (see mutateDoc), so a document's journal is a base plus a bounded
 // tail of transactions. Records of concurrent mutations on different
-// documents interleave freely. The only record that refers to another
-// is the abort marker (see OpAbort).
+// documents interleave freely. The only records that refer to another
+// are the legacy markers (see OpCommit and OpAbort).
 type Record struct {
 	Seq int64 `json:"seq"`
 	Op  Op    `json:"op"`
-	// RefSeq, on an abort (or legacy commit) marker, names the Seq of
-	// the record the marker is about. Zero on every other record.
+	// RefSeq, on a legacy abort or commit marker, names the Seq of the
+	// record the marker is about. Zero on every other record.
 	RefSeq int64  `json:"ref,omitempty"`
 	Doc    string `json:"doc,omitempty"` // document name (mutations only)
 	// Tx is the XUpdate serialization of the applied transaction, or

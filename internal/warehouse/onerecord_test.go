@@ -9,8 +9,10 @@ package warehouse_test
 // after a kill (TestCheckpoint*).
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,8 +51,8 @@ func open(t *testing.T, dir, backend string, fsys vfs.FS) *warehouse.Warehouse {
 
 // TestOneRecordPerMutation: from a single goroutine, each acknowledged
 // mutation and view operation advances the journal by exactly one
-// record and one fsync, and an Update or Simplify performs no document
-// I/O at all — the store grows by the record's frame and nothing else.
+// record and one fsync and performs no document I/O at all — the store
+// grows by the record's frame and nothing else.
 func TestOneRecordPerMutation(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -72,7 +74,7 @@ func TestOneRecordPerMutation(t *testing.T) {
 			// What a backend adds around a journal payload: a newline, or a
 			// kv frame's header and checksum.
 			framing := map[string]int64{warehouse.BackendFile: 1, warehouse.BackendKV: 19}[backend]
-			step := func(name string, journalOnly bool, op func() error) {
+			step := func(name string, op func() error) {
 				t.Helper()
 				stored, err := w.StorageStats() // itself document I/O: read first
 				if err != nil {
@@ -90,9 +92,6 @@ func TestOneRecordPerMutation(t *testing.T) {
 				if got := inj.Calls(syncPoint[backend]) - syncs; got != 1 {
 					t.Errorf("%s: %d fsyncs, want 1", name, got)
 				}
-				if !journalOnly {
-					return
-				}
 				if got := docCalls() - docs; got != 0 {
 					t.Errorf("%s: %d document I/O calls, want none", name, got)
 				}
@@ -104,21 +103,60 @@ func TestOneRecordPerMutation(t *testing.T) {
 					t.Errorf("%s: the store grew by %d bytes, want the record's %d", name, grew, want)
 				}
 			}
-			step("Create", false, func() error { return w.Create("doc", smallDoc()) })
-			step("RegisterView", true, func() error { _, err := w.RegisterView("doc", "v", "A(B $b)", ""); return err })
-			step("Update", true, func() error { _, err := w.Update("doc", insertN()); return err })
-			step("Simplify", true, func() error { _, err := w.Simplify("doc"); return err })
-			step("DropView", true, func() error { return w.DropView("doc", "v") })
-			step("Drop", false, func() error { return w.Drop("doc") })
+			step("Create", func() error { return w.Create("doc", smallDoc()) })
+			step("RegisterView", func() error { _, err := w.RegisterView("doc", "v", "A(B $b)", ""); return err })
+			step("Update", func() error { _, err := w.Update("doc", insertN()); return err })
+			step("Simplify", func() error { _, err := w.Simplify("doc"); return err })
+			step("DropView", func() error { return w.DropView("doc", "v") })
+			step("Drop", func() error { return w.Drop("doc") })
 		})
 	}
 }
 
-// TestReadersNeverSeeUndurableState: an update whose journal fsync
-// fails returns the error, and no reader — before, during or after the
-// call — sees anything but the pre-state; the warehouse is degraded;
+// whileFailing runs op, whose journal fsync fails, while a reader polls
+// check, and requires that op returns the injected error and degrades
+// the warehouse. check describes what it saw that it must not have, or
+// returns "".
+func whileFailing(t *testing.T, w *warehouse.Warehouse, check func() string, op func() error) {
+	t.Helper()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if bad := check(); bad != "" {
+				t.Errorf("a reader racing the failing call saw %s", bad)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	err := op()
+	close(done)
+	wg.Wait()
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("a call under a failing journal fsync returned %v, want the injected error", err)
+	}
+	if deg, reason := w.Degraded(); !deg || !strings.HasPrefix(reason, "journal.sync") {
+		t.Errorf("Degraded() = %v, %q; want degraded by journal.sync", deg, reason)
+	}
+	if bad := check(); bad != "" {
+		t.Errorf("after the failed call readers see %s", bad)
+	}
+}
+
+// TestReadersNeverSeeUndurableState: a mutation whose journal fsync
+// fails returns the error and degrades the warehouse, no reader —
+// before, during or after the call — sees anything but the pre-state,
 // and once Reopen has re-read the disk the document is exactly the
-// pre-state or exactly the post-state, whichever the journal holds.
+// pre-state or exactly the post-state, whichever the journal holds. For
+// an update, readers keep the document's previous version; for a
+// create, the name stays missing everywhere and leaves no table entry.
 func TestReadersNeverSeeUndurableState(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -166,38 +204,13 @@ func TestReadersNeverSeeUndurableState(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A reader polls for as long as the failing update runs.
 			inj.Set(syncPoint[backend], vfs.Fault{Count: 1})
-			done := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if got := read(); got != pre {
-						t.Errorf("a reader racing the failing update saw:\n%s\nwant the pre-state:\n%s", got, pre)
-						return
-					}
-					select {
-					case <-done:
-						return
-					default:
-					}
+			whileFailing(t, w, func() string {
+				if got := read(); got != pre {
+					return fmt.Sprintf("\n%s\nwant the pre-state:\n%s", got, pre)
 				}
-			}()
-			_, err = w.Update("doc", tx)
-			close(done)
-			wg.Wait()
-			if !errors.Is(err, vfs.ErrInjected) {
-				t.Fatalf("Update under a failing journal fsync = %v, want the injected error", err)
-			}
-			if deg, reason := w.Degraded(); !deg || !strings.HasPrefix(reason, "journal.sync") {
-				t.Errorf("Degraded() = %v, %q; want degraded by journal.sync", deg, reason)
-			}
-			if got := read(); got != pre {
-				t.Errorf("after the failed update readers see:\n%s\nwant the pre-state:\n%s", got, pre)
-			}
-
+				return ""
+			}, func() error { _, err := w.Update("doc", tx); return err })
 			if err := w.Reopen(); err != nil {
 				t.Fatal(err)
 			}
@@ -208,13 +221,53 @@ func TestReadersNeverSeeUndurableState(t *testing.T) {
 			if string(got) != string(preXML) && string(got) != string(postXML) {
 				t.Errorf("after Reopen the document is\n%s\nwant exactly the pre-state\n%s\nor the post-state\n%s", got, preXML, postXML)
 			}
+
+			// A create: the name must stay missing to every reader.
+			entries := warehouse.TableSize(w)
+			missing := func() string {
+				if _, err := w.Snapshot(context.Background(), "fresh"); !errors.Is(err, warehouse.ErrNotFound) {
+					return fmt.Sprintf("Snapshot(fresh) = %v", err)
+				}
+				if _, err := w.Stat("fresh"); !errors.Is(err, warehouse.ErrNotFound) {
+					return fmt.Sprintf("Stat(fresh) = %v", err)
+				}
+				if _, err := w.ListViews("fresh"); !errors.Is(err, warehouse.ErrNotFound) {
+					return fmt.Sprintf("ListViews(fresh) = %v", err)
+				}
+				if names, err := w.List(); err != nil || slices.Contains(names, "fresh") {
+					return fmt.Sprintf("List() = %v, %v", names, err)
+				}
+				return ""
+			}
+			inj.Set(syncPoint[backend], vfs.Fault{Count: 1})
+			whileFailing(t, w, missing, func() error { return w.Create("fresh", smallDoc()) })
+			if got := warehouse.TableSize(w); got != entries {
+				t.Errorf("the failed create left the table at %d entries, want %d", got, entries)
+			}
+			if err := w.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := w.Journal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := slices.ContainsFunc(recs, func(r warehouse.Record) bool {
+				return r.Op == warehouse.OpCreate && r.Doc == "fresh"
+			})
+			fresh, err := w.GetXML("fresh")
+			if present := err == nil; present != whole {
+				t.Errorf("after Reopen GetXML(fresh) = %v with the create record whole = %v; want present iff whole", err, whole)
+			}
+			if want, _ := xmlio.DocXML(smallDoc()); err == nil && string(fresh) != string(want) {
+				t.Errorf("after Reopen the created document is\n%s\nwant\n%s", fresh, want)
+			}
 		})
 	}
 }
 
 // checkpointFixture opens a warehouse with three documents, two of
-// them updated (and so dirty: their stored pages are as their creates
-// wrote them), one view, and returns it with its fingerprint.
+// them updated, one view, and returns it with its fingerprint. All
+// three are dirty: creates write no page either.
 func checkpointFixture(t *testing.T, dir, backend string, fsys vfs.FS) (*warehouse.Warehouse, string) {
 	t.Helper()
 	w := open(t, dir, backend, fsys)
@@ -300,8 +353,9 @@ func TestCheckpointClose(t *testing.T) {
 }
 
 // TestCheckpointKill: a byte copy taken without Close has stale pages
-// for the two updated documents; the first Open replays exactly those
-// from the journal, the second finds them current.
+// for the two updated documents and no page for the third, which was
+// created and never checkpointed; the first Open replays exactly those
+// three from the journal, the second finds them current.
 func TestCheckpointKill(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -310,7 +364,7 @@ func TestCheckpointKill(t *testing.T) {
 			defer w.Close()
 			image := t.TempDir()
 			copyDir(t, dir, image)
-			reopened(t, image, backend, want, 2)
+			reopened(t, image, backend, want, 3)
 			reopened(t, image, backend, want, 0)
 		})
 	}

@@ -63,17 +63,19 @@ func histories(records []Record, aborted map[int64]bool) (docs map[string]*docHi
 // Open. A whole record is a mutation that happened — it was fsynced
 // before its caller was acknowledged, or it is the in-flight tail of a
 // call nobody acknowledged, which may legally land either way — so
-// recovery is replay only. Per document, the last record no abort
-// marker names that carries a full state (or drops the document) is
-// the base, the Tx-only update records after it are re-applied to it
-// (replayTail), and the stored page (a checkpoint, possibly many
-// updates old, possibly torn — never a replay base) is rewritten to
-// the result unless it already matches. View records apply to the
-// registry (seeded from the compaction snapshot) in journal order, a
-// drop taking the document's views with it. Recovery appends nothing,
-// so it is idempotent and a crash during it changes nothing. Commit
-// markers of journals written by earlier versions are ignored: their
-// unmarked tail rolls forward like any other whole record.
+// recovery is replay only. Per document, the last record that carries
+// a full state (or drops the document) is the base, the Tx-only update
+// records after it are re-applied to it (replayTail), and the stored
+// page (a checkpoint, possibly many updates old, possibly torn or
+// missing — never a replay base) is rewritten to the result unless it
+// already matches; a dropped document's page is removed. View records
+// apply to the registry (seeded from the compaction snapshot) in
+// journal order, a drop taking the document's views with it. Recovery
+// appends nothing, so it is idempotent and a crash during it changes
+// nothing. The markers of journals written by earlier versions are
+// honoured: a commit marker is ignored, its unmarked tail rolling
+// forward like any other whole record, and a record an abort marker
+// names is without effect (see OpAbort).
 func (w *Warehouse) recover(records []Record) error {
 	aborted := make(map[int64]bool)
 	for i := range records {
@@ -94,7 +96,7 @@ func (w *Warehouse) recover(records []Record) error {
 		r := &records[i]
 		switch {
 		case aborted[r.Seq]:
-			// The store step failed and the caller was told: no effect.
+			// A legacy abort: the caller was told it failed. No effect.
 		case r.Op == OpDrop:
 			w.views.delDoc(r.Doc)
 		case r.Op == OpViewRegister:
@@ -216,8 +218,8 @@ type JournalSummary struct {
 	FullState int `json:"full_state"`
 	TxOnly    int `json:"tx_only"`
 	ViewOps   int `json:"view_ops"`
-	// Aborted counts mutations and view operations an abort marker
-	// names: recorded, then failed in the store, without effect.
+	// Aborted counts mutations and view operations a legacy abort
+	// marker names: recorded, then failed in the store, without effect.
 	Aborted int `json:"aborted"`
 	// LegacyCommits counts commit markers, which only earlier versions
 	// wrote and recovery ignores.

@@ -97,10 +97,12 @@ func (s *mutationStream) next(t testing.TB, w *Warehouse, name string) {
 // tailLen returns the number of Tx-only records the document has since
 // its last full-state record, and whether it has one at all.
 func tailLen(w *Warehouse, name string) (int, bool) {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	n, ok := w.tail[name]
-	return n, ok
+	e, err := w.lockEntry(name)
+	if err != nil {
+		return 0, false
+	}
+	defer e.mu.Unlock()
+	return e.tail, e.tail >= 0
 }
 
 // requireRecoversLive copies the directory of the open warehouse — a

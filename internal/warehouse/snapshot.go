@@ -67,15 +67,12 @@ func (w *Warehouse) Snapshot(ctx context.Context, name string) (*Snapshot, error
 }
 
 // publish makes s, built unpublished as &Snapshot{tree: ...}, the
-// current version of the named document. Versions increase
-// warehouse-wide, so a name that is dropped and created again, or
-// reloaded by Reopen, never repeats one.
-func (w *Warehouse) publish(name string, s *Snapshot) {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	w.version++
-	s.version, s.search = w.version, &w.search
-	w.cache[name] = s
+// current version of e's document. The caller holds e's mutex. Versions
+// increase warehouse-wide, so a name that is dropped and created again,
+// or reloaded by Reopen, never repeats one.
+func (w *Warehouse) publish(e *docEntry, s *Snapshot) {
+	s.version, s.search = w.version.Add(1), &w.search
+	e.snap.Store(s)
 }
 
 // viewState returns the view's state on this version, if it has one.

@@ -216,17 +216,17 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 		return nil, err
 	}
 	defer release()
-	mu, err := w.lockWriter(doc, true)
+	e, err := w.lockEntry(doc)
 	if err != nil {
 		return nil, err
 	}
-	defer mu.Unlock()
+	defer e.mu.Unlock()
 	if _, ok := w.views.get(doc, name); ok {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewExists, name, doc)
 	}
 	// The mutex keeps snap current until the install publishes the view
 	// with its state on it.
-	snap, err := w.loadSnapshotLocked(doc)
+	snap, err := w.loadLocked(doc, e)
 	if err != nil {
 		return nil, err
 	}
@@ -235,16 +235,11 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	if err != nil {
 		return nil, err
 	}
-	err = w.install(ctx,
-		Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax},
-		func() error {
-			w.views.set(doc, h)
-			snap.setViewState(h, v)
-			return nil
-		})
-	if err != nil {
+	if err := w.install(ctx, Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax}); err != nil {
 		return nil, err
 	}
+	w.views.set(doc, h)
+	snap.setViewState(h, v)
 	return &ViewResult{Doc: doc, Name: name, Query: query, Syntax: syntax, Answers: v.Answers()}, nil
 }
 
@@ -261,24 +256,23 @@ func (w *Warehouse) DropView(doc, name string) error {
 		return err
 	}
 	defer release()
-	mu, err := w.lockWriter(doc, true)
+	e, err := w.lockEntry(doc)
 	if err != nil {
 		return err
 	}
-	defer mu.Unlock()
+	defer e.mu.Unlock()
 	h, ok := w.views.get(doc, name)
 	if !ok {
 		return fmt.Errorf("warehouse: %w: %q on %q", ErrViewNotFound, name, doc)
 	}
-	return w.install(context.Background(),
-		Record{Op: OpViewDrop, Doc: doc, View: name},
-		func() error {
-			w.views.del(doc, name)
-			if s, ok := w.cacheGet(doc); ok {
-				s.dropViewState(h)
-			}
-			return nil
-		})
+	if err := w.install(context.Background(), Record{Op: OpViewDrop, Doc: doc, View: name}); err != nil {
+		return err
+	}
+	w.views.del(doc, name)
+	if s := e.snap.Load(); s != nil {
+		s.dropViewState(h)
+	}
+	return nil
 }
 
 // ListViews returns the document's view definitions, sorted by name.
@@ -291,7 +285,7 @@ func (w *Warehouse) ListViews(doc string) ([]view.Definition, error) {
 		return nil, err
 	}
 	defer release()
-	if err := w.statGuard(doc); err != nil {
+	if _, err := w.entry(doc); err != nil {
 		return nil, err
 	}
 	handles := w.views.forDoc(doc)

@@ -7,16 +7,16 @@
 // every fullStateEvery-th update of a document — stored documents that
 // are checkpoints of that journal, and replay-only recovery on open.
 //
-// Concurrency is per document: each document has one mutex, handed out
-// by a striped lock table (see lockTable), which serializes its
-// mutations and its cold load. A mutation computes its successor
-// version whole — the new tree and every registered view's state on it
-// (see Snapshot) — before it journals it and publishes it. Published
-// snapshots are immutable, so reads take no per-document lock: queries
-// and view reads on the same document run in parallel with each other
-// and with a writer's whole mutation. Mutations on different documents
-// overlap through their durable phase too: the only global section is
-// the journal's in-memory append, with concurrent fsyncs
+// Concurrency is per document: the table of documents (see docEntry)
+// gives each document one mutex, which serializes its mutations and its
+// cold load. A mutation computes its successor version whole — the new
+// tree and every registered view's state on it (see Snapshot) — before
+// it journals it and publishes it. Published snapshots are immutable,
+// so reads take no per-document lock: queries and view reads on the
+// same document run in parallel with each other and with a writer's
+// whole mutation. Mutations on different documents overlap through
+// their durable phase too: the only global sections are the table's
+// lookups and the journal's in-memory append, with concurrent fsyncs
 // group-committed (see journal).
 //
 // # Durability and recovery
@@ -32,17 +32,17 @@
 // call nobody acknowledged, and it is the only indeterminate outcome.
 //
 // Stored documents (docs/*.pxml, kv document pages) are checkpoints of
-// the journal, not part of a commit: an update does not touch them. A
-// create writes its page right after its record and a drop removes it
-// (existence is read from the store), both unsynced; if that store
-// step fails the record is withdrawn with an abort marker, the one
-// marker there is. Compact and Close checkpoint — write every document
-// mutated since the last checkpoint — and Compact then makes the pages
-// durable and truncates the journal. Pages are never a replay base.
-// Recovery at Open replays: per document, the last full-state record
-// no abort names is the base, the transaction-only records after it
-// are re-applied to it (at most fullStateEvery-1 of them), and a page
-// that differs from the result is rewritten (see Warehouse.recover).
+// the journal, not part of a commit: no mutation touches them. The
+// table of documents, filled from the store at Open, is the authority
+// on which documents exist, so a create or a drop is its record alone,
+// like an update. Compact and Close checkpoint — write every document
+// mutated since the last checkpoint and remove the pages of dropped
+// ones — and Compact then makes the pages durable and truncates the
+// journal. Pages are never a replay base. Recovery at Open replays:
+// per document, the last full-state record or drop is the base, the
+// transaction-only records after it are re-applied to it (at most
+// fullStateEvery-1 of them), and a page that differs from the result
+// is rewritten or removed (see Warehouse.recover).
 //
 // # Fault tolerance
 //
@@ -52,7 +52,7 @@
 // fail-once fault at every named I/O point — including torn writes —
 // and asserts that acknowledged operations survive recovery and
 // failed ones vanish. Failures the warehouse can cleanly abort
-// (document-page writes, view-snapshot writes) just return errors;
+// (checkpoint page writes, view-snapshot writes) just return errors;
 // failures that break the durability promise itself (the journal
 // cannot be appended to or fsynced, compaction failed past its point
 // of no return) switch the warehouse into degraded read-only mode:
@@ -72,6 +72,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -166,9 +167,6 @@ type Warehouse struct {
 	closed  bool
 	journal *journal
 
-	// locks hands out the per-document locks.
-	locks lockTable
-
 	// jc accumulates journal activity; it survives the journal
 	// replacement Compact performs, so the counters stay monotonic.
 	jc journalCounters
@@ -179,34 +177,20 @@ type Warehouse struct {
 	recoveryReplays    *obs.Counter
 	recoveryTxReplayed *obs.Counter
 
-	// cacheMu guards the cache map and the version counter. The
-	// snapshots inside are immutable: mutations publish a successor
-	// (see publish), so a snapshot handed to a reader stays valid
-	// without any lock.
-	cacheMu sync.Mutex
-	cache   map[string]*Snapshot
-	version uint64
+	// docsMu guards docs, the table of documents: one entry per
+	// document that exists or is being created (see docEntry). Open
+	// fills it from the store, and Reopen rebuilds it.
+	docsMu sync.RWMutex
+	docs   map[string]*docEntry
+
+	// version numbers published snapshots (see publish).
+	version atomic.Uint64
 
 	search searchCounters
 
 	// views holds the registered materialized views and their
 	// maintenance counters (see views.go).
 	views viewRegistry
-
-	// dirtyMu guards dirty and tail. dirty is the documents whose
-	// stored page is behind their cached snapshot, because an update
-	// journaled a state the store has not been given (see mutateDoc).
-	// The journal holds every such state durably and recovery replays
-	// it, so the set only says what checkpoint must write. tail counts,
-	// per document, the Tx-only records since its last full-state
-	// record in the current journal; a document with no entry has no
-	// full-state record there, so its next update writes one. Both are
-	// empty after Open, Reopen and Compact. A dirty document's snapshot
-	// stays resident: cache entries leave only through Drop, which
-	// clears the entry, and Reopen, which clears the set.
-	dirtyMu sync.Mutex
-	dirty   map[string]bool
-	tail    map[string]int
 }
 
 // fullStateEvery bounds replay: every fullStateEvery-th record of a
@@ -214,70 +198,115 @@ type Warehouse struct {
 // most fullStateEvery-1 transactions per document.
 const fullStateEvery = 32
 
-// nextIsFullState reports whether the document's next update record
-// must carry its full post-state. The caller holds the document's
-// mutex, which serializes the document's tail entry.
-func (w *Warehouse) nextIsFullState(name string) bool {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	n, ok := w.tail[name]
-	return !ok || n+1 >= fullStateEvery
+// docEntry is one document's row in the table of documents. Two rules
+// keep the table and the stored pages in step. A Create publishes its
+// snapshot before it goes live, so a live entry without a snapshot —
+// one filled in by Open and not read since — always has a current
+// page. And a snapshot, once published, stays resident until Drop or
+// Reopen takes the entry out, so a document changed since the last
+// checkpoint is never read back from its stale page.
+type docEntry struct {
+	// mu is the document's writer mutex. It is held across a whole
+	// mutation — compute, view maintenance, journal append, publish —
+	// across a cold load, and across a Create until the document is
+	// live or unlisted. Readers of a resident document never take it.
+	mu sync.Mutex
+
+	// snap is the published version, nil until the first cold load.
+	snap atomic.Pointer[Snapshot]
+
+	// live is false while the document's Create is being journaled:
+	// until then the document exists for no reader and no other writer.
+	live atomic.Bool
+
+	// gone, dirty and tail are guarded by mu, or by the warehouse lock
+	// held exclusively (Close, Compact, Reopen). gone marks an entry a
+	// Drop or a failed Create took out of the table; a writer that
+	// acquires mu after that finds the document missing. dirty says the
+	// stored page is behind snap, because a mutation journaled a state
+	// the store has not been given; the journal holds it durably, so
+	// dirty only says what checkpoint must write. tail counts the
+	// Tx-only records since the document's last full-state record in
+	// the current journal, -1 meaning there is none, so the next update
+	// writes one.
+	gone  bool
+	dirty bool
+	tail  int
 }
 
-// journaled notes a durable mutation record of the document: a
-// full-state record restarts its tail, a Tx-only one extends it, and
-// dirty says whether the stored page is now behind.
-func (w *Warehouse) journaled(name string, fullState, dirty bool) {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	if fullState {
-		w.tail[name] = 0
-	} else {
-		w.tail[name]++
+// newEntry returns an entry with no full-state record in the journal.
+func newEntry() *docEntry { return &docEntry{tail: -1} }
+
+// entry returns the live entry of the named document.
+func (w *Warehouse) entry(name string) (*docEntry, error) {
+	w.docsMu.RLock()
+	e := w.docs[name]
+	w.docsMu.RUnlock()
+	if e == nil || !e.live.Load() {
+		return nil, fmt.Errorf("warehouse: %w: %q", ErrNotFound, name)
 	}
-	if dirty {
-		w.dirty[name] = true
+	return e, nil
+}
+
+// lockEntry returns the live entry of the named document with its
+// mutex held, or ErrNotFound if there is none or a Drop took it out of
+// the table while the caller waited for the mutex.
+func (w *Warehouse) lockEntry(name string) (*docEntry, error) {
+	e, err := w.entry(name)
+	if err != nil {
+		return nil, err
 	}
+	e.mu.Lock()
+	if e.gone {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("warehouse: %w: %q", ErrNotFound, name)
+	}
+	return e, nil
 }
 
-// forget drops the bookkeeping of a dropped document.
-func (w *Warehouse) forget(name string) {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	delete(w.dirty, name)
-	delete(w.tail, name)
-}
-
-// resetJournaled empties dirty and tail, for a fresh journal instance.
-func (w *Warehouse) resetJournaled() {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	w.dirty = make(map[string]bool)
-	w.tail = make(map[string]int)
+// unlist takes e, whose mutex the caller holds, out of the table.
+func (w *Warehouse) unlist(name string, e *docEntry) {
+	w.docsMu.Lock()
+	if w.docs[name] == e {
+		delete(w.docs, name)
+	}
+	w.docsMu.Unlock()
+	e.gone = true
 }
 
 // checkpoint writes the current snapshot of every dirty document to
-// the store, unsynced: Compact follows it with SyncDocs before it
+// the store and removes the page of every stored name the table no
+// longer lists, unsynced: Compact follows it with SyncDocs before it
 // truncates the journal, and Close needs no durability from it — the
 // journal keeps every record, and a checkpoint only saves the next
-// Open the replay. The caller holds the warehouse exclusively. A
-// failure leaves the remaining documents dirty and loses nothing.
+// Open the replay. The caller holds the warehouse exclusively, so every
+// entry is live. A failure leaves the remaining work for the next
+// checkpoint and loses nothing.
 func (w *Warehouse) checkpoint() error {
-	w.dirtyMu.Lock()
-	defer w.dirtyMu.Unlock()
-	for name := range w.dirty {
-		s, ok := w.cacheGet(name)
-		if !ok {
-			panic(fmt.Sprintf("warehouse: dirty document %q has no resident snapshot", name))
+	for name, e := range w.docs {
+		if !e.dirty {
+			continue
 		}
-		data, err := xmlio.DocXML(s.tree)
+		data, err := xmlio.DocXML(e.snap.Load().tree)
 		if err != nil {
 			return err
 		}
 		if err := w.writeDoc(name, data); err != nil {
 			return fmt.Errorf("warehouse: checkpoint of %q: %w", name, err)
 		}
-		delete(w.dirty, name)
+		e.dirty = false
+	}
+	stored, err := w.st.ListDocs()
+	if err != nil {
+		return fmt.Errorf("warehouse: checkpoint: %w", err)
+	}
+	for _, name := range stored {
+		if _, ok := w.docs[name]; ok {
+			continue
+		}
+		if err := w.st.RemoveDoc(name); err != nil {
+			return fmt.Errorf("warehouse: checkpoint of dropped %q: %w", name, err)
+		}
 	}
 	return nil
 }
@@ -337,14 +366,7 @@ func DetectBackend(dir string) string {
 // uses; OpenStore exists for callers that build the backend themselves.
 func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 	reg := obs.NewRegistry()
-	w := &Warehouse{
-		dir:   dir,
-		st:    st,
-		reg:   reg,
-		cache: make(map[string]*Snapshot),
-		dirty: make(map[string]bool),
-		tail:  make(map[string]int),
-	}
+	w := &Warehouse{dir: dir, st: st, reg: reg}
 	w.jc = journalCounters{
 		appends:   reg.Counter("px_journal_appends_total", "journal records durably appended"),
 		batches:   reg.Counter("px_journal_sync_batches_total", "journal fsync calls (group commit: batches <= appends)"),
@@ -397,10 +419,11 @@ func openRecords(st store.Store) ([]Record, store.Log, error) {
 
 // loadFromDisk runs the open sequence against the storage backend:
 // initialize the layout and scan the journal (truncating any torn
-// tail), load the view snapshot, replay recovery, prune orphaned
-// views. Shared by OpenStore and Reopen; the caller must hold the
-// warehouse exclusively (Reopen) or privately (OpenStore, before the
-// value is shared).
+// tail), load the view snapshot, replay recovery, fill the table of
+// documents from the pages recovery brought up to the journal, prune
+// orphaned views. Shared by OpenStore and Reopen; the caller must hold
+// the warehouse exclusively (Reopen) or privately (OpenStore, before
+// the value is shared).
 func (w *Warehouse) loadFromDisk() error {
 	records, log, err := openRecords(w.st)
 	if err != nil {
@@ -418,12 +441,20 @@ func (w *Warehouse) loadFromDisk() error {
 		j.close() //nolint:errcheck // already failing; the open error wins
 		return err
 	}
+	names, err := w.st.ListDocs()
+	if err != nil {
+		j.close() //nolint:errcheck // already failing; the open error wins
+		return fmt.Errorf("warehouse: %w", err)
+	}
+	w.docs = make(map[string]*docEntry, len(names))
+	for _, name := range names {
+		e := newEntry()
+		e.live.Store(true)
+		w.docs[name] = e
+	}
 	// Drop view definitions whose document no longer exists (defensive:
 	// a hand-edited snapshot or journal could leave orphans behind).
-	w.views.pruneMissing(func(doc string) bool {
-		ok, err := w.st.DocExists(doc)
-		return err == nil && ok
-	})
+	w.views.pruneMissing(func(doc string) bool { return w.docs[doc] != nil })
 	return nil
 }
 
@@ -521,10 +552,6 @@ func (w *Warehouse) Reopen() error {
 	// close error carries no information recovery doesn't re-derive
 	// from disk.
 	w.journal.close() //nolint:errcheck
-	w.cacheMu.Lock()
-	w.cache = make(map[string]*Snapshot)
-	w.cacheMu.Unlock()
-	w.resetJournaled()
 	w.views.reset()
 	if err := w.loadFromDisk(); err != nil {
 		return err
@@ -590,19 +617,6 @@ func (w *Warehouse) startOp() (release func(), err error) {
 	return w.mu.RUnlock, nil
 }
 
-func (w *Warehouse) cacheGet(name string) (*Snapshot, bool) {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	s, ok := w.cache[name]
-	return s, ok
-}
-
-func (w *Warehouse) cacheDel(name string) {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	delete(w.cache, name)
-}
-
 // writeDoc atomically replaces the document's stored page, without an
 // fsync of its own: a page is a checkpoint of the journal, which holds
 // the content durably and is replayed over whatever a crash leaves of
@@ -610,59 +624,6 @@ func (w *Warehouse) cacheDel(name string) {
 // is truncated.
 func (w *Warehouse) writeDoc(name string, data []byte) error {
 	return w.st.WriteDoc(name, data, false)
-}
-
-// statGuard rejects names that exist neither in the cache nor in the
-// store before any per-document lock is allocated, so clients probing
-// arbitrary names (missing documents, typos, scans) can never grow the
-// lock table. Callers performing mutations must re-check existence
-// under the document's locks; this pre-check only bounds allocation.
-func (w *Warehouse) statGuard(name string) error {
-	if _, ok := w.cacheGet(name); ok {
-		return nil
-	}
-	ok, err := w.st.DocExists(name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("warehouse: %w: %q", ErrNotFound, name)
-	}
-	return nil
-}
-
-// releaseIfGone drops the document's lock entry when err reports the
-// document missing. The caller holds the entry's mutex (so it is the
-// current entry and no Drop can race the deletion), having just
-// discovered the document vanished — keeping the entry would leak it,
-// since only a successful Drop otherwise deletes entries.
-func (w *Warehouse) releaseIfGone(name string, err error) {
-	if errors.Is(err, ErrNotFound) {
-		w.locks.del(name)
-	}
-}
-
-// lockWriter returns the document's mutex, held. Drop removes lock
-// entries, so after acquiring the mutex the entry is rechecked against
-// the table and the acquisition retried if a concurrent Drop removed
-// it — every critical section thus holds the mutex of the entry
-// currently in the table. With mustExist, each attempt re-verifies the
-// document first, so callers racing a Drop return ErrNotFound instead
-// of re-creating table entries for names that no longer exist.
-func (w *Warehouse) lockWriter(name string, mustExist bool) (*sync.Mutex, error) {
-	for {
-		if mustExist {
-			if err := w.statGuard(name); err != nil {
-				return nil, err
-			}
-		}
-		mu := w.locks.get(name)
-		mu.Lock()
-		if cur, ok := w.locks.peek(name); ok && cur == mu {
-			return mu, nil
-		}
-		mu.Unlock()
-	}
 }
 
 // readDoc loads and parses the document from the store.
@@ -682,71 +643,60 @@ func (w *Warehouse) readDoc(name string) (*fuzzy.Tree, error) {
 }
 
 // loadSnapshot returns the document's current snapshot, loading the
-// document and publishing it on first use. Snapshots are swapped
-// atomically and never edited, so the hot path takes no lock. A cold
-// load takes the document's mutex through lockWriter, which rejects
-// names that exist neither in the cache nor in the store before
-// touching the lock table, so clients probing arbitrary names can
-// never grow it.
+// document from its page and publishing it on first use. Snapshots are
+// swapped atomically and never edited, so the hot path takes no lock;
+// a cold load takes the document's mutex. Names the table does not
+// list are rejected without any allocation, so clients probing
+// arbitrary names can never grow it.
 func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
-	if s, ok := w.cacheGet(name); ok {
-		return s, nil
-	}
-	mu, err := w.lockWriter(name, true)
+	e, err := w.entry(name)
 	if err != nil {
 		return nil, err
 	}
-	defer mu.Unlock()
-	return w.loadSnapshotLocked(name)
+	if s := e.snap.Load(); s != nil {
+		return s, nil
+	}
+	if e, err = w.lockEntry(name); err != nil {
+		return nil, err
+	}
+	defer e.mu.Unlock()
+	return w.loadLocked(name, e)
 }
 
-// loadSnapshotLocked is loadSnapshot for a caller that holds the
-// document's mutex. A document found missing releases its lock entry
-// (see releaseIfGone).
-func (w *Warehouse) loadSnapshotLocked(name string) (*Snapshot, error) {
-	if s, ok := w.cacheGet(name); ok {
+// loadLocked is loadSnapshot for a caller that holds the entry's
+// mutex. A live entry without a snapshot has a current page (see
+// docEntry).
+func (w *Warehouse) loadLocked(name string, e *docEntry) (*Snapshot, error) {
+	if s := e.snap.Load(); s != nil {
 		return s, nil
 	}
 	ft, err := w.readDoc(name)
 	if err != nil {
-		w.releaseIfGone(name, err)
 		return nil, err
 	}
 	s := &Snapshot{tree: ft}
-	w.publish(name, s)
+	w.publish(e, s)
 	return s, nil
 }
 
-// install journals and applies one mutation. The caller holds the
+// install journals one mutation's record. The caller holds the
 // document's mutex and has done all computation already, including the
-// successor version's view states, so apply is pointer work. Installs
-// on different documents interleave freely; their journal appends share
-// group-committed fsyncs.
+// successor version's view states, so what follows a successful
+// install — publish, a table or registry change — is pointer work.
+// Installs on different documents interleave freely; their journal
+// appends share group-committed fsyncs.
 //
-// The record is the commit: once append returns, the mutation is
-// durable and acknowledged-to-be, and only then does apply make it
-// visible (publish, a registry change) or adjust the store (the page
-// write of a create, the removal of a drop). A journal failure returns
-// before apply, so readers keep the pre-state. A store failure in
-// apply withdraws the durable record with an abort marker.
-func (w *Warehouse) install(ctx context.Context, rec Record, apply func() error) error {
+// The record is the commit: once install returns nil the mutation is
+// durable and acknowledged-to-be, and only then may the caller make it
+// visible. A journal failure returns before that, so readers keep the
+// pre-state.
+func (w *Warehouse) install(ctx context.Context, rec Record) error {
 	ctx, span := obs.StartSpan(ctx, "warehouse.install")
 	defer span.End()
-	cost := obs.CostFromContext(ctx)
 	_, jspan := obs.StartSpan(ctx, "journal.append")
-	seq, err := w.journal.append(cost, rec)
+	_, err := w.journal.append(obs.CostFromContext(ctx), rec)
 	jspan.End()
-	if err != nil {
-		return err
-	}
-	if err := apply(); err != nil {
-		// If the marker cannot be made durable either (the disk is going
-		// away) the journal latches dead and the warehouse degrades: this
-		// mutation is then the indeterminate one, kept by the next Open.
-		w.journal.append(cost, Record{Op: OpAbort, RefSeq: seq}) //nolint:errcheck
-		return err
-	}
-	return nil
+	return err
 }
 
 // Create stores a new document under the given name.
@@ -754,8 +704,14 @@ func (w *Warehouse) Create(name string, ft *fuzzy.Tree) error {
 	return w.CreateCtx(context.Background(), name, ft)
 }
 
-// CreateCtx is Create with a context: the journal append and file
-// install record spans when the context carries an obs trace.
+// CreateCtx is Create with a context: the journal append records spans
+// when the context carries an obs trace.
+//
+// The document enters the table at once, not yet live and with its
+// mutex held: readers and other writers find no document until its
+// record is durable and its snapshot published, and a second Create of
+// the name waits for this one's outcome. The record carries the full
+// state, so the page waits for the next checkpoint.
 func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) error {
 	if err := validName(name); err != nil {
 		return err
@@ -772,40 +728,33 @@ func (w *Warehouse) CreateCtx(ctx context.Context, name string, ft *fuzzy.Tree) 
 		return err
 	}
 	defer release()
-	mu, err := w.lockWriter(name, false)
-	if err != nil {
-		return err
-	}
-	defer mu.Unlock()
-	exists, err := w.st.DocExists(name)
-	if err != nil {
-		return err
-	}
-	if exists {
-		return fmt.Errorf("warehouse: %w: %q", ErrExists, name)
-	}
-	s := &Snapshot{tree: ft.Clone()}
-	err = w.install(ctx,
-		Record{Op: OpCreate, Doc: name, Content: string(data)},
-		func() error {
-			// The page is what makes the document exist for DocExists,
-			// ListDocs and statGuard, so a create writes it at once.
-			if err := w.writeDoc(name, data); err != nil {
-				return err
-			}
-			w.journaled(name, true, false)
-			w.publish(name, s)
-			return nil
-		})
-	if err != nil {
-		// The document never came to exist (journal or store-write
-		// failure), so the entry allocated for it must not outlive
-		// this call — nothing else would ever delete it.
-		if exists, statErr := w.st.DocExists(name); statErr == nil && !exists {
-			w.locks.del(name)
+	e := newEntry()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for {
+		w.docsMu.Lock()
+		cur := w.docs[name]
+		if cur == nil {
+			w.docs[name] = e
+			w.docsMu.Unlock()
+			break
 		}
+		w.docsMu.Unlock()
+		// Only a Create that failed, or a Drop, leaves the name free.
+		cur.mu.Lock()
+		gone := cur.gone
+		cur.mu.Unlock()
+		if !gone {
+			return fmt.Errorf("warehouse: %w: %q", ErrExists, name)
+		}
+	}
+	if err := w.install(ctx, Record{Op: OpCreate, Doc: name, Content: string(data)}); err != nil {
+		w.unlist(name, e)
 		return err
 	}
+	e.tail, e.dirty = 0, true
+	w.publish(e, &Snapshot{tree: ft.Clone()})
+	e.live.Store(true)
 	return nil
 }
 
@@ -835,17 +784,28 @@ func (w *Warehouse) GetXMLCtx(ctx context.Context, name string) ([]byte, error) 
 	return s.XML(ctx)
 }
 
-// List returns the sorted names of all stored documents.
+// List returns the sorted names of all documents.
 func (w *Warehouse) List() ([]string, error) {
 	release, err := w.startOp()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return w.st.ListDocs()
+	w.docsMu.RLock()
+	names := make([]string, 0, len(w.docs))
+	for name, e := range w.docs {
+		if e.live.Load() {
+			names = append(names, name)
+		}
+	}
+	w.docsMu.RUnlock()
+	sort.Strings(names)
+	return names, nil
 }
 
-// Drop removes the named document.
+// Drop removes the named document. The page stays until the next
+// checkpoint removes it; until then the drop record is what removes
+// it at recovery.
 func (w *Warehouse) Drop(name string) error {
 	if err := validName(name); err != nil {
 		return err
@@ -855,38 +815,15 @@ func (w *Warehouse) Drop(name string) error {
 		return err
 	}
 	defer release()
-	mu, err := w.lockWriter(name, true)
+	e, err := w.lockEntry(name)
 	if err != nil {
 		return err
 	}
-	defer mu.Unlock()
-	// Re-verify now that the lock is held: a concurrent Drop may have
-	// removed the document between statGuard and acquisition, in which
-	// case the entry lockWriter re-created must be released too.
-	if err := w.statGuard(name); err != nil {
-		w.releaseIfGone(name, err)
+	defer e.mu.Unlock()
+	if err := w.install(context.Background(), Record{Op: OpDrop, Doc: name}); err != nil {
 		return err
 	}
-	err = w.install(context.Background(),
-		Record{Op: OpDrop, Doc: name},
-		func() error {
-			// Remove first: were the removal to fail after the snapshot
-			// left the cache, the next reader would load a page that may
-			// be many updates stale.
-			if err := w.st.RemoveDoc(name); err != nil {
-				return err
-			}
-			w.cacheDel(name)
-			w.forget(name)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	// The document is gone; release its lock entry so create/drop
-	// churn of unique names cannot grow the table. Writers blocked on
-	// this entry re-check and retry (see lockWriter).
-	w.locks.del(name)
+	w.unlist(name, e)
 	// Views follow their document: the drop record implies their
 	// removal at recovery too (see recover).
 	w.views.delDoc(name)
@@ -943,7 +880,7 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 // whose view states answer for it.
 //
 // The record carries the successor's full state only when the
-// document's journal tail calls for one (nextIsFullState): the first
+// document's journal tail calls for one (see docEntry.tail): the first
 // update after Open, Reopen or Compact, and then every
 // fullStateEvery-th. The others carry the transaction and the node
 // count, so the request path neither serializes the document nor
@@ -957,13 +894,13 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 		return err
 	}
 	defer release()
-	mu, err := w.lockWriter(name, true)
+	e, err := w.lockEntry(name)
 	if err != nil {
 		return err
 	}
-	defer mu.Unlock()
+	defer e.mu.Unlock()
 	_, sspan := obs.StartSpan(ctx, "warehouse.snapshot")
-	pre, err := w.loadSnapshotLocked(name)
+	pre, err := w.loadLocked(name, e)
 	sspan.End()
 	if err != nil {
 		return err
@@ -975,7 +912,7 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 		return err
 	}
 	rec.Op, rec.Doc = OpUpdate, name
-	fullState := w.nextIsFullState(name)
+	fullState := e.tail < 0 || e.tail+1 >= fullStateEvery
 	if fullState {
 		data, err := xmlio.DocXML(nextTree)
 		if err != nil {
@@ -989,14 +926,19 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	_, vspan := obs.StartSpan(ctx, "view.maintain")
 	w.maintainViews(ctx, name, pre, next, delta)
 	vspan.End()
-	return w.install(ctx, rec,
-		func() error {
-			// No page write on the request path: the record is the
-			// durable copy, and the next checkpoint brings the page up.
-			w.journaled(name, fullState, true)
-			w.publish(name, next)
-			return nil
-		})
+	if err := w.install(ctx, rec); err != nil {
+		return err
+	}
+	if fullState {
+		e.tail = 0
+	} else {
+		e.tail++
+	}
+	// No page write on the request path: the record is the durable
+	// copy, and the next checkpoint brings the page up.
+	e.dirty = true
+	w.publish(e, next)
+	return nil
 }
 
 // Update applies a probabilistic transaction to the named document,
@@ -1103,8 +1045,9 @@ func (w *Warehouse) Journal() ([]Record, error) {
 // warehouse lock, so it waits out all in-flight operations and every
 // mutation is either wholly journaled or not started. The journal is
 // the durable copy of everything mutated since the last checkpoint, so
-// the hand-off goes in order: write every dirty document's page
-// (checkpoint), make all pages durable (SyncDocs), snapshot the view
+// the hand-off goes in order: write every dirty document's page and
+// remove every dropped one's (checkpoint), make all pages durable
+// (SyncDocs), snapshot the view
 // registry, and only then trade the journal for space (ResetJournal,
 // which for the kv backend also rewrites the page file down to its
 // live pages). After it returns, the stored documents are the
@@ -1154,6 +1097,8 @@ func (w *Warehouse) Compact() error {
 	}
 	w.journal = newJournal(log, 0, &w.jc, w.setDegraded)
 	// The new journal holds no full state of any document.
-	w.resetJournaled()
+	for _, e := range w.docs {
+		e.tail = -1
+	}
 	return nil
 }
