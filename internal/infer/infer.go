@@ -25,10 +25,19 @@ func EvidenceFormula(q *tpwj.Query, ft *fuzzy.Tree) (event.Formula, error) {
 		return nil, err
 	}
 	fs := make([]event.Formula, len(answers))
-	for i, a := range answers {
-		fs[i] = a.Formula
+	for i := range answers {
+		fs[i] = condition(&answers[i])
 	}
 	return event.FOr(fs...), nil
+}
+
+// condition returns the answer's condition as a formula: its DNF lifted
+// for a positive query, its Formula for one with negation.
+func condition(a *tpwj.ProbAnswer) event.Formula {
+	if a.Cond != nil {
+		return event.FDNF(a.Cond)
+	}
+	return a.Formula
 }
 
 // ProbSelected returns the probability that the query has at least one
@@ -115,9 +124,9 @@ func CountDistribution(q *tpwj.Query, ft *fuzzy.Tree) (map[int]float64, error) {
 	// assignment, count which answer conditions hold.
 	formulas := make([]event.Formula, len(answers))
 	eventSet := make(map[event.ID]struct{})
-	for i, a := range answers {
-		formulas[i] = a.Formula
-		for _, e := range a.Formula.Events() {
+	for i := range answers {
+		formulas[i] = condition(&answers[i])
+		for _, e := range formulas[i].Events() {
 			eventSet[e] = struct{}{}
 		}
 	}

@@ -179,21 +179,3 @@ func (m *Model) Fingerprint() string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// Dump renders the model in the same shape Fingerprint digests, for
-// debugging determinism failures.
-func (m *Model) Dump() string {
-	var b strings.Builder
-	for _, name := range m.order {
-		d := m.docs[name]
-		fmt.Fprintf(&b, "doc %s hash=%s writes=%d failed=%d\n",
-			name, hashTree(d.tree)[:12], d.writes, d.failedWrites)
-		for _, k := range sortedKinds(d.counts) {
-			fmt.Fprintf(&b, "  %s=%d", k, d.counts[k])
-		}
-		if len(d.counts) > 0 {
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
-}

@@ -81,9 +81,10 @@ type ProbAnswer struct {
 	// the worlds satisfying Cond. For queries with negation, Cond is nil
 	// and Formula carries the condition instead.
 	Cond event.DNF
-	// Formula is the answer condition as a Boolean formula. For positive
-	// queries it is equivalent to Cond; for queries with forbidden
-	// sub-patterns it carries the ¬(sub-match) parts DNF cannot express.
+	// Formula is the answer condition of a query with forbidden
+	// sub-patterns, as a Boolean formula: it carries the ¬(sub-match)
+	// parts DNF cannot express. It is nil for positive queries, whose
+	// condition is Cond alone.
 	Formula event.Formula
 	// P is the probability of the answer condition.
 	P float64
@@ -313,7 +314,7 @@ func (d *Doc) Symbolic(ctx context.Context, q *Query) ([]ProbAnswer, error) {
 			continue
 		}
 		dnf := e.dnf.Normalize()
-		out = append(out, ProbAnswer{Tree: e.tree, Cond: dnf, Formula: event.FDNF(dnf)})
+		out = append(out, ProbAnswer{Tree: e.tree, Cond: dnf})
 	}
 	return out, nil
 }

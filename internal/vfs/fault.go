@@ -86,13 +86,6 @@ func (in *Injector) Set(point string, f Fault) {
 	in.faults[point] = &faultState{f: f}
 }
 
-// Clear disarms the fault at point.
-func (in *Injector) Clear(point string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.faults, point)
-}
-
 // Reset disarms all faults and zeroes all counters.
 func (in *Injector) Reset() {
 	in.mu.Lock()
@@ -115,17 +108,6 @@ func (in *Injector) Trips(point string) int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.trips[point]
-}
-
-// TotalTrips reports the number of fault firings across all points.
-func (in *Injector) TotalTrips() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, v := range in.trips {
-		n += v
-	}
-	return n
 }
 
 // Observed returns the sorted list of fault points seen since the last

@@ -207,7 +207,7 @@ func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
 	if _, err := w.RegisterView("doc", "marks", "A(N(M $m))", ""); err != nil {
 		t.Fatal(err)
 	}
-	h, _ := w.views.get("doc", "marks")
+	h := viewHandleOf(t, w, "doc", "marks")
 	ctx := context.Background()
 	q := tpwj.MustParseQuery("A(N $n)")
 	kw := keyword.Request{Keywords: []string{"mark"}}

@@ -49,7 +49,7 @@ const (
 // view operation or a marker).
 func (op Op) Mutation() bool { return op == OpCreate || op == OpUpdate || op == OpDrop }
 
-// ViewOp reports whether op changes the view registry. View operations
+// ViewOp reports whether op changes a document's views. View operations
 // are journaled like mutations but carry no document content.
 func (op Op) ViewOp() bool { return op == OpViewRegister || op == OpViewDrop }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
@@ -22,34 +24,59 @@ const simplifyTx = "<simplify/>"
 // which recovery re-applies to its document's last full state.
 func (r *Record) txOnly() bool { return r.Op == OpUpdate && r.Content == "" }
 
-// docHistory is what recovery needs of one document's journal: its
-// last full-state record or drop (base), and the Tx-only update
-// records after it, in journal order.
+// docHistory is what recovery needs of one document: its last
+// full-state record or drop in the journal (base), the Tx-only update
+// records after it, in journal order, and its views, sorted by name.
 type docHistory struct {
-	base *Record
-	tail []*Record
+	base  *Record
+	tail  []*Record
+	views []*viewHandle
 }
 
-// histories groups the mutation records no abort names by document, in
-// order of first mention. A Tx-only record with no full state of its
-// document before it — none at all, or none since a drop — has nothing
-// to replay onto; it goes to orphans, which no crash can produce.
-func histories(records []Record, aborted map[int64]bool) (docs map[string]*docHistory, order []string, orphans []*Record) {
+// histories groups by document, in order of first mention, the view
+// definitions of the compaction snapshot (seed) and the mutation and
+// view records no abort names. The views are the seed's with the
+// journal's view records applied in journal order, a create or a drop
+// resetting them: a document starts with no views, so any before its
+// create belong to no document that exists. A Tx-only record with no
+// full state of its document before it — none at all, or none since a
+// drop — has nothing to replay onto; it goes to orphans, which no
+// crash can produce.
+func histories(seed map[string][]view.Definition, records []Record, aborted map[int64]bool) (docs map[string]*docHistory, order []string, orphans []*Record) {
 	docs = make(map[string]*docHistory)
-	for i := range records {
-		r := &records[i]
-		if !r.Op.Mutation() || aborted[r.Seq] {
-			continue
-		}
-		d := docs[r.Doc]
+	history := func(doc string) *docHistory {
+		d := docs[doc]
 		if d == nil {
 			d = &docHistory{}
-			docs[r.Doc] = d
-			order = append(order, r.Doc)
+			docs[doc] = d
+			order = append(order, doc)
 		}
+		return d
+	}
+	for _, doc := range slices.Sorted(maps.Keys(seed)) {
+		d := history(doc)
+		for _, def := range seed[doc] {
+			d.views = withView(d.views, &viewHandle{def: def})
+		}
+	}
+	for i := range records {
+		r := &records[i]
+		if aborted[r.Seq] || !r.Op.Mutation() && !r.Op.ViewOp() {
+			continue
+		}
+		d := history(r.Doc)
 		switch {
+		case r.Op == OpViewRegister:
+			d.views = withView(d.views, &viewHandle{def: view.Definition{
+				Name: r.View, Query: r.Query, Syntax: r.Syntax,
+			}})
+		case r.Op == OpViewDrop:
+			d.views = withoutView(d.views, r.View)
 		case !r.txOnly():
 			d.base, d.tail = r, nil
+			if r.Op != OpUpdate {
+				d.views = nil // a new document, or none
+			}
 		case d.base == nil || d.base.Op == OpDrop:
 			orphans = append(orphans, r)
 		default:
@@ -59,24 +86,25 @@ func histories(records []Record, aborted map[int64]bool) (docs map[string]*docHi
 	return docs, order, orphans
 }
 
-// recover brings the store and the view registry up to the journal at
-// Open. A whole record is a mutation that happened — it was fsynced
-// before its caller was acknowledged, or it is the in-flight tail of a
-// call nobody acknowledged, which may legally land either way — so
-// recovery is replay only. Per document, the last record that carries
+// recover brings the store up to the journal at Open and returns each
+// document's history, whose views Open attaches to the table. A whole
+// record is a mutation that happened — it was fsynced before its
+// caller was acknowledged, or it is the in-flight tail of a call
+// nobody acknowledged, which may legally land either way — so recovery
+// is replay only. Per document, the last record that carries
 // a full state (or drops the document) is the base, the Tx-only update
 // records after it are re-applied to it (replayTail), and the stored
 // page (a checkpoint, possibly many updates old, possibly torn or
 // missing — never a replay base) is rewritten to the result unless it
 // already matches; a dropped document's page is removed. View records
-// apply to the registry (seeded from the compaction snapshot) in
-// journal order, a drop taking the document's views with it. Recovery
+// apply to the views of the compaction snapshot (seed) in journal
+// order, a create or a drop resetting the document's views. Recovery
 // appends nothing, so it is idempotent and a crash during it changes
 // nothing. The markers of journals written by earlier versions are
 // honoured: a commit marker is ignored, its unmarked tail rolling
 // forward like any other whole record, and a record an abort marker
 // names is without effect (see OpAbort).
-func (w *Warehouse) recover(records []Record) error {
+func (w *Warehouse) recover(seed map[string][]view.Definition, records []Record) (map[string]*docHistory, error) {
 	aborted := make(map[int64]bool)
 	for i := range records {
 		switch r := &records[i]; {
@@ -84,39 +112,28 @@ func (w *Warehouse) recover(records []Record) error {
 			aborted[r.RefSeq] = true
 		case r.Op == OpCommit, r.Op.Mutation(), r.Op.ViewOp():
 		default:
-			return fmt.Errorf("warehouse: unknown journal op %q", r.Op)
+			return nil, fmt.Errorf("warehouse: unknown journal op %q", r.Op)
 		}
 	}
-	docs, order, orphans := histories(records, aborted)
+	docs, order, orphans := histories(seed, records, aborted)
 	if len(orphans) > 0 {
 		r := orphans[0]
-		return fmt.Errorf("warehouse: journal record seq %d updates %q without a full state of it before", r.Seq, r.Doc)
-	}
-	for i := range records {
-		r := &records[i]
-		switch {
-		case aborted[r.Seq]:
-			// A legacy abort: the caller was told it failed. No effect.
-		case r.Op == OpDrop:
-			w.views.delDoc(r.Doc)
-		case r.Op == OpViewRegister:
-			w.views.set(r.Doc, &viewHandle{def: view.Definition{
-				Name: r.View, Query: r.Query, Syntax: r.Syntax,
-			}})
-		case r.Op == OpViewDrop:
-			w.views.del(r.Doc, r.View)
-		}
+		return nil, fmt.Errorf("warehouse: journal record seq %d updates %q without a full state of it before", r.Seq, r.Doc)
 	}
 	for _, name := range order {
-		changed, err := w.replayDoc(name, docs[name])
+		d := docs[name]
+		if d.base == nil {
+			continue // views only: the page is current
+		}
+		changed, err := w.replayDoc(name, d)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if changed {
 			w.recoveryReplays.Inc()
 		}
 	}
-	return nil
+	return docs, nil
 }
 
 // replayDoc brings one document's stored page to its journaled state,
@@ -300,7 +317,7 @@ func InspectJournalBackend(dir, backend string) (JournalSummary, error) {
 				fmt.Sprintf("record %d: unknown op %q", i, r.Op))
 		}
 	}
-	_, _, orphans := histories(records, aborted)
+	_, _, orphans := histories(nil, records, aborted)
 	for _, r := range orphans {
 		sum.Problems = append(sum.Problems,
 			fmt.Sprintf("seq %d: Tx-only update of %q with no full state of it before", r.Seq, r.Doc))

@@ -363,8 +363,9 @@ func expectState(t *testing.T, records []Record, stored map[string]string) map[s
 	return expect
 }
 
-// expectViews is the same model for the view registry: view records no
-// abort names, in journal order, a drop taking its document's views.
+// expectViews is the same model for the view definitions: view records
+// no abort names, in journal order, a create or a drop resetting its
+// document's views.
 func expectViews(records []Record) map[string][]string {
 	aborted := make(map[int64]bool)
 	for _, r := range records {
@@ -376,7 +377,7 @@ func expectViews(records []Record) map[string][]string {
 	for _, r := range records {
 		switch {
 		case aborted[r.Seq]:
-		case r.Op == OpDrop:
+		case r.Op == OpCreate, r.Op == OpDrop:
 			delete(views, r.Doc)
 		case r.Op == OpViewRegister:
 			views[r.Doc] = append(views[r.Doc], r.View)

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/tpwj"
@@ -40,21 +40,17 @@ type ViewResult struct {
 	Stale   bool
 }
 
-// viewHandle is the registry's entry for one registration of a view.
-// The view's materialized states live on the snapshots of the versions
-// they answer (see Snapshot), keyed by handle, so a view dropped and
-// registered again under the same name never meets the earlier
-// registration's states.
+// viewHandle is one registration of a view, held by its document's
+// entry (see docEntry.views). The view's materialized states live on
+// the snapshots of the versions they answer (see Snapshot), keyed by
+// handle, so a view dropped and registered again under the same name
+// never meets the earlier registration's states.
 type viewHandle struct {
 	def view.Definition
 }
 
-// viewRegistry maps document → view name → handle, and accumulates the
-// maintenance counters. The registry mutex guards the maps.
+// viewRegistry accumulates the view maintenance counters.
 type viewRegistry struct {
-	mu    sync.Mutex
-	byDoc map[string]map[string]*viewHandle
-
 	skipped           *obs.Counter
 	incremental       *obs.Counter
 	full              *obs.Counter
@@ -72,105 +68,6 @@ func (r *viewRegistry) initMetrics(reg *obs.Registry) {
 	r.answersRecomputed = reg.Counter("px_view_answers_total", "answer probabilities handled by incremental passes", obs.L("outcome", "recomputed"))
 }
 
-func (r *viewRegistry) get(doc, name string) (*viewHandle, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.byDoc[doc][name]
-	return h, ok
-}
-
-// set installs a handle for the definition, replacing any previous one.
-func (r *viewRegistry) set(doc string, h *viewHandle) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byDoc == nil {
-		r.byDoc = make(map[string]map[string]*viewHandle)
-	}
-	m := r.byDoc[doc]
-	if m == nil {
-		m = make(map[string]*viewHandle)
-		r.byDoc[doc] = m
-	}
-	m[h.def.Name] = h
-}
-
-func (r *viewRegistry) del(doc, name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byDoc[doc]; m != nil {
-		delete(m, name)
-		if len(m) == 0 {
-			delete(r.byDoc, doc)
-		}
-	}
-}
-
-func (r *viewRegistry) delDoc(doc string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.byDoc, doc)
-}
-
-// forDoc returns the document's handles, sorted by view name so
-// maintenance runs in deterministic order.
-func (r *viewRegistry) forDoc(doc string) []*viewHandle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.byDoc[doc]
-	out := make([]*viewHandle, 0, len(m))
-	for _, h := range m {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].def.Name < out[j].def.Name })
-	return out
-}
-
-// defs returns all definitions, keyed by document, for the compaction
-// snapshot.
-func (r *viewRegistry) defs() map[string][]view.Definition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]view.Definition, len(r.byDoc))
-	for doc, m := range r.byDoc {
-		for _, h := range m {
-			out[doc] = append(out[doc], h.def)
-		}
-		sort.Slice(out[doc], func(i, j int) bool { return out[doc][i].Name < out[doc][j].Name })
-	}
-	return out
-}
-
-// count returns the number of registered views.
-func (r *viewRegistry) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, m := range r.byDoc {
-		n += len(m)
-	}
-	return n
-}
-
-// reset drops every handle but keeps the counter handles (they are
-// registered once on the warehouse's registry and must stay monotonic
-// across Reopen).
-func (r *viewRegistry) reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byDoc = nil
-}
-
-// pruneMissing drops every document's views unless exists(doc).
-func (r *viewRegistry) pruneMissing(exists func(doc string) bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for doc := range r.byDoc {
-		if !exists(doc) {
-			delete(r.byDoc, doc)
-		}
-	}
-}
-
 // record folds one maintenance result into the counters and the
 // requesting mutation's cost accumulator (nil outside a request).
 func (r *viewRegistry) record(cost *obs.Cost, res view.Result) {
@@ -184,6 +81,66 @@ func (r *viewRegistry) record(cost *obs.Cost, res view.Result) {
 	case view.Full:
 		obs.Charge(cost, obs.CostViewMaintRecomputed, r.full, 1)
 	}
+}
+
+// findView returns the position of the view named name in hs, sorted by
+// name, and whether it is there.
+func findView(hs []*viewHandle, name string) (int, bool) {
+	return slices.BinarySearchFunc(hs, name, func(h *viewHandle, name string) int {
+		return strings.Compare(h.def.Name, name)
+	})
+}
+
+// withView returns a copy of hs with h in place of any view of its name.
+func withView(hs []*viewHandle, h *viewHandle) []*viewHandle {
+	i, found := findView(hs, h.def.Name)
+	out := slices.Clone(hs)
+	if found {
+		out[i] = h
+		return out
+	}
+	return slices.Insert(out, i, h)
+}
+
+// withoutView returns hs, or a copy of it without the view named name.
+func withoutView(hs []*viewHandle, name string) []*viewHandle {
+	if i, found := findView(hs, name); found {
+		return slices.Delete(slices.Clone(hs), i, i+1)
+	}
+	return hs
+}
+
+// viewList returns the document's views, sorted by name, so
+// maintenance runs in deterministic order. The slice is never edited.
+func (e *docEntry) viewList() []*viewHandle {
+	if p := e.views.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setViews replaces the document's views. The caller holds e's mutex,
+// or holds e privately (Open).
+func (e *docEntry) setViews(hs []*viewHandle) { e.views.Store(&hs) }
+
+// view returns the document's view named name.
+func (e *docEntry) view(name string) (*viewHandle, bool) {
+	hs := e.viewList()
+	if i, ok := findView(hs, name); ok {
+		return hs[i], true
+	}
+	return nil, false
+}
+
+// viewCount returns the number of views on the documents in the table.
+func (w *Warehouse) viewCount() int {
+	w.docsMu.RLock()
+	defer w.docsMu.RUnlock()
+	n := 0
+	for _, e := range w.docs {
+		n += len(e.viewList())
+	}
+	return n
 }
 
 // RegisterView registers (and eagerly materializes) a named view of a
@@ -221,7 +178,7 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 		return nil, err
 	}
 	defer e.mu.Unlock()
-	if _, ok := w.views.get(doc, name); ok {
+	if _, ok := e.view(name); ok {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewExists, name, doc)
 	}
 	// The mutex keeps snap current until the install publishes the view
@@ -238,7 +195,7 @@ func (w *Warehouse) RegisterViewCtx(ctx context.Context, doc, name, query, synta
 	if err := w.install(ctx, Record{Op: OpViewRegister, Doc: doc, View: name, Query: query, Syntax: syntax}); err != nil {
 		return nil, err
 	}
-	w.views.set(doc, h)
+	e.setViews(withView(e.viewList(), h))
 	snap.setViewState(h, v)
 	return &ViewResult{Doc: doc, Name: name, Query: query, Syntax: syntax, Answers: v.Answers()}, nil
 }
@@ -261,14 +218,14 @@ func (w *Warehouse) DropView(doc, name string) error {
 		return err
 	}
 	defer e.mu.Unlock()
-	h, ok := w.views.get(doc, name)
+	h, ok := e.view(name)
 	if !ok {
 		return fmt.Errorf("warehouse: %w: %q on %q", ErrViewNotFound, name, doc)
 	}
 	if err := w.install(context.Background(), Record{Op: OpViewDrop, Doc: doc, View: name}); err != nil {
 		return err
 	}
-	w.views.del(doc, name)
+	e.setViews(withoutView(e.viewList(), name))
 	if s := e.snap.Load(); s != nil {
 		s.dropViewState(h)
 	}
@@ -285,10 +242,11 @@ func (w *Warehouse) ListViews(doc string) ([]view.Definition, error) {
 		return nil, err
 	}
 	defer release()
-	if _, err := w.entry(doc); err != nil {
+	e, err := w.entry(doc)
+	if err != nil {
 		return nil, err
 	}
-	handles := w.views.forDoc(doc)
+	handles := e.viewList()
 	out := make([]view.Definition, len(handles))
 	for i, h := range handles {
 		out[i] = h.def
@@ -321,11 +279,15 @@ func (w *Warehouse) ReadViewCtx(ctx context.Context, doc, name string) (*ViewRes
 		return nil, err
 	}
 	defer release()
-	h, ok := w.views.get(doc, name)
-	if !ok {
+	var h *viewHandle
+	e, err := w.entry(doc)
+	if err == nil {
+		h, _ = e.view(name)
+	}
+	if h == nil {
 		return nil, fmt.Errorf("warehouse: %w: %q on %q", ErrViewNotFound, name, doc)
 	}
-	s, err := w.loadSnapshot(doc)
+	s, err := w.loadEntry(doc, e)
 	if err != nil {
 		return nil, err
 	}
@@ -380,9 +342,9 @@ func (w *Warehouse) materialize(ctx context.Context, s *Snapshot, def view.Defin
 // version is published with its views already answering for it. A
 // view whose pass fails — on a cancelled context, say — gets no state
 // on next, and the first ReadView of next materializes it.
-func (w *Warehouse) maintainViews(ctx context.Context, doc string, pre, next *Snapshot, delta *view.Delta) {
+func (w *Warehouse) maintainViews(ctx context.Context, e *docEntry, pre, next *Snapshot, delta *view.Delta) {
 	cost := obs.CostFromContext(ctx)
-	for _, h := range w.views.forDoc(doc) {
+	for _, h := range e.viewList() {
 		old, ok := pre.viewState(h)
 		if !ok {
 			continue
@@ -408,12 +370,18 @@ type viewSnapshot struct {
 	Docs map[string][]view.Definition `json:"docs"`
 }
 
-// writeViewSnapshot persists all current view definitions to the
-// store's view snapshot (durably). Called by Compact under the
-// exclusive warehouse lock, before the journal — until then the
-// durable copy of registrations — is dropped.
+// writeViewSnapshot persists the view definitions of every document
+// in the table to the store's view snapshot (durably). Called by
+// Compact under the exclusive warehouse lock, before the journal —
+// until then the durable copy of registrations — is dropped.
 func (w *Warehouse) writeViewSnapshot() error {
-	data, err := json.MarshalIndent(viewSnapshot{Docs: w.views.defs()}, "", "  ")
+	defs := make(map[string][]view.Definition)
+	for name, e := range w.docs {
+		for _, h := range e.viewList() {
+			defs[name] = append(defs[name], h.def)
+		}
+	}
+	data, err := json.MarshalIndent(viewSnapshot{Docs: defs}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("warehouse: marshal view snapshot: %w", err)
 	}
@@ -423,25 +391,20 @@ func (w *Warehouse) writeViewSnapshot() error {
 	return nil
 }
 
-// loadViewSnapshot seeds the registry from the store's view snapshot,
-// if present. Called by Open before journal recovery, whose view
-// records (and document drops) are replayed on top in journal order.
-func (w *Warehouse) loadViewSnapshot() error {
+// readViewSnapshot returns the view definitions of the store's view
+// snapshot, by document, if there is one. Recovery folds the journal's
+// view records into them (see histories).
+func (w *Warehouse) readViewSnapshot() (map[string][]view.Definition, error) {
 	data, ok, err := w.st.ReadViews()
 	if err != nil {
-		return fmt.Errorf("warehouse: read view snapshot: %w", err)
+		return nil, fmt.Errorf("warehouse: read view snapshot: %w", err)
 	}
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	var snap viewSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("warehouse: view snapshot corrupt: %w", err)
+		return nil, fmt.Errorf("warehouse: view snapshot corrupt: %w", err)
 	}
-	for doc, defs := range snap.Docs {
-		for _, def := range defs {
-			w.views.set(doc, &viewHandle{def: def})
-		}
-	}
-	return nil
+	return snap.Docs, nil
 }

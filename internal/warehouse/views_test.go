@@ -20,6 +20,7 @@ import (
 	"repro/internal/tpwj"
 	"repro/internal/tree"
 	"repro/internal/update"
+	"repro/internal/vfs"
 )
 
 func sections(m int) *fuzzy.Tree {
@@ -92,6 +93,20 @@ func TestViewLifecycle(t *testing.T) {
 	if _, err := w.ReadView("doc1", "lview"); !errors.Is(err, ErrViewNotFound) {
 		t.Fatalf("read after drop: %v, want ErrViewNotFound", err)
 	}
+}
+
+// viewHandleOf returns the handle of the document's view named name.
+func viewHandleOf(t *testing.T, w *Warehouse, doc, name string) *viewHandle {
+	t.Helper()
+	e, err := w.entry(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := e.view(name)
+	if !ok {
+		t.Fatalf("no view %q on %q", name, doc)
+	}
+	return h
 }
 
 // assertViewFresh compares a ReadView result against recomputing the
@@ -276,6 +291,183 @@ func TestDocDropRemovesViews(t *testing.T) {
 	defer w.Close()
 	if _, err := w.ReadView("doc1", "v1"); !errors.Is(err, ErrViewNotFound) {
 		t.Fatalf("view resurrected by reopen: %v", err)
+	}
+}
+
+// TestViewChurnMatchesRecovery races Drop and Create of one name
+// against RegisterView and DropView of several view names and against
+// ReadView and ListViews readers (run with -race). Once the goroutines
+// stop, the live view list must be the one recovery rebuilds from the
+// disk, from a crash image and after a clean Close: no Drop may strip
+// or leak the views of a document created after it.
+func TestViewChurnMatchesRecovery(t *testing.T) {
+	for _, backend := range storeBackends {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			w := openB(t, dir, backend)
+			if err := w.Create("doc", sections(2)); err != nil {
+				t.Fatal(err)
+			}
+			// allowed lists the errors a racing call may legally return.
+			allowed := func(err error, errs ...error) {
+				if err == nil {
+					return
+				}
+				for _, e := range errs {
+					if errors.Is(err, e) {
+						return
+					}
+				}
+				t.Error(err)
+			}
+			views := []string{"v0", "v1", "v2"}
+			const rounds = 40
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						allowed(w.Drop("doc"), ErrNotFound)
+						allowed(w.Create("doc", sections(2)), ErrExists)
+					}
+				}()
+			}
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < rounds; i++ {
+						name := views[r.Intn(len(views))]
+						if r.Intn(2) == 0 {
+							_, err := w.RegisterView("doc", name, "A(S $s)", "")
+							allowed(err, ErrNotFound, ErrViewExists)
+						} else {
+							allowed(w.DropView("doc", name), ErrNotFound, ErrViewNotFound)
+						}
+					}
+				}(g)
+			}
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						_, err := w.ReadView("doc", views[i%len(views)])
+						allowed(err, ErrNotFound, ErrViewNotFound)
+						_, err = w.ListViews("doc")
+						allowed(err, ErrNotFound)
+					}
+				}()
+			}
+			wg.Wait()
+
+			// list renders the document's views, or "missing".
+			list := func(w *Warehouse) string {
+				defs, err := w.ListViews("doc")
+				if errors.Is(err, ErrNotFound) {
+					return "missing"
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, d := range defs {
+					names = append(names, d.Name)
+				}
+				return "[" + strings.Join(names, ",") + "]"
+			}
+			live := list(w)
+			crash := copyWarehouseDir(t, dir)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ how, dir string }{{"reopen", dir}, {"crash image", crash}} {
+				w := openB(t, c.dir, backend)
+				if got := list(w); got != live {
+					t.Errorf("views after %s = %s, live = %s", c.how, got, live)
+				}
+				w.Close()
+			}
+		})
+	}
+}
+
+// TestOrphanViewsDroppedAtOpen pins what Open does with view
+// definitions of a document that does not exist, which no crash can
+// produce: a view-register record or a views.json entry naming it is
+// dropped, and a later Create of that name lists no views — also after
+// another reopen.
+func TestOrphanViewsDroppedAtOpen(t *testing.T) {
+	for _, backend := range storeBackends {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			w := openB(t, dir, backend)
+			if err := w.Create("kept", sections(2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.RegisterView("kept", "v", "A(S $s)", ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// views.json names a document with no page and no record.
+			st, err := newBackendStore(dir, backend, vfs.OS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, log, err := st.Open(validRecord); err != nil {
+				t.Fatal(err)
+			} else if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seed := `{"docs": {"kept": [{"name": "v", "query": "A(S $s)"}], "ghost": [{"name": "g", "query": "A $a"}]}}`
+			if err := st.WriteViews([]byte(seed)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			forgeJournal(t, dir, backend, []Record{
+				{Op: OpViewRegister, Doc: "orphan", View: "o", Query: "A $a"},
+				{Op: OpCreate, Doc: "gone", Content: content(t, "A(x)")},
+				{Op: OpDrop, Doc: "gone"},
+				{Op: OpViewRegister, Doc: "gone", View: "late", Query: "A $a"},
+			})
+
+			w = openB(t, dir, backend)
+			defer func() { w.Close() }()
+			if defs, err := w.ListViews("kept"); err != nil || len(defs) != 1 || defs[0].Name != "v" {
+				t.Fatalf("ListViews(kept) = %v, %v; want [v]", defs, err)
+			}
+			for _, doc := range []string{"ghost", "orphan", "gone"} {
+				if _, err := w.ListViews(doc); !errors.Is(err, ErrNotFound) {
+					t.Errorf("ListViews(%q) = %v, want ErrNotFound", doc, err)
+				}
+				if err := w.Create(doc, sections(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				for _, doc := range []string{"ghost", "orphan", "gone"} {
+					if defs, err := w.ListViews(doc); err != nil || len(defs) != 0 {
+						t.Errorf("%s: ListViews(%q) = %v, %v; want none", when, doc, defs, err)
+					}
+				}
+			}
+			check("after create")
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w = openB(t, dir, backend)
+			check("after reopen")
+		})
 	}
 }
 
@@ -562,7 +754,7 @@ func TestCancelledUpdateLeavesViewToFirstReader(t *testing.T) {
 	if _, err := w.RegisterView("doc1", "ls", "A(S(L $x))", ""); err != nil {
 		t.Fatal(err)
 	}
-	h, _ := w.views.get("doc1", "ls")
+	h := viewHandleOf(t, w, "doc1", "ls")
 	pre, err := w.Snapshot(context.Background(), "doc1")
 	if err != nil {
 		t.Fatal(err)

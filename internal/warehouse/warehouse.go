@@ -188,8 +188,8 @@ type Warehouse struct {
 
 	search searchCounters
 
-	// views holds the registered materialized views and their
-	// maintenance counters (see views.go).
+	// views accumulates the view maintenance counters; the views
+	// themselves live on their documents' entries (see docEntry).
 	views viewRegistry
 }
 
@@ -198,13 +198,15 @@ type Warehouse struct {
 // most fullStateEvery-1 transactions per document.
 const fullStateEvery = 32
 
-// docEntry is one document's row in the table of documents. Two rules
-// keep the table and the stored pages in step. A Create publishes its
-// snapshot before it goes live, so a live entry without a snapshot —
-// one filled in by Open and not read since — always has a current
-// page. And a snapshot, once published, stays resident until Drop or
-// Reopen takes the entry out, so a document changed since the last
-// checkpoint is never read back from its stale page.
+// docEntry is one document's row in the table of documents: its writer
+// mutex, published version, registered views and checkpoint state, all
+// of which leave the table with it. Two rules keep the table and the
+// stored pages in step. A Create publishes its snapshot before it goes
+// live, so a live entry without a snapshot — one filled in by Open and
+// not read since — always has a current page. And a snapshot, once
+// published, stays resident until Drop or Reopen takes the entry out,
+// so a document changed since the last checkpoint is never read back
+// from its stale page.
 type docEntry struct {
 	// mu is the document's writer mutex. It is held across a whole
 	// mutation — compute, view maintenance, journal append, publish —
@@ -218,6 +220,11 @@ type docEntry struct {
 	// live is false while the document's Create is being journaled:
 	// until then the document exists for no reader and no other writer.
 	live atomic.Bool
+
+	// views is the document's view definitions, sorted by name: a slice
+	// never edited, which RegisterView and DropView replace under mu and
+	// readers load (see viewList). They leave the table with the entry.
+	views atomic.Pointer[[]*viewHandle]
 
 	// gone, dirty and tail are guarded by mu, or by the warehouse lock
 	// held exclusively (Close, Compact, Reopen). gone marks an entry a
@@ -378,7 +385,7 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 	w.search.initMetrics(reg)
 	w.views.initMetrics(reg)
 	reg.GaugeFunc("px_views_registered", "currently registered materialized views",
-		func() float64 { return float64(w.views.count()) })
+		func() float64 { return float64(w.viewCount()) })
 	reg.GaugeFunc("px_degraded", "1 while the warehouse is in degraded read-only mode, else 0",
 		func() float64 {
 			if w.degraded.Load() {
@@ -419,11 +426,13 @@ func openRecords(st store.Store) ([]Record, store.Log, error) {
 
 // loadFromDisk runs the open sequence against the storage backend:
 // initialize the layout and scan the journal (truncating any torn
-// tail), load the view snapshot, replay recovery, fill the table of
-// documents from the pages recovery brought up to the journal, prune
-// orphaned views. Shared by OpenStore and Reopen; the caller must hold
-// the warehouse exclusively (Reopen) or privately (OpenStore, before
-// the value is shared).
+// tail), read the view snapshot, replay recovery, and fill the table of
+// documents from the pages recovery brought up to the journal, each
+// entry with the views recovery found for its document. Views of a
+// document that does not exist find no entry and are dropped. Shared
+// by OpenStore and Reopen; the caller must hold the warehouse
+// exclusively (Reopen) or privately (OpenStore, before the value is
+// shared).
 func (w *Warehouse) loadFromDisk() error {
 	records, log, err := openRecords(w.st)
 	if err != nil {
@@ -431,13 +440,13 @@ func (w *Warehouse) loadFromDisk() error {
 	}
 	j := newJournal(log, maxSeq(records), &w.jc, w.setDegraded)
 	w.journal = j
-	// Seed the view registry from the compaction snapshot (if any);
-	// recovery then replays the journal's view records on top.
-	if err := w.loadViewSnapshot(); err != nil {
+	seed, err := w.readViewSnapshot()
+	if err != nil {
 		j.close() //nolint:errcheck // already failing; the open error wins
 		return err
 	}
-	if err := w.recover(records); err != nil {
+	hist, err := w.recover(seed, records)
+	if err != nil {
 		j.close() //nolint:errcheck // already failing; the open error wins
 		return err
 	}
@@ -446,15 +455,18 @@ func (w *Warehouse) loadFromDisk() error {
 		j.close() //nolint:errcheck // already failing; the open error wins
 		return fmt.Errorf("warehouse: %w", err)
 	}
-	w.docs = make(map[string]*docEntry, len(names))
+	docs := make(map[string]*docEntry, len(names))
 	for _, name := range names {
 		e := newEntry()
+		if d := hist[name]; d != nil {
+			e.setViews(d.views)
+		}
 		e.live.Store(true)
-		w.docs[name] = e
+		docs[name] = e
 	}
-	// Drop view definitions whose document no longer exists (defensive:
-	// a hand-edited snapshot or journal could leave orphans behind).
-	w.views.pruneMissing(func(doc string) bool { return w.docs[doc] != nil })
+	w.docsMu.Lock()
+	w.docs = docs
+	w.docsMu.Unlock()
 	return nil
 }
 
@@ -552,7 +564,6 @@ func (w *Warehouse) Reopen() error {
 	// close error carries no information recovery doesn't re-derive
 	// from disk.
 	w.journal.close() //nolint:errcheck
-	w.views.reset()
 	if err := w.loadFromDisk(); err != nil {
 		return err
 	}
@@ -653,13 +664,20 @@ func (w *Warehouse) loadSnapshot(name string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return w.loadEntry(name, e)
+}
+
+// loadEntry is loadSnapshot for a caller that has looked up the
+// document's entry.
+func (w *Warehouse) loadEntry(name string, e *docEntry) (*Snapshot, error) {
 	if s := e.snap.Load(); s != nil {
 		return s, nil
 	}
-	if e, err = w.lockEntry(name); err != nil {
-		return nil, err
-	}
+	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.gone {
+		return nil, fmt.Errorf("warehouse: %w: %q", ErrNotFound, name)
+	}
 	return w.loadLocked(name, e)
 }
 
@@ -682,9 +700,9 @@ func (w *Warehouse) loadLocked(name string, e *docEntry) (*Snapshot, error) {
 // install journals one mutation's record. The caller holds the
 // document's mutex and has done all computation already, including the
 // successor version's view states, so what follows a successful
-// install — publish, a table or registry change — is pointer work.
-// Installs on different documents interleave freely; their journal
-// appends share group-committed fsyncs.
+// install — publish, a change to the table or an entry's views — is
+// pointer work. Installs on different documents interleave freely;
+// their journal appends share group-committed fsyncs.
 //
 // The record is the commit: once install returns nil the mutation is
 // durable and acknowledged-to-be, and only then may the caller make it
@@ -823,10 +841,9 @@ func (w *Warehouse) Drop(name string) error {
 	if err := w.install(context.Background(), Record{Op: OpDrop, Doc: name}); err != nil {
 		return err
 	}
+	// The document's views leave with its entry, as the drop record
+	// takes them at recovery (see histories).
 	w.unlist(name, e)
-	// Views follow their document: the drop record implies their
-	// removal at recovery too (see recover).
-	w.views.delDoc(name)
 	return nil
 }
 
@@ -924,7 +941,7 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	}
 	next := &Snapshot{tree: nextTree}
 	_, vspan := obs.StartSpan(ctx, "view.maintain")
-	w.maintainViews(ctx, name, pre, next, delta)
+	w.maintainViews(ctx, e, pre, next, delta)
 	vspan.End()
 	if err := w.install(ctx, rec); err != nil {
 		return err
@@ -1047,12 +1064,12 @@ func (w *Warehouse) Journal() ([]Record, error) {
 // the durable copy of everything mutated since the last checkpoint, so
 // the hand-off goes in order: write every dirty document's page and
 // remove every dropped one's (checkpoint), make all pages durable
-// (SyncDocs), snapshot the view
-// registry, and only then trade the journal for space (ResetJournal,
-// which for the kv backend also rewrites the page file down to its
-// live pages). After it returns, the stored documents are the
-// authority until the next mutation journals a document's full state
-// again — the first update of each document after Compact does.
+// (SyncDocs), snapshot the view definitions, and only then trade the
+// journal for space (ResetJournal, which for the kv backend also
+// rewrites the page file down to its live pages). After it returns,
+// the stored documents are the authority until the next mutation
+// journals a document's full state again — the first update of each
+// document after Compact does.
 func (w *Warehouse) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1071,9 +1088,9 @@ func (w *Warehouse) Compact() error {
 	if err := w.st.SyncDocs(); err != nil {
 		return err
 	}
-	// The journal is also the durable copy of the view registry (its
-	// view-register/view-drop records); snapshot the registry before
-	// dropping it.
+	// The journal is also the durable copy of the view definitions (its
+	// view-register/view-drop records); snapshot them before dropping
+	// it.
 	if err := w.writeViewSnapshot(); err != nil {
 		return err
 	}
