@@ -236,7 +236,9 @@ func EvalQueryOnWorlds(q *Query, s *Worlds, mode ResultMode) (*Worlds, error) {
 }
 
 // ApplyUpdate applies a transaction directly to a fuzzy tree, returning
-// the new tree (the input is unchanged).
+// the new tree. The input is unchanged, and the result shares every
+// subtree the transaction does not touch with it: clone the result
+// before an in-place Simplify if the input is still used.
 func ApplyUpdate(tx *Transaction, doc *FuzzyTree) (*FuzzyTree, *UpdateStats, error) {
 	return tx.ApplyFuzzy(doc)
 }
@@ -268,7 +270,9 @@ func FromWorlds(s *Worlds, eventPrefix string) (*FuzzyTree, error) {
 }
 
 // Simplify runs all semantics-preserving simplification passes on the
-// document, in place, and reports what changed.
+// document, in place, and reports what changed. A tree returned by
+// ApplyUpdate shares nodes with the update's input, so clone it first
+// (FuzzyTree.Clone) if that input is still used.
 func Simplify(doc *FuzzyTree) SimplifyStats { return doc.Simplify() }
 
 // Storage backend names, accepted by OpenWarehouseBackend and the

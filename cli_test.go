@@ -4,12 +4,15 @@ package fuzzyxml_test
 // once into a temp dir and driven the way a user would drive it.
 
 import (
+	"bufio"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	fuzzyxml "repro"
 )
@@ -418,6 +421,51 @@ func TestCLIPxsearch(t *testing.T) {
 	cmd := exec.Command(bins["pxsearch"], "-doc", doc)
 	if cmdOut, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("pxsearch without keywords succeeded:\n%s", cmdOut)
+	}
+}
+
+// TestCLIPxserveRequestTimeoutDefault: without -request-timeout,
+// pxserve bounds every evaluation at 30 seconds — the usage text says
+// so and the server it boots logs the bound it was given — and
+// -request-timeout 0 turns the bound off.
+func TestCLIPxserveRequestTimeoutDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := buildTools(t, "pxserve")["pxserve"]
+	usage, _ := exec.Command(bin, "-h").CombinedOutput()
+	if !regexp.MustCompile(`-request-timeout duration\n[^\n]*\(default 30s\)`).Match(usage) {
+		t.Errorf("usage does not give -request-timeout a 30s default:\n%s", usage)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "request timeout 30s"},
+		{[]string{"-request-timeout", "0"}, "request timeout 0s"},
+	} {
+		args := append([]string{"-dir", filepath.Join(t.TempDir(), "wh"), "-addr", "127.0.0.1:0"}, c.args...)
+		srv := exec.Command(bin, args...)
+		stderr, err := srv.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Stop waiting for the line after a while: a kill ends the scan.
+		timer := time.AfterFunc(10*time.Second, func() { srv.Process.Kill() }) //nolint:errcheck
+		found := false
+		lines := bufio.NewScanner(stderr)
+		for !found && lines.Scan() {
+			found = strings.Contains(lines.Text(), c.want)
+		}
+		timer.Stop()
+		srv.Process.Kill() //nolint:errcheck
+		srv.Wait()         //nolint:errcheck
+		if !found {
+			t.Errorf("pxserve %v never logged %q", c.args, c.want)
+		}
 	}
 }
 

@@ -12,7 +12,11 @@
 //	pxserve -dir ./wh -addr :9090 -v
 //	pxserve -dir ./wh -slow-query 250ms -pprof localhost:6060
 //	pxserve -dir ./wh -pprof localhost:6060 -mutexprofile 5 -blockprofile 1000000
-//	pxserve -dir ./wh -request-timeout 30s -max-inflight 64
+//	pxserve -dir ./wh -request-timeout 5s -max-inflight 64
+//	pxserve -dir ./wh -request-timeout 0
+//
+// A request's evaluation is cut off with a 503 after 30 seconds unless
+// -request-timeout says otherwise (0 turns the bound off).
 //
 // On SIGINT/SIGTERM the server drains in-flight requests (up to 10s)
 // and logs the final /stats payload (every metric series, the storage
@@ -52,7 +56,7 @@ func main() {
 		verbose     = flag.Bool("v", false, "log every request")
 		slowQuery   = flag.Duration("slow-query", 0, "log requests at least this slow, with span breakdown (0 = disabled)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and /debug/traces on this debug address (empty = disabled)")
-		reqTimeout  = flag.Duration("request-timeout", 0, "abort request evaluation after this long with 503 (0 = no timeout; /stats, /metrics and probes are exempt)")
+		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "abort request evaluation after this long with 503 (0 = no timeout; /stats, /metrics and probes are exempt)")
 		maxInFlight = flag.Int("max-inflight", 0, "cap on concurrently evaluating requests, excess shed with 429 (0 = unlimited)")
 		mutexFrac   = flag.Int("mutexprofile", 0, "sample 1/n of mutex contention events for /debug/pprof/mutex (0 = off; needs -pprof)")
 		blockRate   = flag.Int("blockprofile", 0, "sample blocking events of at least n ns for /debug/pprof/block (0 = off; needs -pprof)")
@@ -69,6 +73,7 @@ func main() {
 	}
 	defer wh.Close()
 	log.Printf("pxserve: %s storage backend at %s", wh.Backend(), wh.Dir())
+	log.Printf("pxserve: request timeout %v, max in-flight %d", *reqTimeout, *maxInFlight)
 
 	opts := fuzzyxml.ServerOptions{
 		SlowQueryThreshold: *slowQuery,

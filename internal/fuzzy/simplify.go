@@ -159,15 +159,22 @@ func (t *Tree) MergeComplementarySiblings() SimplifyStats {
 	var stats SimplifyStats
 	var rec func(n *Node)
 	rec = func(n *Node) {
+		// The siblings' normalized conditions, computed once rather than
+		// once per pair: most pairs differ in length or are unconditioned.
+		conds := make([]event.Condition, len(n.Children))
+		for i, c := range n.Children {
+			conds[i] = c.Cond.Normalize()
+		}
 	restart:
 		for i := 0; i < len(n.Children); i++ {
 			for j := i + 1; j < len(n.Children); j++ {
-				merged, ok := mergeComplementary(n.Children[i], n.Children[j])
+				merged, ok := mergeComplementary(n.Children[i], n.Children[j], conds[i], conds[j])
 				if !ok {
 					continue
 				}
-				n.Children[i] = merged
+				n.Children[i], conds[i] = merged, merged.Cond.Normalize()
 				n.Children = append(n.Children[:j], n.Children[j+1:]...)
+				conds = append(conds[:j], conds[j+1:]...)
 				stats.SiblingsMerged++
 				goto restart
 			}
@@ -182,12 +189,11 @@ func (t *Tree) MergeComplementarySiblings() SimplifyStats {
 
 // mergeComplementary reports whether a and b are identical fuzzy subtrees
 // up to root conditions δ∧l and δ∧¬l, returning the merged node with
-// condition δ.
-func mergeComplementary(a, b *Node) (*Node, bool) {
+// condition δ. ca and cb are a's and b's conditions, normalized.
+func mergeComplementary(a, b *Node, ca, cb event.Condition) (*Node, bool) {
 	if a.Label != b.Label || a.Value != b.Value {
 		return nil, false
 	}
-	ca, cb := a.Cond.Normalize(), b.Cond.Normalize()
 	if len(ca) != len(cb) || len(ca) == 0 {
 		return nil, false
 	}

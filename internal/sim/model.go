@@ -103,6 +103,7 @@ func (d *docModel) noteWriteFailure(tx *update.Transaction, seq int64, upfront b
 	if upfront {
 		return
 	}
+	// d.alt shares d.tree's untouched subtrees; both are only read.
 	if next, _, err := tx.ApplyFuzzy(d.tree); err == nil {
 		d.alt = next
 		d.altOp = fmt.Sprintf("op %d", seq)

@@ -49,7 +49,9 @@ type FuzzyStats struct {
 }
 
 // ApplyFuzzy applies the transaction directly to a fuzzy tree
-// (slides 14–15), returning a new tree; the input is unchanged.
+// (slides 14–15), returning a new tree; the input is unchanged. It
+// checks the transaction, validates and flattens the input, then
+// applies as ApplyFlat does.
 //
 // One fresh confidence event w with P(w) = Conf is minted per transaction
 // (none when Conf = 1). For every valuation with satisfiable match
@@ -72,26 +74,49 @@ type FuzzyStats struct {
 // By the commutation theorem (slide 14), expanding the result equals
 // applying the transaction to the expansion — tested property,
 // experiment E4.
+//
+// The result shares every subtree the transaction does not touch with
+// the input (see ApplyFlat): neither may be written in place while the
+// other is still used, so clone before an in-place Simplify.
 func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, error) {
 	if err := tx.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := ft.Validate(); err != nil {
+	d, err := tpwj.FlattenValid(ft)
+	if err != nil {
 		return nil, nil, err
 	}
-	work := ft.Clone()
+	next, _, stats, err := tx.ApplyFlat(d)
+	return next, stats, err
+}
+
+// ApplyFlat is ApplyFuzzy on the flat form d of a valid fuzzy tree
+// (tpwj.FlattenValid, or tpwj.FlattenFuzzy of a tree known to be valid;
+// a plain Flatten form will not do), for a caller that holds one
+// already: the valuations, targets, parents and path conditions are all
+// read off d, so the input is neither validated nor flattened again.
+// The transaction must have passed Validate; the caller checks it
+// before it builds d, as that check is O(transaction) and the flatten
+// O(document). It also returns the result's node count, derived from
+// the edit. The result of a valid input is valid: the new
+// conditions use the input's events and the minted one, and the
+// inserted subtrees passed Validate.
+//
+// The result is built by path copying. Each node on a path from the
+// root to an edit is copied once, with its own Children slice; every
+// other subtree of the result is the input's, shared by pointer, as
+// are the conditions of the copied nodes. Inserted subtrees and
+// deletion copies are fresh. The event table is cloned. So the input
+// stays valid and unchanged, but a caller that writes the result in
+// place (fuzzy.Tree.Simplify) while the input is still used must clone
+// it first.
+func (tx *Transaction) ApplyFlat(d *tpwj.Doc) (*fuzzy.Tree, int, *FuzzyStats, error) {
 	stats := &FuzzyStats{}
 
-	// The flat form of the pre-update tree: valuations are found on it,
-	// and targets, their parents, depths and path conditions are read
-	// off it after the mutations below have started moving nodes.
-	d := tpwj.FlattenFuzzy(work)
-
-	// Collect per-valuation operation instances against the pre-update
-	// tree.
+	// Collect per-valuation operation instances against the input.
 	targets := tx.targetPositions()
 	type insApp struct {
-		target  *fuzzy.Node
+		target  int32
 		subtree *tree.Node
 		cond    event.Condition // residual, before the confidence event
 	}
@@ -115,7 +140,7 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 			rho := residual(d, gamma, target)
 			switch op.Kind {
 			case OpInsert:
-				inserts = append(inserts, insApp{target: d.Fuzzy(target), subtree: op.Subtree, cond: rho})
+				inserts = append(inserts, insApp{target: target, subtree: op.Subtree, cond: rho})
 			case OpDelete:
 				key := rho.String()
 				if delSeen[target] == nil {
@@ -131,14 +156,14 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 		return true
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
+	in := d.Tree()
 	if stats.Valuations == 0 {
-		return work, stats, nil
+		return &fuzzy.Tree{Root: in.Root, Table: in.Table.Clone()}, d.Len(), stats, nil
 	}
 
-	// Record the structural footprint (on the pre-update tree, before
-	// any mutation moves nodes around) for view maintenance.
+	// Record the structural footprint for view maintenance.
 	insLabels := make(map[string]bool)
 	for _, ins := range inserts {
 		ins.subtree.Walk(func(n *tree.Node) bool {
@@ -154,48 +179,57 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 	stats.DeleteTargetPaths = sortedKeys(delPaths)
 
 	// Mint the confidence event.
+	table := in.Table.Clone()
 	var confLit event.Condition
 	if tx.Conf < 1 {
 		id := tx.ConfEvent
 		if id == "" {
-			fresh, err := work.Table.Fresh("u", tx.Conf)
+			fresh, err := table.Fresh("u", tx.Conf)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, nil, err
 			}
 			id = fresh
 		} else {
-			if work.Table.Has(id) {
-				return nil, nil, fmt.Errorf("update: confidence event %q already in table", id)
+			if table.Has(id) {
+				return nil, 0, nil, fmt.Errorf("update: confidence event %q already in table", id)
 			}
-			if err := work.Table.Set(id, tx.Conf); err != nil {
-				return nil, nil, err
+			if err := table.Set(id, tx.Conf); err != nil {
+				return nil, 0, nil, err
 			}
 		}
 		stats.Event = id
 		confLit = event.Cond(event.Pos(id))
 	}
 
-	// Insertions first, as in ApplyData.
+	// Insertions first, as in ApplyData: a target's new children go
+	// after its old ones, in valuation order, and are in place when
+	// the target is copied.
+	s := &spine{d: d, adds: make(map[int32][]*fuzzy.Node), nodes: make(map[int32]*fuzzy.Node), grow: make(map[int32]int)}
 	for _, ins := range inserts {
-		if ins.target.Value != "" {
-			return nil, nil, fmt.Errorf("update: insert under value leaf %q would create mixed content", ins.target.Label)
+		if d.Value(ins.target) != "" {
+			return nil, 0, nil, fmt.Errorf("update: insert under value leaf %q would create mixed content", d.Label(ins.target))
 		}
 		child := fuzzy.FromData(ins.subtree)
 		child.Cond = ins.cond.And(confLit)
-		ins.target.Add(child)
+		s.adds[ins.target] = append(s.adds[ins.target], child)
+		s.resize(ins.target, ins.subtree.Size())
 		stats.Inserted++
+	}
+	for _, ins := range inserts {
+		s.copyOf(ins.target)
 	}
 
 	// Deletions, in reverse document order so that expanding a node
-	// happens after all deletions inside its subtree are done.
+	// happens after all deletions inside its subtree are done. The
+	// slot of a target in its parent is then still its input slot:
+	// only later siblings have been replaced so far.
 	slices.Sort(delOrder)
 	slices.Reverse(delOrder)
 	for _, target := range delOrder {
 		if target == 0 {
-			return nil, nil, fmt.Errorf("update: cannot delete the document root")
+			return nil, 0, nil, fmt.Errorf("update: cannot delete the document root")
 		}
-		parent := d.Fuzzy(d.Parent(target))
-		copies := []*fuzzy.Node{d.Fuzzy(target)}
+		copies := []*fuzzy.Node{s.node(target)}
 		for _, rho := range delRho[target] {
 			// The confidence literal goes last, so the expansion tries
 			// the pre-existing condition literals first and only then
@@ -203,24 +237,97 @@ func (tx *Transaction) ApplyFuzzy(ft *fuzzy.Tree) (*fuzzy.Tree, *FuzzyStats, err
 			delta := append(rho.Clone(), confLit...)
 			if len(delta) == 0 {
 				// The deletion applies whenever the node exists.
-				for _, c := range copies {
-					parent.RemoveChild(c)
-					stats.DeletedOutright++
-				}
+				stats.DeletedOutright += len(copies)
 				copies = nil
 				break
 			}
 			var next []*fuzzy.Node
 			for _, c := range copies {
-				repl := expandDeletion(c, delta)
-				parent.ReplaceChild(c, repl...)
-				next = append(next, repl...)
+				next = append(next, expandDeletion(c, delta)...)
 			}
 			stats.Copies += len(next)
 			copies = next
 		}
+		s.replace(target, copies)
 	}
-	return work, stats, nil
+	return &fuzzy.Tree{Root: s.node(0), Table: table}, d.Len() + s.grow[0], stats, nil
+}
+
+// spine is a successor under construction by path copying: the copies
+// of the input nodes on root-to-edit paths, by input id. Every node
+// without a copy is the input's, shared.
+type spine struct {
+	d *tpwj.Doc
+	// adds are the children inserted under each target, appended to
+	// its copy when it is made.
+	adds  map[int32][]*fuzzy.Node
+	nodes map[int32]*fuzzy.Node
+	// grow is how many nodes each copied subtree has gained (negative:
+	// lost) so far, so the result's size is d.Len() + grow[0].
+	grow map[int32]int
+}
+
+// node returns the successor's node for input node id: its copy, or
+// the input's node if it has none.
+func (s *spine) node(id int32) *fuzzy.Node {
+	if c, ok := s.nodes[id]; ok {
+		return c
+	}
+	return s.d.Fuzzy(id)
+}
+
+// copyOf returns the copy of input node id, making it — and the copies
+// of its ancestors — on first use. A copy shares the input node's
+// condition, and its Children slice is sized exactly for the input's
+// children plus the inserted ones.
+func (s *spine) copyOf(id int32) *fuzzy.Node {
+	if c, ok := s.nodes[id]; ok {
+		return c
+	}
+	n := s.d.Fuzzy(id)
+	c := &fuzzy.Node{Label: n.Label, Value: n.Value, Cond: n.Cond}
+	if k := len(n.Children) + len(s.adds[id]); k > 0 {
+		c.Children = append(append(make([]*fuzzy.Node, 0, k), n.Children...), s.adds[id]...)
+	}
+	s.nodes[id] = c
+	if p := s.d.Parent(id); p >= 0 {
+		s.copyOf(p).Children[s.slot(id)] = c
+	}
+	return c
+}
+
+// slot returns the index of input node id among its parent's children.
+func (s *spine) slot(id int32) int {
+	i := 0
+	for c := s.d.Parent(id) + 1; c < id; c = s.d.End(c) {
+		i++
+	}
+	return i
+}
+
+// replace puts repl where input node id is in its parent's copy: a
+// deletion's conditioned copies, or nothing.
+func (s *spine) replace(id int32, repl []*fuzzy.Node) {
+	p := s.d.Parent(id)
+	parent := s.copyOf(p)
+	i := s.slot(id)
+	if len(repl) == 1 {
+		parent.Children[i] = repl[0]
+	} else {
+		kids := make([]*fuzzy.Node, 0, len(parent.Children)-1+len(repl))
+		kids = append(append(kids, parent.Children[:i]...), repl...)
+		parent.Children = append(kids, parent.Children[i+1:]...)
+	}
+	size := int(s.d.End(id)-id) + s.grow[id]
+	s.resize(p, (len(repl)-1)*size)
+}
+
+// resize records that the subtree of input node id, and so every
+// subtree above it, gained delta nodes.
+func (s *spine) resize(id int32, delta int) {
+	for ; id >= 0; id = s.d.Parent(id) {
+		s.grow[id] += delta
+	}
 }
 
 // expandDeletion rewrites one node copy c for a deletion with residual

@@ -184,6 +184,12 @@ func TestApplyFuzzyErrors(t *testing.T) {
 	if _, _, err := txOK.ApplyFuzzy(bad); err == nil {
 		t.Error("invalid fuzzy tree accepted")
 	}
+	// An invalid transaction on an invalid tree: the transaction is
+	// checked first (O(transaction), before the O(document) flatten).
+	txBad := New(tpwj.MustParseQuery("A(B $x)"), 1.5, Delete("x"))
+	if _, _, err := txBad.ApplyFuzzy(bad); err == nil || err.Error() != txBad.Validate().Error() {
+		t.Errorf("err %v, want the transaction's: %v", err, txBad.Validate())
+	}
 }
 
 // TestUpdateCommutationRandom is the property form of the update theorem

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -317,6 +318,90 @@ func TestReadsRacingUpdatesSeePublishedVersions(t *testing.T) {
 			}
 			last = o.version
 		}
+	}
+}
+
+// TestOldSnapshotsKeepTheirBytes is the immutability contract of a
+// published version under path copying (run with -race): an update
+// shares every subtree it does not edit with its predecessor, so
+// readers hold on to old snapshots while inserts, deletions with
+// conditioned copies and simplifications land, re-encoding them as
+// they go, and every old snapshot still encodes to the bytes its
+// version had when it was published.
+func TestOldSnapshotsKeepTheirBytes(t *testing.T) {
+	w := openTemp(t)
+	r := rand.New(rand.NewSource(7))
+	if err := w.Create("doc", shapeDoc(r, 32, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// published is written by the writer only, after each mutation.
+	published := make(map[uint64][]byte)
+	publish := func() {
+		s, err := w.Snapshot(ctx, "doc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if published[s.Version()], err = s.XML(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish()
+
+	const updates, readers = 40, 4
+	kept := make([][]*Snapshot, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s, err := w.Snapshot(ctx, "doc")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n := len(kept[g]); n == 0 || kept[g][n-1] != s {
+					kept[g] = append(kept[g], s)
+				}
+				// Re-encode an old version while the writer builds new
+				// ones on top of it.
+				if _, err := kept[g][i%len(kept[g])].XML(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	stream := &mutationStream{r: rand.New(rand.NewSource(8)), sections: 32, simplifyEvery: 10}
+	for i := 0; i < updates; i++ {
+		stream.next(t, w, "doc")
+		publish()
+	}
+	close(stop)
+	wg.Wait()
+
+	checked := 0
+	for g := range kept {
+		for _, s := range kept[g] {
+			data, err := s.XML(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, published[s.Version()]) {
+				t.Fatalf("reader %d: version %d encodes differently than when it was published", g, s.Version())
+			}
+			checked++
+		}
+	}
+	if checked < readers*2 {
+		t.Errorf("readers kept only %d snapshots", checked)
 	}
 }
 

@@ -25,8 +25,8 @@ func flattens() int64 {
 // of the version: eight goroutines reading one fresh version — exact
 // and Monte-Carlo queries, a view registration and read, keyword
 // searches — flatten it exactly once between them, and an update adds
-// exactly one more for the new version beside the per-call flatten of
-// ApplyFuzzy's clone. Run under -race. It reads a process-wide
+// exactly one more, for the new version: the update itself runs on its
+// predecessor's flat form. Run under -race. It reads a process-wide
 // counter, so it must not run in parallel with other tests.
 func TestSnapshotFlattensOncePerVersion(t *testing.T) {
 	w := openTemp(t)
@@ -80,8 +80,20 @@ func TestSnapshotFlattensOncePerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	readAll(false)
-	if n := flattens() - before; n != 2 {
-		t.Errorf("an update and the readers of its version flattened %d times, want 2 (ApplyFuzzy's clone, the new version)", n)
+	if n := flattens() - before; n != 1 {
+		t.Errorf("an update and the readers of its version flattened %d times, want 1 (the new version)", n)
+	}
+
+	// Unread versions: each is flattened once, by the maintenance of
+	// the view it carries, and the update after it reuses that form.
+	before = flattens()
+	for i := 0; i < 3; i++ {
+		if _, err := w.Update("d", tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := flattens() - before; n != 3 {
+		t.Errorf("three updates flattened %d times, want 3 (one per new version)", n)
 	}
 }
 

@@ -31,12 +31,11 @@ type Snapshot struct {
 	version uint64
 	search  *searchCounters
 
-	// doc is the flat form of tree that every query, view evaluation
-	// and keyword index of this version runs on, validated and built by
-	// the first reader; docErr is the validation error, if any.
+	// doc is the flat form of tree that every query, view evaluation,
+	// keyword index and the next update of this version runs on, built
+	// by the first of them.
 	docOnce sync.Once
 	doc     *tpwj.Doc
-	docErr  error
 
 	// index is the keyword index over doc, built by the first Search.
 	indexOnce sync.Once
@@ -106,15 +105,18 @@ func (s *Snapshot) dropViewState(h *viewHandle) {
 }
 
 // flat returns the version's flat form, building it on first use: the
-// tree is validated once and flattened once per version, however many
-// readers ask.
-func (s *Snapshot) flat(ctx context.Context) (*tpwj.Doc, error) {
+// tree is flattened once per version, however many readers ask. It is
+// not validated again: every version's tree is valid when published —
+// a page is validated as it is parsed (xmlio.ParseDoc), a created
+// document by CreateCtx, and an update or a simplification of a valid
+// tree is valid.
+func (s *Snapshot) flat(ctx context.Context) *tpwj.Doc {
 	s.docOnce.Do(func() {
 		_, span := obs.StartSpan(ctx, "tpwj.flatten")
 		defer span.End()
-		s.doc, s.docErr = tpwj.FlattenValid(s.tree)
+		s.doc = tpwj.FlattenFuzzy(s.tree)
 	})
-	return s.doc, s.docErr
+	return s.doc
 }
 
 // Version identifies the snapshot among all versions of all documents
@@ -129,10 +131,7 @@ func (s *Snapshot) Version() uint64 { return s.version }
 func (s *Snapshot) Query(ctx context.Context, q *tpwj.Query) ([]tpwj.ProbAnswer, error) {
 	ctx, span := obs.StartSpan(ctx, "warehouse.query")
 	defer span.End()
-	d, err := s.flat(ctx)
-	if err != nil {
-		return nil, err
-	}
+	d := s.flat(ctx)
 	return d.Exact(ctx, q)
 }
 
@@ -142,10 +141,7 @@ func (s *Snapshot) Query(ctx context.Context, q *tpwj.Query) ([]tpwj.ProbAnswer,
 func (s *Snapshot) QueryMC(ctx context.Context, q *tpwj.Query, samples int, r *rand.Rand) ([]tpwj.ProbAnswer, error) {
 	ctx, span := obs.StartSpan(ctx, "warehouse.query")
 	defer span.End()
-	d, err := s.flat(ctx)
-	if err != nil {
-		return nil, err
-	}
+	d := s.flat(ctx)
 	return d.MonteCarlo(ctx, q, samples, r)
 }
 
@@ -156,10 +152,7 @@ func (s *Snapshot) QueryMC(ctx context.Context, q *tpwj.Query, samples int, r *r
 // ones.
 func (s *Snapshot) Search(ctx context.Context, req keyword.Request) (*keyword.Result, error) {
 	s.search.searches.Add(1)
-	d, err := s.flat(ctx)
-	if err != nil {
-		return nil, err
-	}
+	d := s.flat(ctx)
 	built := false
 	s.indexOnce.Do(func() {
 		_, span := obs.StartSpan(ctx, "keyword.index")

@@ -321,10 +321,7 @@ func (w *Warehouse) viewOn(ctx context.Context, s *Snapshot, h *viewHandle) (*vi
 // materialize evaluates the view, q compiled from def, from scratch on
 // the snapshot and charges one recompute.
 func (w *Warehouse) materialize(ctx context.Context, s *Snapshot, def view.Definition, q *tpwj.Query) (*view.View, error) {
-	flat, err := s.flat(ctx)
-	if err != nil {
-		return nil, err
-	}
+	flat := s.flat(ctx)
 	_, span := obs.StartSpan(ctx, "view.materialize")
 	v, err := view.MaterializeCtx(ctx, def, q, flat)
 	span.End()
@@ -349,11 +346,7 @@ func (w *Warehouse) maintainViews(ctx context.Context, e *docEntry, pre, next *S
 		if !ok {
 			continue
 		}
-		flat, err := next.flat(ctx)
-		if err != nil {
-			return
-		}
-		nv, res, err := old.MaintainCtx(ctx, flat, delta)
+		nv, res, err := old.MaintainCtx(ctx, next.flat(ctx), delta)
 		if err != nil {
 			continue
 		}

@@ -887,12 +887,15 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 
 // mutateDoc runs the shared writer path for document-transforming
 // operations: pin the warehouse open, take the document's mutex, load
-// the current snapshot, compute the successor tree, carry every view
-// state the predecessor holds into the unpublished successor snapshot
-// (see maintainViews), then journal and publish that version whole.
-// compute returns the successor, the update record's Tx and Event, and
-// the update's structural footprint for view maintenance (nil when
-// unknown, forcing affected views to recompute). Concurrent readers are
+// the current snapshot, compute the successor, carry every view state
+// the predecessor holds into it (see maintainViews), then journal and
+// publish that version whole. compute returns the successor, built
+// unpublished as &Snapshot{tree: ...}, the update record's Tx, Event and
+// Nodes (the successor's node count), and the update's structural
+// footprint for view maintenance (nil when unknown, forcing affected
+// views to recompute). It must not write the predecessor's tree: the
+// published version is shared with its readers and, under an update,
+// with its successor. Concurrent readers are
 // never blocked: until the install they keep reading the predecessor,
 // whose view states answer for it.
 //
@@ -902,7 +905,7 @@ func (w *Warehouse) QueryMCCtx(ctx context.Context, name string, q *tpwj.Query, 
 // fullStateEvery-th. The others carry the transaction and the node
 // count, so the request path neither serializes the document nor
 // writes it to the journal.
-func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error)) error {
+func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(pre *Snapshot) (*Snapshot, Record, *view.Delta, error)) error {
 	if err := validName(name); err != nil {
 		return err
 	}
@@ -923,7 +926,7 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 		return err
 	}
 	_, cspan := obs.StartSpan(ctx, "update.compute")
-	nextTree, rec, delta, err := compute(pre.tree)
+	next, rec, delta, err := compute(pre)
 	cspan.End()
 	if err != nil {
 		return err
@@ -931,15 +934,13 @@ func (w *Warehouse) mutateDoc(ctx context.Context, name string, compute func(ft 
 	rec.Op, rec.Doc = OpUpdate, name
 	fullState := e.tail < 0 || e.tail+1 >= fullStateEvery
 	if fullState {
-		data, err := xmlio.DocXML(nextTree)
+		data, err := xmlio.DocXML(next.tree)
 		if err != nil {
 			return err
 		}
-		rec.Content = string(data)
-	} else {
-		rec.Nodes = nextTree.Size()
+		// A full-state record carries the post-state, not its count.
+		rec.Content, rec.Nodes = string(data), 0
 	}
-	next := &Snapshot{tree: nextTree}
 	_, vspan := obs.StartSpan(ctx, "view.maintain")
 	w.maintainViews(ctx, e, pre, next, delta)
 	vspan.End()
@@ -968,19 +969,29 @@ func (w *Warehouse) Update(name string, tx *update.Transaction) (*update.FuzzySt
 // and install stages record spans when the context carries an obs
 // trace. A cancelled context does not stop the update; it only cuts
 // short view maintenance (see maintainViews).
+//
+// The transaction runs on the predecessor's flat form (Snapshot.flat),
+// the one its readers use, so a version is flattened once; the
+// successor copies only the paths the transaction edits and
+// shares the rest of the predecessor's tree (update.ApplyFlat).
 func (w *Warehouse) UpdateCtx(ctx context.Context, name string, tx *update.Transaction) (*update.FuzzyStats, error) {
 	txXML, err := xupdate.TransactionXML(tx)
 	if err != nil {
 		return nil, err
 	}
 	var stats *update.FuzzyStats
-	err = w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error) {
-		next, s, err := tx.ApplyFuzzy(ft)
+	err = w.mutateDoc(ctx, name, func(pre *Snapshot) (*Snapshot, Record, *view.Delta, error) {
+		// The transaction is checked before the version is flattened,
+		// so an invalid one costs no O(document) work.
+		if err := tx.Validate(); err != nil {
+			return nil, Record{}, nil, err
+		}
+		next, nodes, s, err := tx.ApplyFlat(pre.flat(ctx))
 		if err != nil {
 			return nil, Record{}, nil, err
 		}
 		stats = s
-		return next, Record{Tx: string(txXML), Event: string(s.Event)}, &view.Delta{
+		return &Snapshot{tree: next}, Record{Tx: string(txXML), Event: string(s.Event), Nodes: nodes}, &view.Delta{
 			InsertedLabels:    s.InsertedLabels,
 			DeleteTargetPaths: s.DeleteTargetPaths,
 		}, nil
@@ -1003,10 +1014,10 @@ func (w *Warehouse) SimplifyCtx(ctx context.Context, name string) (fuzzy.Simplif
 	// The nil footprint makes every view of the document recompute:
 	// simplification rewrites conditions tree-wide, which the overlap
 	// analysis cannot bound.
-	err := w.mutateDoc(ctx, name, func(ft *fuzzy.Tree) (*fuzzy.Tree, Record, *view.Delta, error) {
-		next := ft.Clone()
+	err := w.mutateDoc(ctx, name, func(pre *Snapshot) (*Snapshot, Record, *view.Delta, error) {
+		next := pre.tree.Clone()
 		stats = next.Simplify()
-		return next, Record{Tx: simplifyTx}, nil, nil
+		return &Snapshot{tree: next}, Record{Tx: simplifyTx, Nodes: next.Size()}, nil, nil
 	})
 	if err != nil {
 		return fuzzy.SimplifyStats{}, err
