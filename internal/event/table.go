@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -87,10 +88,7 @@ func (t *Table) Events() []ID {
 // reclaiming them here keeps long-lived clone chains — one per
 // warehouse update — from growing without bound).
 func (t *Table) Clone() *Table {
-	c := NewTable()
-	for id, p := range t.probs {
-		c.probs[id] = p
-	}
+	c := &Table{probs: maps.Clone(t.probs), idx: make(map[ID]int32, len(t.probs))}
 	c.rev = make([]ID, 0, len(t.probs))
 	for _, id := range t.rev {
 		if _, ok := t.probs[id]; ok {

@@ -81,7 +81,11 @@ func (n *Node) Size() int {
 	}
 	s := 1
 	for _, c := range n.Children {
-		s += c.Size()
+		if len(c.Children) == 0 {
+			s++ // most nodes are leaves: count them without a call
+		} else {
+			s += c.Size()
+		}
 	}
 	return s
 }

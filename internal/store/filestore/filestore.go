@@ -136,7 +136,7 @@ func (s *Store) scan(valid func([]byte) bool) (payloads [][]byte, clean int64, t
 		return nil, 0, false, fmt.Errorf("filestore: read journal: %w", err)
 	}
 	defer f.Close() //nolint:errcheck // read-only descriptor; nothing buffered to lose
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, store.ScanBufferBytes)
 	var line []byte
 	for {
 		frag, err := br.ReadSlice('\n')

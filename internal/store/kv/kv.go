@@ -237,7 +237,7 @@ func (s *Store) Open(valid func([]byte) bool) ([][]byte, store.Log, error) {
 	}
 	res := scanResult{docs: make(map[string]span)}
 	if !missing {
-		res, err = scanFrames(bufio.NewReaderSize(rf, 1<<20), valid)
+		res, err = scanFrames(bufio.NewReaderSize(rf, store.ScanBufferBytes), valid)
 		if err != nil {
 			rf.Close() //nolint:errcheck // already failing; the scan error wins
 			return nil, nil, err
@@ -299,7 +299,7 @@ func (s *Store) ScanJournal(valid func([]byte) bool) ([][]byte, bool, error) {
 		return nil, false, fmt.Errorf("kv: open page file: %w", err)
 	}
 	defer f.Close() //nolint:errcheck // read-only descriptor
-	res, err := scanFrames(bufio.NewReaderSize(f, 1<<20), valid)
+	res, err := scanFrames(bufio.NewReaderSize(f, store.ScanBufferBytes), valid)
 	if err != nil {
 		return nil, false, err
 	}

@@ -28,6 +28,12 @@ package store
 // headroom over the server's 64MB body limit after JSON escaping.
 const MaxRecordBytes = 512 << 20
 
+// ScanBufferBytes sizes the read buffer of a backend's journal scan.
+// A scan reads records longer than it fragment by fragment, so it only
+// trades read calls against the memory every Open, ScanJournal and
+// InspectJournal allocates.
+const ScanBufferBytes = 64 << 10
+
 // Log is an open journal appender. Append buffers one record payload
 // (the backend adds its own framing); Flush pushes the buffer to the
 // operating system; Sync makes everything flushed durable. The

@@ -17,6 +17,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -40,6 +41,7 @@ func Run(t *testing.T, newStore func(dir string) store.Store) {
 		{"ViewsAbsentBeforeFirstWrite", viewsAbsentBeforeFirstWrite},
 		{"StatsCountDocs", statsCountDocs},
 		{"OpenAfterClose", openAfterClose},
+		{"PayloadsLongerThanScanBuffer", payloadsLongerThanScanBuffer},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { c.fn(t, newStore) })
@@ -136,6 +138,27 @@ func payloadsInAppendOrder(t *testing.T, newStore func(string) store.Store) {
 	s = newStore(dir)
 	got, log = open(t, s, isRecord)
 	wantPayloads(t, "after reopen", got, "r1", `{"op":"create"}`, "r3", "r4")
+	shut(t, s, log)
+}
+
+// A payload longer than the scan's read buffer comes back whole, from
+// Open and from ScanJournal, with the payloads around it.
+func payloadsLongerThanScanBuffer(t *testing.T, newStore func(string) store.Store) {
+	dir := t.TempDir()
+	s := newStore(dir)
+	_, log := open(t, s, isRecord)
+	long := strings.Repeat("0123456789abcdef", 3*store.ScanBufferBytes/16) + "tail"
+	appendDurably(t, log, "r1", long, "r3")
+	shut(t, s, log)
+
+	s = newStore(dir)
+	scanned, torn, err := s.ScanJournal(isRecord)
+	if err != nil || torn {
+		t.Fatalf("ScanJournal: torn=%v err=%v", torn, err)
+	}
+	wantPayloads(t, "scan", scanned, "r1", long, "r3")
+	got, log := open(t, s, isRecord)
+	wantPayloads(t, "open", got, "r1", long, "r3")
 	shut(t, s, log)
 }
 

@@ -60,7 +60,8 @@ func Flatten(root *tree.Node) *Doc {
 	d := newDoc(n)
 	d.plain = make([]*tree.Node, 0, n)
 	if root != nil {
-		d.addPlain(root, -1)
+		f := flattener{d: d}
+		f.addPlain(root, -1)
 	}
 	return d
 }
@@ -73,7 +74,8 @@ func FlattenFuzzy(ft *fuzzy.Tree) *Doc {
 	d := newDoc(n)
 	d.fuzzy = make([]*fuzzy.Node, 0, n)
 	d.tree = ft
-	d.addFuzzy(ft.Root, -1)
+	f := flattener{d: d}
+	f.addFuzzy(ft.Root, -1)
 	return d
 }
 
@@ -87,15 +89,33 @@ func FlattenValid(ft *fuzzy.Tree) (*Doc, error) {
 	return FlattenFuzzy(ft), nil
 }
 
+// flattener appends nodes to a Doc in preorder. byFirst caches, by
+// the first byte of a label, the interned index of the last label seen
+// with that byte, plus one: labels repeat, mostly as the same string,
+// and comparing one string is cheaper than the map lookup it spares.
+type flattener struct {
+	d       *Doc
+	byFirst [256]int32
+}
+
 // add appends one node in preorder, interning its label, and returns
 // its id; the caller sets end[id] once the node's subtree has been
 // added.
-func (d *Doc) add(label string, parent int32) int32 {
-	lid, ok := d.ids[label]
-	if !ok {
-		lid = int32(len(d.names))
-		d.ids[label] = lid
-		d.names = append(d.names, label)
+func (f *flattener) add(label string, parent int32) int32 {
+	d := f.d
+	var first byte
+	if label != "" {
+		first = label[0]
+	}
+	lid := f.byFirst[first] - 1
+	if lid < 0 || d.names[lid] != label {
+		var ok bool
+		if lid, ok = d.ids[label]; !ok {
+			lid = int32(len(d.names))
+			d.ids[label] = lid
+			d.names = append(d.names, label)
+		}
+		f.byFirst[first] = lid + 1
 	}
 	id := int32(len(d.label))
 	d.label = append(d.label, lid)
@@ -103,22 +123,22 @@ func (d *Doc) add(label string, parent int32) int32 {
 	return id
 }
 
-func (d *Doc) addPlain(n *tree.Node, parent int32) {
-	id := d.add(n.Label, parent)
-	d.plain = append(d.plain, n)
+func (f *flattener) addPlain(n *tree.Node, parent int32) {
+	id := f.add(n.Label, parent)
+	f.d.plain = append(f.d.plain, n)
 	for _, c := range n.Children {
-		d.addPlain(c, id)
+		f.addPlain(c, id)
 	}
-	d.end[id] = int32(len(d.label))
+	f.d.end[id] = int32(len(f.d.label))
 }
 
-func (d *Doc) addFuzzy(n *fuzzy.Node, parent int32) {
-	id := d.add(n.Label, parent)
-	d.fuzzy = append(d.fuzzy, n)
+func (f *flattener) addFuzzy(n *fuzzy.Node, parent int32) {
+	id := f.add(n.Label, parent)
+	f.d.fuzzy = append(f.d.fuzzy, n)
 	for _, c := range n.Children {
-		d.addFuzzy(c, id)
+		f.addFuzzy(c, id)
 	}
-	d.end[id] = int32(len(d.label))
+	f.d.end[id] = int32(len(f.d.label))
 }
 
 // Len returns the number of nodes.

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -117,33 +120,450 @@ func encodeRecord(r Record) ([]byte, error) {
 	return bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}), nil
 }
 
-// decodeRecord parses a journal payload, reporting whether it is a
-// Record within the size cap.
+// decodeRecord parses a journal payload into r, reporting whether it
+// is a Record within the size cap. It reads the one JSON object
+// directly and accepts exactly what json.Unmarshal accepts for a
+// Record, leaving r as Unmarshal would: keys in any order, matched
+// exactly or else case-insensitively, the last of a repeated key
+// winning; unknown keys with any value; null for any field (or the
+// whole payload) changing nothing; every string escape, surrogate pairs
+// joined and anything else invalid read as U+FFFD; integers in range;
+// at most 10000 levels of nesting. FuzzDecodeRecordMatchesJSON holds it
+// to that.
 func decodeRecord(payload []byte, r *Record) bool {
-	return len(payload) < maxRecordBytes && json.Unmarshal(payload, r) == nil
-}
-
-// validRecord is what the storage backends call while scanning to
-// tell a torn tail from a clean record boundary.
-func validRecord(payload []byte) bool {
-	var r Record
-	return decodeRecord(payload, &r)
-}
-
-// parseRecords decodes the payloads a backend scan returned. The
-// backend only keeps payloads validRecord accepted, so a failure here
-// means the backend broke its contract.
-func parseRecords(payloads [][]byte) ([]Record, error) {
-	if len(payloads) == 0 {
-		return nil, nil
+	if len(payload) >= maxRecordBytes {
+		return false
 	}
-	records := make([]Record, len(payloads))
-	for i, p := range payloads {
-		if err := json.Unmarshal(p, &records[i]); err != nil {
-			return nil, fmt.Errorf("warehouse: journal record %d corrupt: %w", i, err)
+	var d recordDecoder
+	return d.decode(payload, r)
+}
+
+// decode is decodeRecord with d's scratch, which a scan decoding many
+// payloads reuses.
+func (d *recordDecoder) decode(payload []byte, r *Record) bool {
+	if len(payload) >= maxRecordBytes {
+		return false
+	}
+	d.data, d.pos = payload, 0
+	d.space()
+	if !d.literal("null") {
+		if !d.object(r) {
+			return false
 		}
 	}
-	return records, nil
+	d.space()
+	return d.pos == len(d.data)
+}
+
+// maxJSONDepth is the nesting json.Unmarshal allows.
+const maxJSONDepth = 10000
+
+// recordDecoder is a cursor over one journal payload.
+type recordDecoder struct {
+	data []byte
+	pos  int
+	buf  []byte // scratch for strings with escapes or invalid UTF-8
+}
+
+func (d *recordDecoder) space() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips c if it is the next byte.
+func (d *recordDecoder) consume(c byte) bool {
+	if d.pos < len(d.data) && d.data[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// literal skips lit if it comes next.
+func (d *recordDecoder) literal(lit string) bool {
+	if bytes.HasPrefix(d.data[d.pos:], []byte(lit)) {
+		d.pos += len(lit)
+		return true
+	}
+	return false
+}
+
+// object reads the record object, at the start of which the cursor is.
+func (d *recordDecoder) object(r *Record) bool {
+	if !d.consume('{') {
+		return false
+	}
+	d.space()
+	if d.consume('}') {
+		return true
+	}
+	for {
+		d.space()
+		key, ok := d.str()
+		if !ok {
+			return false
+		}
+		d.space()
+		if !d.consume(':') {
+			return false
+		}
+		d.space()
+		if !d.field(r, key) {
+			return false
+		}
+		d.space()
+		if d.consume('}') {
+			return true
+		}
+		if !d.consume(',') {
+			return false
+		}
+	}
+}
+
+// recordKeys are Record's JSON keys, which a key matches ignoring case
+// when it matches none exactly.
+var recordKeys = []string{"seq", "op", "ref", "doc", "tx", "event", "nodes", "content", "view", "query", "syntax"}
+
+// field reads the value of key into r's field of that key: a string or
+// null for a string field, an integer or null for an integer field,
+// and any value for an unknown key.
+func (d *recordDecoder) field(r *Record, key []byte) bool {
+	s, n, nodes := recordField(r, key)
+	if s == nil && n == nil && !nodes {
+		for _, k := range recordKeys {
+			if bytes.EqualFold(key, []byte(k)) {
+				s, n, nodes = recordField(r, []byte(k))
+				break
+			}
+		}
+	}
+	if s == nil && n == nil && !nodes {
+		return d.skip(1)
+	}
+	if d.literal("null") {
+		return true
+	}
+	if s != nil {
+		v, ok := d.str()
+		if ok {
+			*s = string(v)
+		}
+		return ok
+	}
+	v, ok := d.integer()
+	if !ok {
+		return false
+	}
+	if nodes {
+		if int64(int(v)) != v {
+			return false
+		}
+		r.Nodes = int(v)
+	} else {
+		*n = v
+	}
+	return true
+}
+
+// recordField returns the field of r whose JSON key is exactly key:
+// a string field, an int64 field, or (nodes) Nodes; none for an
+// unknown key.
+func recordField(r *Record, key []byte) (s *string, n *int64, nodes bool) {
+	switch string(key) {
+	case "seq":
+		n = &r.Seq
+	case "ref":
+		n = &r.RefSeq
+	case "nodes":
+		nodes = true
+	case "op":
+		s = (*string)(&r.Op)
+	case "doc":
+		s = &r.Doc
+	case "tx":
+		s = &r.Tx
+	case "event":
+		s = &r.Event
+	case "content":
+		s = &r.Content
+	case "view":
+		s = &r.View
+	case "query":
+		s = &r.Query
+	case "syntax":
+		s = &r.Syntax
+	}
+	return s, n, nodes
+}
+
+// integer reads a JSON number that is an integer in int64's range.
+func (d *recordDecoder) integer() (int64, bool) {
+	start := d.pos
+	if !d.number() {
+		return 0, false
+	}
+	lit := d.data[start:d.pos]
+	neg := lit[0] == '-'
+	if neg {
+		lit = lit[1:]
+	}
+	var u uint64
+	for _, c := range lit {
+		if c < '0' || c > '9' || u > (1<<63)/10 {
+			return 0, false // a fraction, an exponent, or too large
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	if neg && u > 1<<63 || !neg && u > 1<<63-1 {
+		return 0, false
+	}
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), true
+}
+
+// number skips a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func (d *recordDecoder) number() bool {
+	d.consume('-')
+	if d.consume('0') {
+	} else if !d.digits() {
+		return false
+	}
+	if d.consume('.') && !d.digits() {
+		return false
+	}
+	if d.consume('e') || d.consume('E') {
+		if !d.consume('+') {
+			d.consume('-')
+		}
+		if !d.digits() {
+			return false
+		}
+	}
+	return true
+}
+
+// digits skips one or more decimal digits.
+func (d *recordDecoder) digits() bool {
+	start := d.pos
+	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
+		d.pos++
+	}
+	return d.pos > start
+}
+
+// skip reads any JSON value at nesting depth depth.
+func (d *recordDecoder) skip(depth int) bool {
+	if d.pos >= len(d.data) {
+		return false
+	}
+	switch c := d.data[d.pos]; {
+	case c == '"':
+		_, ok := d.str()
+		return ok
+	case c == '{' || c == '[':
+		if depth++; depth > maxJSONDepth {
+			return false
+		}
+		d.pos++
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		d.space()
+		if d.consume(end) {
+			return true
+		}
+		for {
+			d.space()
+			if c == '{' {
+				if _, ok := d.str(); !ok {
+					return false
+				}
+				d.space()
+				if !d.consume(':') {
+					return false
+				}
+				d.space()
+			}
+			if !d.skip(depth) {
+				return false
+			}
+			d.space()
+			if d.consume(end) {
+				return true
+			}
+			if !d.consume(',') {
+				return false
+			}
+		}
+	case c == '-' || '0' <= c && c <= '9':
+		return d.number()
+	default:
+		return d.literal("true") || d.literal("false") || d.literal("null")
+	}
+}
+
+// jsonPlain marks the ASCII bytes that stand for themselves inside a
+// JSON string.
+var jsonPlain = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str reads a JSON string and returns its value: a slice of the input
+// when it has no escape and is valid UTF-8, else decoded into d.buf
+// (valid until the next call) as json.Unmarshal decodes it.
+func (d *recordDecoder) str() ([]byte, bool) {
+	data := d.data
+	if !d.consume('"') {
+		return nil, false
+	}
+	first, start := d.pos, d.pos
+	out := d.buf[:0]
+	decoded := false
+	for i := d.pos; ; {
+		if i >= len(data) {
+			return nil, false
+		}
+		c := data[i]
+		if c < utf8.RuneSelf {
+			if jsonPlain[c] {
+				i++
+				continue
+			}
+			if c < ' ' {
+				return nil, false
+			}
+			if c == '"' {
+				d.pos = i + 1
+				if !decoded {
+					return data[first:i], true
+				}
+				out = append(out, data[start:i]...)
+				d.buf = out
+				return out, true
+			}
+			// A backslash escape.
+			if !decoded {
+				// Room for the whole value, which is no longer than its
+				// escaped form, bar invalid UTF-8.
+				if n := closingQuote(data, i) - first; cap(out) < n {
+					out = make([]byte, 0, n)
+				}
+			}
+			out, decoded = append(out, data[start:i]...), true
+			if i+1 >= len(data) {
+				return nil, false
+			}
+			switch e := data[i+1]; e {
+			case '"', '\\', '/':
+				out = append(out, e)
+			case 'b':
+				out = append(out, '\b')
+			case 'f':
+				out = append(out, '\f')
+			case 'n':
+				out = append(out, '\n')
+			case 'r':
+				out = append(out, '\r')
+			case 't':
+				out = append(out, '\t')
+			case 'u':
+				r := hex4(data[i+2:])
+				if r < 0 {
+					return nil, false
+				}
+				i += 4
+				if utf16.IsSurrogate(r) {
+					// A high surrogate joins a \u low surrogate after it;
+					// anything else reads as U+FFFD.
+					if r2 := hex4u(data[i+2:]); utf16.DecodeRune(r, r2) != unicode.ReplacementChar {
+						r = utf16.DecodeRune(r, r2)
+						i += 6
+					} else {
+						r = unicode.ReplacementChar
+					}
+				}
+				out = utf8.AppendRune(out, r)
+			default:
+				return nil, false
+			}
+			i += 2
+			start = i
+			continue
+		}
+		r, n := utf8.DecodeRune(data[i:])
+		if r == utf8.RuneError && n == 1 {
+			out, decoded = append(out, data[start:i]...), true
+			out = utf8.AppendRune(out, unicode.ReplacementChar)
+			start = i + 1
+		}
+		i += n
+	}
+}
+
+// closingQuote returns the index of the first unescaped quote at or
+// after i, the first backslash of a JSON string, or len(data).
+func closingQuote(data []byte, i int) int {
+	start := i
+	for i < len(data) {
+		k := bytes.IndexByte(data[i:], '"')
+		if k < 0 {
+			break
+		}
+		i += k
+		escaped := false
+		for j := i - 1; j >= start && data[j] == '\\'; j-- {
+			escaped = !escaped
+		}
+		if !escaped {
+			return i
+		}
+		i++
+	}
+	return len(data)
+}
+
+// hex4 returns the value of four hexadecimal digits at the start of
+// s, or -1.
+func hex4(s []byte) rune {
+	if len(s) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range s[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			c = c - 'A' + 10
+		default:
+			return -1
+		}
+		r = r*16 + rune(c)
+	}
+	return r
+}
+
+// hex4u is hex4 of a \u escape at the start of s.
+func hex4u(s []byte) rune {
+	if len(s) < 2 || s[0] != '\\' || s[1] != 'u' {
+		return -1
+	}
+	return hex4(s[2:])
 }
 
 // journalCounters accumulates journal activity across the journal

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/fuzzy"
+	"repro/internal/tpwj"
 	"repro/internal/update"
 	"repro/internal/vfs"
 	"repro/internal/view"
@@ -208,8 +209,13 @@ func replayRecord(ft *fuzzy.Tree, r *Record) (*fuzzy.Tree, error) {
 			return nil, err
 		}
 		tx.ConfEvent = event.ID(r.Event)
+		if err := tx.Validate(); err != nil {
+			return nil, err
+		}
+		// ft is valid: the base passed ParseDoc's validation, and each
+		// successor is valid by construction (update.ApplyFlat).
 		var stats *update.FuzzyStats
-		if next, stats, err = tx.ApplyFuzzy(ft); err != nil {
+		if next, _, stats, err = tx.ApplyFlat(tpwj.FlattenFuzzy(ft)); err != nil {
 			return nil, err
 		}
 		if string(stats.Event) != r.Event {
@@ -270,11 +276,7 @@ func InspectJournalBackend(dir, backend string) (JournalSummary, error) {
 	if err != nil {
 		return JournalSummary{}, err
 	}
-	payloads, torn, err := st.ScanJournal(validRecord)
-	if err != nil {
-		return JournalSummary{}, err
-	}
-	records, err := parseRecords(payloads)
+	records, torn, err := scanRecords(st)
 	if err != nil {
 		return JournalSummary{}, err
 	}

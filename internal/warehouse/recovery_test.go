@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1009,6 +1010,67 @@ func TestOpenDecodesWhatJournalScans(t *testing.T) {
 			}
 			if len(recs) != len(opened) {
 				t.Errorf("Journal() = %d records, Open recovered %d", len(recs), len(opened))
+			}
+		})
+	}
+}
+
+// TestScansDecodeWhatOpenDecodes: Journal and InspectJournalBackend
+// read the journal as Open does, each payload decoded once while the
+// backend scans it, and end up with the records Open decodes and
+// json.Unmarshal reads from the scanned payloads, torn tail excluded.
+func TestScansDecodeWhatOpenDecodes(t *testing.T) {
+	for _, backend := range storeBackends {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			forgeJournal(t, dir, backend, interleavedJournal(t))
+			tearJournalTail(t, dir, backend)
+
+			st, err := newBackendStore(dir, backend, vfs.OS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodes := 0
+			payloads, torn, err := st.ScanJournal(func(p []byte) bool { decodes++; return validRecord(p) })
+			if err != nil || !torn {
+				t.Fatalf("ScanJournal: torn = %v, err %v; want a torn tail", torn, err)
+			}
+			unmarshalled, err := parseRecords(payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned, scanTorn, err := scanRecords(st)
+			if err != nil || !scanTorn {
+				t.Fatalf("scanRecords: torn = %v, err %v; want a torn tail", scanTorn, err)
+			}
+			sum, err := InspectJournalBackend(dir, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, log, err := openRecords(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			st.Close()
+			w := openB(t, dir, backend)
+			defer w.Close()
+			journal, err := w.Journal()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			n := len(interleavedJournal(t))
+			if decodes != n || len(payloads) != n {
+				t.Fatalf("the scan asked about %d payloads and kept %d; want the %d whole records", decodes, len(payloads), n)
+			}
+			if sum.Records != n || !sum.TornTail || len(sum.Problems) != 0 {
+				t.Errorf("InspectJournalBackend = %+v, want %d records and a torn tail", sum, n)
+			}
+			for name, got := range map[string][]Record{"scanRecords": scanned, "Open": opened, "Journal": journal} {
+				if !slices.Equal(got, unmarshalled) {
+					t.Errorf("%s read %+v, json.Unmarshal of the scanned payloads %+v", name, got, unmarshalled)
+				}
 			}
 		})
 	}

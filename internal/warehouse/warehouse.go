@@ -400,28 +400,60 @@ func OpenStore(dir string, st store.Store) (*Warehouse, error) {
 }
 
 // openRecords opens the backend and returns its journal decoded, each
-// payload exactly once: the backend asks valid about every journal
-// payload once, in append order, and keeps it iff the answer is true,
-// so the records decoded while answering are the records it kept.
+// payload exactly once (see recordsDecoder).
 func openRecords(st store.Store) ([]Record, store.Log, error) {
-	var records []Record
-	payloads, log, err := st.Open(func(payload []byte) bool {
-		var r Record
-		if !decodeRecord(payload, &r) {
-			return false
-		}
-		records = append(records, r)
-		return true
-	})
+	var dec recordsDecoder
+	payloads, log, err := st.Open(dec.valid)
 	if err != nil {
 		return nil, nil, fmt.Errorf("warehouse: %w", err)
 	}
-	if len(records) != len(payloads) {
+	if err := dec.kept(st, payloads); err != nil {
 		log.Close() //nolint:errcheck // already failing; the contract error wins
-		return nil, nil, fmt.Errorf("warehouse: %s backend kept %d journal payloads of the %d it validated",
-			st.Backend(), len(payloads), len(records))
+		return nil, nil, err
 	}
-	return records, log, nil
+	return dec.records, log, nil
+}
+
+// scanRecords is openRecords for a read-only scan (store.ScanJournal):
+// the journal decoded, each payload once, and whether a torn tail
+// follows it.
+func scanRecords(st store.Store) ([]Record, bool, error) {
+	var dec recordsDecoder
+	payloads, torn, err := st.ScanJournal(dec.valid)
+	if err != nil {
+		return nil, false, err
+	}
+	if err := dec.kept(st, payloads); err != nil {
+		return nil, false, err
+	}
+	return dec.records, torn, nil
+}
+
+// recordsDecoder is the valid callback of a journal scan that keeps
+// what it decodes: a backend asks it about every journal payload once,
+// in append order, and keeps the payload iff the answer is true, so
+// the records decoded while answering are the records it kept.
+type recordsDecoder struct {
+	records []Record
+	dec     recordDecoder
+}
+
+func (d *recordsDecoder) valid(payload []byte) bool {
+	var r Record
+	if !d.dec.decode(payload, &r) {
+		return false
+	}
+	d.records = append(d.records, r)
+	return true
+}
+
+// kept checks the backend kept as many payloads as were decoded.
+func (d *recordsDecoder) kept(st store.Store, payloads [][]byte) error {
+	if len(d.records) != len(payloads) {
+		return fmt.Errorf("warehouse: %s backend kept %d journal payloads of the %d it validated",
+			st.Backend(), len(payloads), len(d.records))
+	}
+	return nil
 }
 
 // loadFromDisk runs the open sequence against the storage backend:
@@ -1061,11 +1093,8 @@ func (w *Warehouse) Journal() ([]Record, error) {
 		return nil, err
 	}
 	defer release()
-	payloads, _, err := w.st.ScanJournal(validRecord)
-	if err != nil {
-		return nil, err
-	}
-	return parseRecords(payloads)
+	records, _, err := scanRecords(w.st)
+	return records, err
 }
 
 // Compact checkpoints the stored documents and drops the journal

@@ -358,9 +358,9 @@ func FuzzDocXMLMatchesEncoder(f *testing.F) {
 	})
 }
 
-// BenchmarkDocXML serializes a 256-section document of the shape the
-// update_durable workload stores.
-func BenchmarkDocXML(b *testing.B) {
+// benchDoc is a 256-section document of the shape the update_durable
+// workload stores.
+func benchDoc() *fuzzy.Tree {
 	tab := event.NewTable()
 	root := &fuzzy.Node{Label: "doc"}
 	for i := 0; i < 256; i++ {
@@ -372,7 +372,12 @@ func BenchmarkDocXML(b *testing.B) {
 			{Label: "ref", Value: strconv.Itoa(i)},
 		}})
 	}
-	ft := &fuzzy.Tree{Root: root, Table: tab}
+	return &fuzzy.Tree{Root: root, Table: tab}
+}
+
+// BenchmarkDocXML serializes benchDoc.
+func BenchmarkDocXML(b *testing.B) {
+	ft := benchDoc()
 	for _, impl := range []struct {
 		name string
 		fn   func() ([]byte, error)

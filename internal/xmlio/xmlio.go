@@ -23,14 +23,44 @@
 //
 // where the reserved attribute cond carries the node's condition in the
 // textual literal syntax ("w1 !w2").
+//
+// The readers (ParseDoc, ReadDoc, ParseTree, ReadTree) parse the bytes
+// in one pass with a Cursor and build the model's nodes directly. They
+// accept exactly the documents encoding/xml's decoder accepts in its
+// default strict mode, and build the same trees; the tests keep that
+// decoder as their oracle (FuzzParseDocMatchesDecoder,
+// FuzzParseTreeMatchesDecoder). That grammar is XML 1.0 as the
+// decoder reads it:
+//
+//   - an optional XML declaration, which must declare version 1.0 (or
+//     none) and UTF-8 (or no encoding), and other processing
+//     instructions anywhere, passed over;
+//   - comments anywhere ("--" only as the end of one), passed over;
+//   - directives such as a document type declaration, internal subset
+//     included, passed over: nothing they declare is used;
+//   - elements whose names are XML names and may carry one name-space
+//     prefix, which is dropped (the label is the local name), and whose
+//     end tags repeat the start tag's name, prefix included;
+//   - attributes with quoted values, without '<'; each becomes a child
+//     leaf before the element's children, except cond;
+//   - character data and CDATA sections, with the five predefined
+//     entities and decimal or hexadecimal character references
+//     resolved, "\r\n" and a lone '\r' read as '\n', and "]]>" refused
+//     outside CDATA; text must be UTF-8 in the XML character range. An
+//     element's value is its own text with white space trimmed, and
+//     text beside child elements is refused.
+//
+// Parsing stops at the end tag of the document element: nothing after
+// it is read. No construct the decoder accepts is refused; the readers
+// do not resolve name-space prefixes to URIs, which no reader looks at.
 package xmlio
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -45,36 +75,16 @@ const CondAttr = "cond"
 
 // ReadTree parses a plain data tree from XML.
 func ReadTree(r io.Reader) (*tree.Node, error) {
-	n, err := readElement(xml.NewDecoder(r), false)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xmlio: %w", err)
 	}
-	dn := toData(n)
-	if err := dn.Validate(); err != nil {
-		return nil, err
-	}
-	return dn, nil
+	return ParseTree(data)
 }
 
 // ParseTree parses a plain data tree from an XML byte slice.
 func ParseTree(data []byte) (*tree.Node, error) {
-	return ReadTree(bytes.NewReader(data))
-}
-
-// ReadSubtree parses the next element (with its whole subtree) from an
-// already-open decoder as a plain data tree, leaving the decoder
-// positioned just after the element. The xupdate package uses it to read
-// inline insertion content.
-func ReadSubtree(dec *xml.Decoder) (*tree.Node, error) {
-	n, err := readElement(dec, false)
-	if err != nil {
-		return nil, err
-	}
-	dn := toData(n)
-	if err := dn.Validate(); err != nil {
-		return nil, err
-	}
-	return dn, nil
+	return NewCursor(data).Subtree()
 }
 
 // WriteTree serializes a plain data tree as indented XML.
@@ -101,45 +111,52 @@ func TreeXML(n *tree.Node) ([]byte, error) {
 
 // ReadDoc parses a fuzzy document (<pxml> wrapper) and validates it.
 func ReadDoc(r io.Reader) (*fuzzy.Tree, error) {
-	dec := xml.NewDecoder(r)
-	// Find the opening pxml element.
-	start, err := nextStart(dec)
+	data, err := io.ReadAll(r)
 	if err != nil {
+		return nil, fmt.Errorf("xmlio: %w", err)
+	}
+	return ParseDoc(data)
+}
+
+// ParseDoc parses a fuzzy document from an XML byte slice and
+// validates it.
+func ParseDoc(data []byte) (*fuzzy.Tree, error) {
+	c := NewCursor(data)
+	if err := c.nextStart(); err != nil {
 		return nil, err
 	}
-	if start.Name.Local != "pxml" {
-		return nil, fmt.Errorf("xmlio: expected <pxml> root, found <%s>", start.Name.Local)
+	if string(c.local) != "pxml" {
+		return nil, fmt.Errorf("xmlio: expected <pxml> root, found <%s>", c.local)
 	}
 	tab := event.NewTable()
+	r := reader[*fuzzy.Node]{c: c, fuzzy: true, build: fuzzyNode}
 	var root *fuzzy.Node
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return nil, fmt.Errorf("xmlio: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
+		switch kind {
+		case StartElement:
+			switch string(c.local) {
 			case "events":
-				if err := readEvents(dec, tab); err != nil {
+				if err := readEvents(c, tab); err != nil {
 					return nil, err
 				}
 			case "root":
-				inner, err := nextStart(dec)
-				if err != nil {
+				if err := c.nextStart(); err != nil {
 					return nil, err
 				}
-				root, err = readFuzzyElement(dec, inner)
-				if err != nil {
+				if root, err = r.element(); err != nil {
 					return nil, err
 				}
-				if err := skipToEnd(dec); err != nil { // </root>
-					return nil, err
+				if err := c.Skip(); err != nil { // </root>
+					return nil, fmt.Errorf("xmlio: %w", err)
 				}
 			default:
-				return nil, fmt.Errorf("xmlio: unexpected element <%s> in <pxml>", t.Name.Local)
+				return nil, fmt.Errorf("xmlio: unexpected element <%s> in <pxml>", c.local)
 			}
-		case xml.EndElement:
+		case EndElement:
 			if root == nil {
 				return nil, errors.New("xmlio: <pxml> without <root>")
 			}
@@ -148,17 +165,12 @@ func ReadDoc(r io.Reader) (*fuzzy.Tree, error) {
 				return nil, err
 			}
 			return ft, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
+		case CharData:
+			if len(bytes.TrimSpace(c.text)) > 0 {
 				return nil, errors.New("xmlio: stray text in <pxml>")
 			}
 		}
 	}
-}
-
-// ParseDoc parses a fuzzy document from an XML byte slice.
-func ParseDoc(data []byte) (*fuzzy.Tree, error) {
-	return ReadDoc(bytes.NewReader(data))
 }
 
 // WriteDoc serializes a fuzzy document as indented XML, with events
@@ -185,186 +197,199 @@ func DocXML(ft *fuzzy.Tree) ([]byte, error) {
 	return w.buf, nil
 }
 
-// --- internal: generic element reading -----------------------------------
+// --- internal: element reading ------------------------------------------
 
-// xnode is the neutral parsed form shared by plain and fuzzy readers.
-type xnode struct {
-	label    string
-	value    string
-	cond     event.Condition
-	children []*xnode
+// reader builds the model's nodes of type N straight from a cursor's
+// tokens, each node's Children allocated at exact size and every label
+// and value copied out of the input: a parsed document is retained for
+// as long as its version lives, so it must neither carry append slack
+// nor pin the bytes it was read from. Labels are interned per parse.
+type reader[N any] struct {
+	c *Cursor
+	// fuzzy: cond attributes carry conditions; in a plain tree they are
+	// an error.
+	fuzzy   bool
+	build   func(label, value string, cond event.Condition, children []N) N
+	labels  map[string]string
+	byFirst [256]string // the last label interned, by first byte
+	// conds maps each distinct cond attribute value to its parsed
+	// condition, which the nodes carrying it share: conditions are
+	// never written in place.
+	conds map[string]event.Condition
+	kids  []N    // children of the open elements, innermost last
+	text  []byte // character data of the open elements, innermost last
 }
 
-// toData and toFuzzy build the model's nodes with Children allocated
-// at exact size: a parsed document is retained for as long as its
-// version lives, so it must not carry append slack.
-func toData(n *xnode) *tree.Node {
-	d := &tree.Node{Label: n.label, Value: n.value}
-	if len(n.children) > 0 {
-		d.Children = make([]*tree.Node, len(n.children))
-		for i, c := range n.children {
-			d.Children[i] = toData(c)
-		}
+func fuzzyNode(label, value string, cond event.Condition, children []*fuzzy.Node) *fuzzy.Node {
+	return &fuzzy.Node{Label: label, Value: value, Cond: cond, Children: children}
+}
+
+func dataNode(label, value string, _ event.Condition, children []*tree.Node) *tree.Node {
+	return &tree.Node{Label: label, Value: value, Children: children}
+}
+
+func (r *reader[N]) intern(b []byte) string {
+	// The last label with b's first byte answers most lookups with one
+	// comparison; names are never empty.
+	last := &r.byFirst[b[0]]
+	if *last == string(b) {
+		return *last
 	}
-	return d
-}
-
-func toFuzzy(n *xnode) *fuzzy.Node {
-	f := &fuzzy.Node{Label: n.label, Value: n.value, Cond: n.cond}
-	if len(n.children) > 0 {
-		f.Children = make([]*fuzzy.Node, len(n.children))
-		for i, c := range n.children {
-			f.Children[i] = toFuzzy(c)
-		}
+	if s, ok := r.labels[string(b)]; ok {
+		*last = s
+		return s
 	}
-	return f
-}
-
-// readElement reads the next element (and its subtree) from the decoder.
-// When allowCond is false, cond attributes are rejected.
-func readElement(dec *xml.Decoder, allowCond bool) (*xnode, error) {
-	start, err := nextStart(dec)
-	if err != nil {
-		return nil, err
+	if r.labels == nil {
+		r.labels = make(map[string]string)
 	}
-	return readElementFrom(dec, start, allowCond, new([]byte))
+	s := string(b)
+	r.labels[s] = s
+	*last = s
+	return s
 }
 
-// readElementFrom reads the element opened by start. text is scratch
-// for character data shared by the whole parse: an element collects its
-// text past the length it found, and truncates back on return.
-func readElementFrom(dec *xml.Decoder, start xml.StartElement, allowCond bool, text *[]byte) (*xnode, error) {
-	n := &xnode{label: start.Name.Local}
-	for _, a := range start.Attr {
-		if a.Name.Local == CondAttr {
-			if !allowCond {
-				return nil, fmt.Errorf("xmlio: cond attribute on <%s> in a plain tree", n.label)
+// element reads the element whose start tag the cursor stands on, up
+// to and including its end tag. Attributes become leading child leaves
+// (the paper's model draws no attribute/element distinction), except
+// cond; the value is the element's own character data, trimmed.
+func (r *reader[N]) element() (N, error) {
+	var zero N
+	c := r.c
+	label := r.intern(c.local)
+	var cond event.Condition
+	mark := len(r.kids)
+	for _, a := range c.attrs {
+		if string(a.Local) == CondAttr {
+			if !r.fuzzy {
+				return zero, fmt.Errorf("xmlio: cond attribute on <%s> in a plain tree", label)
 			}
-			c, err := event.ParseCondition(a.Value)
-			if err != nil {
-				return nil, fmt.Errorf("xmlio: <%s>: %w", n.label, err)
+			cc, ok := r.conds[string(a.Value)]
+			if !ok {
+				var err error
+				if cc, err = event.ParseCondition(string(a.Value)); err != nil {
+					return zero, fmt.Errorf("xmlio: <%s>: %w", label, err)
+				}
+				if r.conds == nil {
+					r.conds = make(map[string]event.Condition)
+				}
+				cc = slices.Clip(cc)
+				r.conds[string(a.Value)] = cc
 			}
-			n.cond = c
+			cond = cc
 			continue
 		}
-		// Attributes become child leaf nodes (the paper's model draws no
-		// attribute/element distinction).
-		n.children = append(n.children, &xnode{label: a.Name.Local, value: a.Value})
+		r.kids = append(r.kids, r.build(r.intern(a.Local), string(a.Value), nil, nil))
 	}
-	mark := len(*text)
+	tmark := len(r.text)
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
-			return nil, fmt.Errorf("xmlio: inside <%s>: %w", n.label, err)
+			return zero, fmt.Errorf("xmlio: inside <%s>: %w", label, err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			child, err := readElementFrom(dec, t, allowCond, text)
+		switch kind {
+		case StartElement:
+			child, err := r.element()
 			if err != nil {
-				return nil, err
+				return zero, err
 			}
-			n.children = append(n.children, child)
-		case xml.EndElement:
-			// The value is a copy of the trimmed text at exact size (and
-			// the empty string, no allocation, for whitespace only), so a
-			// retained node keeps no scratch alive.
-			n.value = string(bytes.TrimSpace((*text)[mark:]))
-			*text = (*text)[:mark]
-			if n.value != "" && len(n.children) > 0 {
-				return nil, fmt.Errorf("xmlio: mixed content in <%s>", n.label)
+			r.kids = append(r.kids, child)
+		case CharData:
+			r.text = append(r.text, c.text...)
+		case EndElement:
+			value := string(bytes.TrimSpace(r.text[tmark:]))
+			r.text = r.text[:tmark]
+			kids := r.kids[mark:]
+			if value != "" && len(kids) > 0 {
+				return zero, fmt.Errorf("xmlio: mixed content in <%s>", label)
 			}
-			return n, nil
-		case xml.CharData:
-			*text = append(*text, t...)
+			var children []N
+			if len(kids) > 0 {
+				children = make([]N, len(kids))
+				copy(children, kids)
+				clear(kids)
+				r.kids = r.kids[:mark]
+			}
+			return r.build(label, value, cond, children), nil
 		}
 	}
 }
 
-func readFuzzyElement(dec *xml.Decoder, start xml.StartElement) (*fuzzy.Node, error) {
-	n, err := readElementFrom(dec, start, true, new([]byte))
+// Subtree reads the next element, with its whole subtree, as a plain
+// data tree, leaving the cursor just after its end tag. Only white
+// space, comments, processing instructions and directives may come
+// before the element. The xupdate package reads inline insertion
+// content with it.
+func (c *Cursor) Subtree() (*tree.Node, error) {
+	if err := c.nextStart(); err != nil {
+		return nil, err
+	}
+	r := reader[*tree.Node]{c: c, build: dataNode}
+	n, err := r.element()
 	if err != nil {
 		return nil, err
 	}
-	return toFuzzy(n), nil
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
-func readEvents(dec *xml.Decoder, tab *event.Table) error {
+func readEvents(c *Cursor, tab *event.Table) error {
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return fmt.Errorf("xmlio: in <events>: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "event" {
-				return fmt.Errorf("xmlio: unexpected <%s> in <events>", t.Name.Local)
+		switch kind {
+		case StartElement:
+			if string(c.local) != "event" {
+				return fmt.Errorf("xmlio: unexpected <%s> in <events>", c.local)
 			}
-			var name, prob string
-			for _, a := range t.Attr {
-				switch a.Name.Local {
+			var name, prob []byte
+			for _, a := range c.attrs {
+				switch string(a.Local) {
 				case "name":
 					name = a.Value
 				case "prob":
 					prob = a.Value
 				}
 			}
-			p, err := strconv.ParseFloat(prob, 64)
+			p, err := strconv.ParseFloat(string(prob), 64)
 			if err != nil {
 				return fmt.Errorf("xmlio: event %q: bad probability %q", name, prob)
 			}
 			if err := tab.Set(event.ID(name), p); err != nil {
 				return err
 			}
-			if err := skipToEnd(dec); err != nil {
-				return err
+			if err := c.Skip(); err != nil {
+				return fmt.Errorf("xmlio: %w", err)
 			}
-		case xml.EndElement:
+		case EndElement:
 			return nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
+		case CharData:
+			if len(bytes.TrimSpace(c.text)) > 0 {
 				return errors.New("xmlio: stray text in <events>")
 			}
 		}
 	}
 }
 
-// nextStart advances to the next StartElement, skipping whitespace,
-// comments and processing instructions.
-func nextStart(dec *xml.Decoder) (xml.StartElement, error) {
+// nextStart advances to the next start tag, past white space.
+func (c *Cursor) nextStart() error {
 	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return xml.StartElement{}, fmt.Errorf("xmlio: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
-				return xml.StartElement{}, errors.New("xmlio: unexpected text before element")
-			}
-		case xml.EndElement:
-			return xml.StartElement{}, errors.New("xmlio: unexpected end element")
-		}
-	}
-}
-
-// skipToEnd consumes tokens until the end of the current element.
-func skipToEnd(dec *xml.Decoder) error {
-	depth := 0
-	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return fmt.Errorf("xmlio: %w", err)
 		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			if depth == 0 {
-				return nil
+		switch kind {
+		case StartElement:
+			return nil
+		case CharData:
+			if len(bytes.TrimSpace(c.text)) > 0 {
+				return errors.New("xmlio: unexpected text before element")
 			}
-			depth--
+		case EndElement:
+			return errors.New("xmlio: unexpected end element")
 		}
 	}
 }

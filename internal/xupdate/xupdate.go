@@ -16,6 +16,18 @@
 // subtree rooted at the node bound to $v. The optional event attribute
 // names the confidence event minted on fuzzy application. Several
 // transactions can be grouped under <transactions>.
+//
+// ParseTransaction and ReadTransactions read the bytes in one pass
+// with xmlio's Cursor, which accepts the XML grammar the xmlio package
+// documents (that of encoding/xml's decoder, which the tests keep as
+// their oracle in FuzzParseTransactionMatchesDecoder). Within it:
+// <transaction> takes only the confidence and event attributes; its
+// children are <where> (text only, the last one counting), <insert>
+// (its first child element is the inserted plain tree, and anything
+// after it inside <insert> is passed over) and <delete>, whose content
+// is passed over; <transactions> holds only <transaction> elements.
+// White space and comments may separate them, other text may not.
+// Parsing stops at the end tag of the document element.
 package xupdate
 
 import (
@@ -35,85 +47,93 @@ import (
 
 // ReadTransaction parses one <transaction> document.
 func ReadTransaction(r io.Reader) (*update.Transaction, error) {
-	dec := xml.NewDecoder(r)
-	start, err := nextStart(dec)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xupdate: %w", err)
 	}
-	if start.Name.Local != "transaction" {
-		return nil, fmt.Errorf("xupdate: expected <transaction>, found <%s>", start.Name.Local)
-	}
-	return readTransactionFrom(dec, start)
+	return ParseTransaction(data)
 }
 
 // ParseTransaction parses one <transaction> from a byte slice.
 func ParseTransaction(data []byte) (*update.Transaction, error) {
-	return ReadTransaction(bytes.NewReader(data))
+	c := xmlio.NewCursor(data)
+	if err := nextStart(c); err != nil {
+		return nil, err
+	}
+	if string(c.Local()) != "transaction" {
+		return nil, fmt.Errorf("xupdate: expected <transaction>, found <%s>", c.Local())
+	}
+	return readTransaction(c)
 }
 
 // ReadTransactions parses a <transactions> document into its list of
 // transactions (an empty list is allowed).
 func ReadTransactions(r io.Reader) ([]*update.Transaction, error) {
-	dec := xml.NewDecoder(r)
-	start, err := nextStart(dec)
+	data, err := io.ReadAll(r)
 	if err != nil {
+		return nil, fmt.Errorf("xupdate: %w", err)
+	}
+	c := xmlio.NewCursor(data)
+	if err := nextStart(c); err != nil {
 		return nil, err
 	}
-	if start.Name.Local != "transactions" {
-		return nil, fmt.Errorf("xupdate: expected <transactions>, found <%s>", start.Name.Local)
+	if string(c.Local()) != "transactions" {
+		return nil, fmt.Errorf("xupdate: expected <transactions>, found <%s>", c.Local())
 	}
 	var out []*update.Transaction
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return nil, fmt.Errorf("xupdate: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "transaction" {
-				return nil, fmt.Errorf("xupdate: unexpected <%s> in <transactions>", t.Name.Local)
+		switch kind {
+		case xmlio.StartElement:
+			if string(c.Local()) != "transaction" {
+				return nil, fmt.Errorf("xupdate: unexpected <%s> in <transactions>", c.Local())
 			}
-			tx, err := readTransactionFrom(dec, t)
+			tx, err := readTransaction(c)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, tx)
-		case xml.EndElement:
+		case xmlio.EndElement:
 			return out, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
+		case xmlio.CharData:
+			if len(bytes.TrimSpace(c.Text())) > 0 {
 				return nil, errors.New("xupdate: stray text in <transactions>")
 			}
 		}
 	}
 }
 
-func readTransactionFrom(dec *xml.Decoder, start xml.StartElement) (*update.Transaction, error) {
+// readTransaction reads the <transaction> element whose start tag the
+// cursor stands on.
+func readTransaction(c *xmlio.Cursor) (*update.Transaction, error) {
 	tx := &update.Transaction{Conf: 1}
-	for _, a := range start.Attr {
-		switch a.Name.Local {
+	for _, a := range c.Attrs() {
+		switch string(a.Local) {
 		case "confidence":
-			c, err := strconv.ParseFloat(a.Value, 64)
+			conf, err := strconv.ParseFloat(string(a.Value), 64)
 			if err != nil {
 				return nil, fmt.Errorf("xupdate: bad confidence %q", a.Value)
 			}
-			tx.Conf = c
+			tx.Conf = conf
 		case "event":
 			tx.ConfEvent = event.ID(a.Value)
 		default:
-			return nil, fmt.Errorf("xupdate: unknown attribute %q on <transaction>", a.Name.Local)
+			return nil, fmt.Errorf("xupdate: unknown attribute %q on <transaction>", a.Local)
 		}
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return nil, fmt.Errorf("xupdate: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
+		switch kind {
+		case xmlio.StartElement:
+			switch string(c.Local()) {
 			case "where":
-				text, err := elementText(dec)
+				text, err := elementText(c)
 				if err != nil {
 					return nil, err
 				}
@@ -123,31 +143,31 @@ func readTransactionFrom(dec *xml.Decoder, start xml.StartElement) (*update.Tran
 				}
 				tx.Query = q
 			case "insert":
-				varName, err := varAttr(t, "into")
+				varName, err := varAttr(c, "into")
 				if err != nil {
 					return nil, err
 				}
-				subtree, err := xmlio.ReadSubtree(dec)
+				subtree, err := c.Subtree()
 				if err != nil {
 					return nil, fmt.Errorf("xupdate: in <insert>: %w", err)
 				}
-				if err := skipToEnd(dec); err != nil { // consume </insert>
-					return nil, err
+				if err := c.Skip(); err != nil { // consume </insert>
+					return nil, fmt.Errorf("xupdate: %w", err)
 				}
 				tx.Ops = append(tx.Ops, update.Insert(varName, subtree))
 			case "delete":
-				varName, err := varAttr(t, "select")
+				varName, err := varAttr(c, "select")
 				if err != nil {
 					return nil, err
 				}
-				if err := skipToEnd(dec); err != nil {
-					return nil, err
+				if err := c.Skip(); err != nil {
+					return nil, fmt.Errorf("xupdate: %w", err)
 				}
 				tx.Ops = append(tx.Ops, update.Delete(varName))
 			default:
-				return nil, fmt.Errorf("xupdate: unexpected <%s> in <transaction>", t.Name.Local)
+				return nil, fmt.Errorf("xupdate: unexpected <%s> in <transaction>", c.Local())
 			}
-		case xml.EndElement:
+		case xmlio.EndElement:
 			if tx.Query == nil {
 				return nil, errors.New("xupdate: <transaction> without <where>")
 			}
@@ -155,77 +175,59 @@ func readTransactionFrom(dec *xml.Decoder, start xml.StartElement) (*update.Tran
 				return nil, err
 			}
 			return tx, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
+		case xmlio.CharData:
+			if len(bytes.TrimSpace(c.Text())) > 0 {
 				return nil, errors.New("xupdate: stray text in <transaction>")
 			}
 		}
 	}
 }
 
-// varAttr extracts a variable reference ("$v" or "v") from the given
-// attribute.
-func varAttr(start xml.StartElement, attr string) (string, error) {
-	for _, a := range start.Attr {
-		if a.Name.Local == attr {
-			return strings.TrimPrefix(a.Value, "$"), nil
+// varAttr extracts a variable reference ("$v" or "v") from the first
+// attribute of the current start tag with the given name.
+func varAttr(c *xmlio.Cursor, attr string) (string, error) {
+	for _, a := range c.Attrs() {
+		if string(a.Local) == attr {
+			return strings.TrimPrefix(string(a.Value), "$"), nil
 		}
 	}
-	return "", fmt.Errorf("xupdate: <%s> missing %q attribute", start.Name.Local, attr)
+	return "", fmt.Errorf("xupdate: <%s> missing %q attribute", c.Local(), attr)
 }
 
 // elementText collects the text content of the current element up to its
 // end tag, rejecting child elements.
-func elementText(dec *xml.Decoder) (string, error) {
-	var b strings.Builder
+func elementText(c *xmlio.Cursor) (string, error) {
+	var b []byte
 	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return "", fmt.Errorf("xupdate: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			b.Write(t)
-		case xml.EndElement:
-			return b.String(), nil
-		case xml.StartElement:
-			return "", fmt.Errorf("xupdate: unexpected <%s> inside text element", t.Name.Local)
+		switch kind {
+		case xmlio.CharData:
+			b = append(b, c.Text()...)
+		case xmlio.EndElement:
+			return string(b), nil
+		case xmlio.StartElement:
+			return "", fmt.Errorf("xupdate: unexpected <%s> inside text element", c.Local())
 		}
 	}
 }
 
-func nextStart(dec *xml.Decoder) (xml.StartElement, error) {
+// nextStart advances to the first start tag, past white space.
+func nextStart(c *xmlio.Cursor) error {
 	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return xml.StartElement{}, fmt.Errorf("xupdate: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) > 0 {
-				return xml.StartElement{}, errors.New("xupdate: unexpected text before element")
-			}
-		}
-	}
-}
-
-func skipToEnd(dec *xml.Decoder) error {
-	depth := 0
-	for {
-		tok, err := dec.Token()
+		kind, err := c.Next()
 		if err != nil {
 			return fmt.Errorf("xupdate: %w", err)
 		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			if depth == 0 {
-				return nil
+		switch kind {
+		case xmlio.StartElement:
+			return nil
+		case xmlio.CharData:
+			if len(bytes.TrimSpace(c.Text())) > 0 {
+				return errors.New("xupdate: unexpected text before element")
 			}
-			depth--
 		}
 	}
 }
